@@ -13,10 +13,11 @@
 //   fig9_wallclock             full Figure 9 scenario (skipped by --quick)
 //
 // Each microbenchmark reports its best of five repetitions (see RunBest).
-// Output is machine-readable CSV (name,ops,seconds,ops_per_sec) on stdout;
-// feed one or more runs to tools/bench_to_json to produce
-// BENCH_lockpath.json. `--quick` shrinks iteration counts to smoke-test
-// levels (used by the bench_smoke ctest entry).
+// Output is machine-readable CSV (name,ops,seconds,ops_per_sec) on stdout.
+// These are microbenchmarks for attributing a change; performance claims
+// use the benchmark in perfbench/ (perfbench/README.md). `--quick` shrinks
+// iteration counts to smoke-test levels (used by the bench_smoke ctest
+// entry).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -158,6 +158,25 @@ void BM_DeadlockDetection(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlockDetection)->Arg(10)->Arg(100);
 
+void BM_DeadlockDetectionCyclic(benchmark::State& state) {
+  // range(0) applications share S on one row and all convert to X: every
+  // conversion waits for every other holder, a complete waits-for graph in
+  // which half of the edges close a cycle and run the victim search.
+  FixedMaxlocksPolicy policy(98.0);
+  auto lm = MakeManager(&policy);
+  const int apps = static_cast<int>(state.range(0));
+  for (AppId app = 1; app <= apps; ++app) {
+    (void)lm->Lock(app, RowResource(1, 1), LockMode::kS);
+  }
+  for (AppId app = 1; app <= apps; ++app) {
+    (void)lm->Lock(app, RowResource(1, 1), LockMode::kX);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lm->DetectDeadlocks());
+  }
+}
+BENCHMARK(BM_DeadlockDetectionCyclic)->Arg(10)->Arg(100);
+
 }  // namespace
 }  // namespace locktune
 

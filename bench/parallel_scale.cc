@@ -14,12 +14,13 @@
 //
 // Output is the same machine-readable CSV as lockpath_bench
 // (name,ops,seconds,ops_per_sec). `--json PATH` additionally writes a
-// scaling report (the checked-in BENCH_parallel.json): per-mix throughput
-// at each thread count, speedup_over_one_thread, and vs_serial_classic —
+// scaling report: per-mix throughput at each thread count,
+// speedup_over_one_thread, and vs_serial_classic —
 // every parallel row's throughput relative to the classic exclusive path,
 // so fast-path overhead and scaling wins are priced against the same
 // yardstick. `--quick` shrinks iteration counts to smoke-test levels (the
-// bench_parallel_smoke ctest entry).
+// bench_parallel_smoke ctest entry). Performance claims use the benchmark
+// in perfbench/ (perfbench/README.md).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -104,8 +105,7 @@ void Report(const std::string& name, const Measurement& m,
               static_cast<long long>(m.ops), m.seconds,
               m.seconds > 0 ? static_cast<double>(m.ops) / m.seconds : 0.0);
   if (attr.present) {
-    // Self-describing key=value columns after the fixed four; bench_to_json
-    // passes them through to the JSON rows.
+    // Self-describing key=value columns after the fixed four.
     std::printf(",wait_ms=%.3f", attr.wait_ms);
     for (int i = 0; i < kProfileSiteCount; ++i) {
       std::printf(",wait_share_%s=%.3f",
@@ -251,8 +251,8 @@ double OpsPerSec(const Measurement& m) {
   return m.seconds > 0 ? static_cast<double>(m.ops) / m.seconds : 0.0;
 }
 
-// Writes the scaling report consumed as BENCH_parallel.json: raw rows plus
-// per-mix speedup of each thread count over that mix's t1 row.
+// Writes the --json scaling report: raw rows plus per-mix speedup of each
+// thread count over that mix's t1 row.
 bool WriteJson(const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) return false;

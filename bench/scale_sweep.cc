@@ -15,12 +15,11 @@
 //   locks_per_sec       granted lock requests per wall second
 //
 // Output is the machine-readable CSV the other benches emit
-// (name,ops,seconds,ops_per_sec[,key=value...]); the checked-in
-// BENCH_scale.json is produced by piping a full run through
-// tools/bench_to_json. `--quick` runs the two small points at smoke
-// durations (the bench_scale_smoke ctest entry); `--apps N` runs just the
-// point with that client count (the CI scale-smoke job runs the 100 k
-// point this way).
+// (name,ops,seconds,ops_per_sec[,key=value...]); performance claims use the
+// benchmark in perfbench/ (perfbench/README.md). `--quick` runs the two small
+// points at smoke durations (the bench_scale_smoke ctest entry); `--apps N`
+// runs just the point with that client count (the CI scale-smoke job runs the
+// 100 k point this way).
 //
 // Wall-clock caveat (same as parallel_scale): on a throttled or 1-CPU CI
 // host the absolute numbers compress; the shape to watch is that

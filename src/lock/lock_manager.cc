@@ -1032,93 +1032,182 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
   }
 }
 
+namespace {
+
+// AppId -> dense waits-for node id. Open addressing with linear probing at
+// most half full, so a look-up touches one or two adjacent slots of a small
+// array instead of chasing a std::unordered_map node.
+class DenseIdTable {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  explicit DenseIdTable(size_t count) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * count) ++bits;
+    shift_ = 32 - bits;
+    slots_.resize(size_t{1} << bits);
+  }
+
+  // `app` must not be present yet.
+  void Insert(AppId app, uint32_t id) {
+    size_t i = Home(app);
+    while (slots_[i].id != kAbsent) i = (i + 1) & (slots_.size() - 1);
+    slots_[i] = {app, id};
+  }
+
+  uint32_t Find(AppId app) const {
+    for (size_t i = Home(app);; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kAbsent || slot.app == app) return slot.id;
+    }
+  }
+
+ private:
+  struct Slot {
+    AppId app = 0;
+    uint32_t id = kAbsent;
+  };
+
+  size_t Home(AppId app) const {
+    return (static_cast<uint32_t>(app) * 0x9E3779B1u) >> shift_;
+  }
+
+  int shift_;
+  std::vector<Slot> slots_;
+};
+
+}  // namespace
+
 std::vector<AppId> LockManager::DetectDeadlocks() {
   WriterLock guard(mu_);
   // Nothing waits, so no edge exists: the common idle tick costs one
   // counter read instead of an O(apps) scan.
   if (blocked_count_ == 0) return {};
 
-  // Build the waits-for graph. A conversion waits for every *other* holder
-  // whose granted mode conflicts with the target. A new request waits for
-  // conflicting holders and for every waiter queued ahead of it (strict
-  // FIFO: it cannot overtake).
-  std::unordered_map<AppId, std::vector<AppId>> edges;
-  // locklint: ordered-ok(edge-set construction; per-node out-edges come from
-  // the ordered wait queue, and the map fill order is not observable)
+  // Nodes are the waiting applications whose wait head exists, numbered
+  // densely in apps_ order. An edge to any other application would lead to
+  // a sink (no out-edges, never on a cycle), so such edges are dropped.
+  //
+  // The DFS starts nodes in the iteration order of `start_order`, a hash
+  // map filled in that same apps_ order. Victim choice on overlapping
+  // cycles depends on the start order, and the goldens pin it. The map
+  // must be built fresh on every call, with no reserve(): its bucket
+  // count, and so its iteration order, depends on its insertion history.
+  struct Node {
+    AppId app;
+    const AppState* state;
+    const LockHead* head;
+  };
+  std::vector<Node> nodes;
+  std::unordered_map<AppId, uint32_t> start_order;
+  // locklint: ordered-ok(the fill order of start_order decides its hash
+  // order, the DFS start order below; the dense ids are not observable)
   for (const auto& [app, state] : apps_) {
     if (!state.waiting) continue;
     const LockHead* head = FindHead(state.wait_resource);
     if (head == nullptr) continue;
-    std::vector<AppId>& out = edges[app];
-    if (state.wait_is_conversion) {
-      for (const LockRequest& h : head->holders()) {
-        if (h.app != app && !Compatible(h.mode, state.wait_mode)) {
-          out.push_back(h.app);
-        }
+    start_order.emplace(app, static_cast<uint32_t>(nodes.size()));
+    nodes.push_back({app, &state, head});
+  }
+  const uint32_t n = static_cast<uint32_t>(nodes.size());
+  DenseIdTable ids(n);
+  for (uint32_t v = 0; v < n; ++v) ids.Insert(nodes[v].app, v);
+
+  // Waits-for adjacency in CSR form: node v's successors are
+  // succ[first[v] .. first[v + 1]). A waiting application waits for every
+  // *other* holder whose granted mode conflicts with its wanted mode
+  // (tombstones hold kNone and conflict with nothing); a new request also
+  // waits for every waiter queued ahead of it (strict FIFO: it cannot
+  // overtake). Edges keep the queue order, duplicates included — an
+  // application can be both a conflicting holder and a conversion queued
+  // ahead.
+  std::vector<uint32_t> first(n + 1);
+  std::vector<uint32_t> succ;
+  std::vector<int64_t> held(n);
+  for (uint32_t v = 0; v < n; ++v) {
+    const Node& node = nodes[v];
+    first[v] = static_cast<uint32_t>(succ.size());
+    held[v] = node.state->held_structures;
+    for (const LockRequest& h : node.head->holders()) {
+      if (h.app == node.app || Compatible(h.mode, node.state->wait_mode)) {
+        continue;
       }
-    } else {
-      for (const LockRequest& h : head->holders()) {
-        if (h.app != app && !Compatible(h.mode, state.wait_mode)) {
-          out.push_back(h.app);
-        }
+      const uint32_t target = ids.Find(h.app);
+      if (target != DenseIdTable::kAbsent) succ.push_back(target);
+    }
+    if (!node.state->wait_is_conversion) {
+      for (const WaitingRequest& w : node.head->waiters()) {
+        if (w.app == node.app) break;
+        const uint32_t target = ids.Find(w.app);
+        if (target != DenseIdTable::kAbsent) succ.push_back(target);
       }
-      for (const WaitingRequest& w : head->waiters()) {
-        if (w.app == app) break;
-        out.push_back(w.app);
+    }
+  }
+  first[n] = static_cast<uint32_t>(succ.size());
+
+  // Iterative path-tracking DFS. The path is `path` (node ids, bottom to
+  // top); `pos` is a grey node's index in it and `cursor` a node's next
+  // unexplored edge. A back-edge to grey node s closes a cycle through the
+  // path entries above s; its victim is the topmost entry with the fewest
+  // held structures among them if that count is below s's own, else s.
+  // `lower[i]` links path index i to the nearest index below it with
+  // strictly fewer held structures (kNone if none), so the topmost minimum
+  // above s is the last link from the top that stays above s.
+  constexpr uint32_t kNone = UINT32_MAX;
+  enum : uint8_t { kWhite, kGrey, kBlack };
+  std::vector<uint8_t> color(n, kWhite);
+  std::vector<uint32_t> pos(n);
+  std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
+  std::vector<uint32_t> path;
+  std::vector<uint32_t> lower;
+  std::vector<uint8_t> is_victim(n, 0);
+  std::vector<uint32_t> victim_ids;
+  auto push = [&](uint32_t v) {
+    uint32_t below =
+        path.empty() ? kNone : static_cast<uint32_t>(path.size() - 1);
+    while (below != kNone && held[path[below]] >= held[v]) {
+      below = lower[below];
+    }
+    color[v] = kGrey;
+    pos[v] = static_cast<uint32_t>(path.size());
+    path.push_back(v);
+    lower.push_back(below);
+  };
+  // locklint: ordered-ok(DFS start order is this map's hash order; victim
+  // choice on overlapping cycles is golden-locked to it)
+  for (const auto& [app, start] : start_order) {
+    if (color[start] != kWhite) continue;
+    push(start);
+    while (!path.empty()) {
+      const uint32_t v = path.back();
+      if (cursor[v] == first[v + 1]) {
+        color[v] = kBlack;
+        path.pop_back();
+        lower.pop_back();
+        continue;
+      }
+      const uint32_t s = succ[cursor[v]++];
+      if (color[s] == kWhite) {
+        push(s);
+      } else if (color[s] == kGrey) {
+        uint32_t top = static_cast<uint32_t>(path.size() - 1);
+        while (lower[top] != kNone && lower[top] > pos[s]) top = lower[top];
+        const uint32_t victim = held[path[top]] < held[s] ? path[top] : s;
+        if (is_victim[victim] == 0) {
+          is_victim[victim] = 1;
+          victim_ids.push_back(victim);
+        }
       }
     }
   }
 
-  // Iterative DFS cycle detection with victim selection per cycle.
   std::vector<AppId> victims;
-  std::unordered_set<AppId> victim_set;  // O(1) duplicate check
-  std::unordered_map<AppId, int> color;  // 0 white, 1 grey, 2 black
-  std::vector<AppId> stack;
-  // locklint: ordered-ok(DFS start order follows legacy hash order; victim
-  // choice on overlapping cycles is golden-locked to it)
-  for (const auto& [start, unused] : edges) {
-    if (color[start] != 0) continue;
-    // Path-tracking DFS.
-    std::vector<std::pair<AppId, size_t>> frames;
-    frames.push_back({start, 0});
-    color[start] = 1;
-    stack.push_back(start);
-    while (!frames.empty()) {
-      auto& [node, next] = frames.back();
-      const auto eit = edges.find(node);
-      const std::vector<AppId>* adj =
-          eit == edges.end() ? nullptr : &eit->second;
-      if (adj != nullptr && next < adj->size()) {
-        const AppId succ = (*adj)[next++];
-        if (color[succ] == 1) {
-          // Cycle found: victim = member with fewest held structures.
-          AppId victim = succ;
-          int64_t fewest = GetApp(succ).held_structures;
-          for (auto rit = stack.rbegin(); rit != stack.rend(); ++rit) {
-            const int64_t held = GetApp(*rit).held_structures;
-            if (held < fewest) {
-              fewest = held;
-              victim = *rit;
-            }
-            if (*rit == succ) break;
-          }
-          if (victim_set.insert(victim).second) victims.push_back(victim);
-        } else if (color[succ] == 0) {
-          color[succ] = 1;
-          stack.push_back(succ);
-          frames.push_back({succ, 0});
-        }
-      } else {
-        color[node] = 2;
-        stack.pop_back();
-        frames.pop_back();
-      }
-    }
-  }
+  victims.reserve(victim_ids.size());
+  for (uint32_t v : victim_ids) victims.push_back(nodes[v].app);
   Bump(stats_.deadlock_victims, static_cast<int64_t>(victims.size()));
-  for (AppId victim : victims) {
-    const AppState& state = GetApp(victim);
-    Emit(LockEventKind::kDeadlockVictim, victim, state.wait_resource,
+  for (uint32_t v : victim_ids) {
+    const AppState& state = *nodes[v].state;
+    Emit(LockEventKind::kDeadlockVictim, nodes[v].app, state.wait_resource,
          state.wait_mode, state.held_structures);
   }
   // When armed (--flight-dump / paranoid), the first victim selection dumps

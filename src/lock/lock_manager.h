@@ -192,11 +192,20 @@ class LockManager {
   // conversion) that has not been granted.
   bool IsBlocked(AppId app) const;
 
-  // Runs waits-for cycle detection; for each cycle picks the application
-  // holding the fewest lock structures as victim. Victims are *reported*,
+  // Runs waits-for cycle detection and returns one victim per cycle found,
+  // deduplicated in first-found order. A waiting application waits for
+  // every other holder whose granted mode conflicts with its wanted mode
+  // and, for a new request, for every waiter queued ahead of it. A path-
+  // tracking DFS visits the waiting applications; when an edge reaches an
+  // application s already on the path, the victim is the topmost path
+  // entry above s holding the fewest lock structures if that count is
+  // strictly below s's own, and s otherwise (an equal minimum keeps s).
+  // The DFS start order follows a hash map's iteration order, which the
+  // goldens pin (docs/PERFORMANCE.md §4–§5). Costs O(apps) to find the
+  // waiters plus O(waiters + edges) for the graph. Victims are *reported*,
   // not aborted: the caller must ReleaseAll() each (and roll back its
   // transaction). Repeated calls without intervening ReleaseAll return the
-  // same victims.
+  // same victims, and stats() counts them on every call.
   std::vector<AppId> DetectDeadlocks();
 
   // Reports applications whose wait has exceeded the configured

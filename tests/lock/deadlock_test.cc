@@ -1,7 +1,12 @@
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/units.h"
 #include "lock/lock_manager.h"
 
@@ -143,6 +148,179 @@ TEST_F(DeadlockTest, NoDeadlockAmongReaders) {
     }
   }
   EXPECT_TRUE(lm_->DetectDeadlocks().empty());
+}
+
+TEST_F(DeadlockTest, RepeatedCallsReportAndCountTheSameVictims) {
+  // Two overlapping conversion deadlocks on one row: nothing is released
+  // between calls, so every call reports the same list and counts it again.
+  for (AppId app = 1; app <= 3; ++app) {
+    ASSERT_EQ(Lock(app, 1, LockMode::kS).outcome, LockOutcome::kGranted);
+  }
+  for (AppId app = 1; app <= 3; ++app) {
+    ASSERT_EQ(Lock(app, 1, LockMode::kX).outcome, LockOutcome::kWaiting);
+  }
+  const std::vector<AppId> first = lm_->DetectDeadlocks();
+  ASSERT_FALSE(first.empty());
+  for (int call = 2; call <= 3; ++call) {
+    EXPECT_EQ(lm_->DetectDeadlocks(), first);
+    EXPECT_EQ(lm_->stats().deadlock_victims,
+              call * static_cast<int64_t>(first.size()));
+  }
+}
+
+TEST_F(DeadlockTest, TieRuleOnOverlappingCycles) {
+  // Cycle A is 1 -> 2 -> 3 -> 1 and cycle B is 2 -> 3 -> 4 -> 2; they share
+  // the edge 2 -> 3. Apps 1, 3 and 4 hold three structures each (intent
+  // lock, one row, one waiting request); app 2 holds six.
+  ASSERT_EQ(Lock(1, 14, LockMode::kS).outcome, LockOutcome::kGranted);
+  for (int64_t row = 20; row < 22; ++row) {
+    ASSERT_EQ(Lock(2, row, LockMode::kX).outcome, LockOutcome::kGranted);
+  }
+  ASSERT_EQ(Lock(2, 2, LockMode::kX).outcome, LockOutcome::kGranted);
+  ASSERT_EQ(Lock(3, 3, LockMode::kX).outcome, LockOutcome::kGranted);
+  ASSERT_EQ(Lock(4, 14, LockMode::kS).outcome, LockOutcome::kGranted);
+  ASSERT_EQ(Lock(2, 12, LockMode::kX).outcome, LockOutcome::kGranted);
+  ASSERT_EQ(Lock(1, 2, LockMode::kX).outcome, LockOutcome::kWaiting);   // 1->2
+  ASSERT_EQ(Lock(4, 12, LockMode::kX).outcome, LockOutcome::kWaiting);  // 4->2
+  ASSERT_EQ(Lock(2, 3, LockMode::kX).outcome, LockOutcome::kWaiting);   // 2->3
+  // App 3 waits for both S holders of row 14, in arrival order: 3->1, 3->4.
+  ASSERT_EQ(Lock(3, 14, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->HeldStructures(1), 3);
+  ASSERT_EQ(lm_->HeldStructures(2), 6);
+  ASSERT_EQ(lm_->HeldStructures(3), 3);
+  ASSERT_EQ(lm_->HeldStructures(4), 3);
+  // The DFS starts at app 1: with a handful of small app ids the hash
+  // order of the start map is the order the apps were first seen. The path
+  // is 1, 2, 3, and the back-edge 3 -> 1 sees min(6, 3) above app 1, equal
+  // to app 1's own 3, so the victim stays app 1. Then 3 -> 4 pushes app 4,
+  // and the back-edge 4 -> 2 sees apps 3 and 4 tied at 3, below app 2's 6:
+  // the topmost, app 4, is the victim. A `<=` rule would pick app 3 for
+  // cycle A, and a bottommost-minimum rule app 3 for cycle B.
+  EXPECT_EQ(lm_->DetectDeadlocks(), (std::vector<AppId>{1, 4}));
+}
+
+// --- victim order over seeded lock storms ---------------------------------
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+uint64_t Fold(uint64_t digest, uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (word >> (8 * byte)) & 0xff;
+    digest *= 1099511628211ull;
+  }
+  return digest;
+}
+
+struct StormSummary {
+  uint64_t digest = kFnvOffset;
+  int64_t calls = 0;
+  int64_t victims = 0;
+  int64_t multi_victim_calls = 0;
+  int64_t max_waiting = 0;
+};
+
+// One seeded storm: 128 applications on three small tables take S and X row
+// locks (so IS/IX intent holders crowd every table head), convert rows S to
+// X, request table X the way an escalation converts IX, and commit at
+// random. Most requests queue, so wait queues grow long and held counts tie
+// often. Every round ends with two DetectDeadlocks calls, whose lists must
+// match; the first is folded into the digest and its victims are released.
+void RunStorm(uint64_t seed, StormSummary& summary) {
+  constexpr int kApps = 128;
+  constexpr int kTables = 3;
+  constexpr int kRows = 32;
+  constexpr int kRounds = 40;
+  constexpr int kActionsPerRound = 48;
+  FixedMaxlocksPolicy policy(90.0);
+  LockManagerOptions opts;
+  opts.initial_blocks = 64;
+  opts.max_lock_memory = 64 * kMiB;
+  opts.database_memory = kGiB;
+  opts.policy = &policy;
+  LockManager lm(std::move(opts));
+  Rng rng(seed);
+  std::vector<std::vector<ResourceId>> shared_rows(kApps + 1);
+
+  // App 1 is both a conflicting S holder of row (1, 0) and, through its
+  // queued conversion to X, a waiter ahead of app 3: app 3 has two edges to
+  // app 1.
+  const ResourceId contested = RowResource(1, 0);
+  ASSERT_EQ(lm.Lock(1, contested, LockMode::kS).outcome, LockOutcome::kGranted);
+  ASSERT_EQ(lm.Lock(2, contested, LockMode::kS).outcome, LockOutcome::kGranted);
+  shared_rows[1].push_back(contested);
+  shared_rows[2].push_back(contested);
+  ASSERT_EQ(lm.Lock(1, contested, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(lm.Lock(3, contested, LockMode::kX).outcome, LockOutcome::kWaiting);
+
+  summary.digest = Fold(summary.digest, seed);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int action = 0; action < kActionsPerRound; ++action) {
+      const AppId app = 1 + static_cast<AppId>(rng.NextBelow(kApps));
+      if (lm.IsBlocked(app)) continue;
+      const TableId table = 1 + static_cast<TableId>(rng.NextBelow(kTables));
+      const uint64_t pick = rng.NextBelow(100);
+      std::vector<ResourceId>& mine = shared_rows[app];
+      if (pick < 6) {
+        lm.ReleaseAll(app);
+        mine.clear();
+      } else if (pick < 12) {
+        (void)lm.Lock(app, TableResource(table), LockMode::kX);
+      } else if (pick < 26 && !mine.empty()) {
+        (void)lm.Lock(app, mine[rng.NextBelow(mine.size())], LockMode::kX);
+      } else {
+        const ResourceId row = RowResource(
+            table, static_cast<int64_t>(rng.NextBelow(kRows)));
+        const LockMode mode = rng.NextBool(0.5) ? LockMode::kS : LockMode::kX;
+        if (lm.Lock(app, row, mode).outcome != LockOutcome::kOutOfMemory &&
+            mode == LockMode::kS) {
+          mine.push_back(row);
+        }
+      }
+    }
+    summary.max_waiting = std::max(summary.max_waiting, lm.waiting_app_count());
+    const int64_t counted_before = lm.stats().deadlock_victims;
+    const std::vector<AppId> victims = lm.DetectDeadlocks();
+    ASSERT_EQ(lm.DetectDeadlocks(), victims) << "seed " << seed;
+    ASSERT_EQ(lm.stats().deadlock_victims - counted_before,
+              2 * static_cast<int64_t>(victims.size()));
+    summary.digest = Fold(summary.digest, static_cast<uint64_t>(round));
+    summary.digest = Fold(summary.digest, victims.size());
+    for (AppId victim : victims) {
+      summary.digest = Fold(summary.digest, static_cast<uint64_t>(victim));
+    }
+    ++summary.calls;
+    summary.victims += static_cast<int64_t>(victims.size());
+    if (victims.size() > 1) ++summary.multi_victim_calls;
+    for (AppId victim : victims) {
+      lm.ReleaseAll(victim);
+      shared_rows[victim].clear();
+    }
+  }
+  ASSERT_TRUE(lm.CheckConsistency().ok());
+}
+
+// Folds the victim lists of 24 seeded storms. The expected digest was
+// recorded with the original hash-map detector; any change to the victim
+// set or order of any call changes it.
+TEST(DeadlockStormTest, VictimOrderMatchesRecordedDigest) {
+  constexpr uint64_t kRecordedDigest = 0x8b0c3b0be4926152ull;
+  StormSummary summary;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    RunStorm(seed, summary);
+    if (HasFatalFailure()) return;
+  }
+  // The storms must actually exercise victim selection.
+  EXPECT_GE(summary.max_waiting, 64);
+  EXPECT_GE(summary.victims, 500);
+  EXPECT_GE(summary.multi_victim_calls, 100);
+  std::printf("storm: calls=%lld victims=%lld multi=%lld max_waiting=%lld "
+              "digest=0x%016llx\n",
+              static_cast<long long>(summary.calls),
+              static_cast<long long>(summary.victims),
+              static_cast<long long>(summary.multi_victim_calls),
+              static_cast<long long>(summary.max_waiting),
+              static_cast<unsigned long long>(summary.digest));
+  EXPECT_EQ(summary.digest, kRecordedDigest);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: lint first, then build + test,
-# then clang-tidy when available. Run from the repo root before sending a
-# change out; a clean pass here is a clean CI run minus the compiler matrix.
+# then the benchmark's output check, then clang-tidy when available. Run
+# from the repo root before sending a change out; a clean pass here is a
+# clean CI run minus the compiler matrix.
 #
-#   tools/run_checks.sh              # lint + default build + ctest
+#   tools/run_checks.sh              # lint, build, ctest, output check
 #   tools/run_checks.sh --paranoid   # also build/test -DLOCKTUNE_PARANOID=ON
 #   tools/run_checks.sh --asan       # also build/test the asan preset
 set -euo pipefail
@@ -42,14 +43,19 @@ run cmake -B build -S . -DLOCKTUNE_WERROR=ON
 run cmake --build build -j
 run ctest --test-dir build --output-on-failure -j 4
 
-# 3. clang-tidy, when installed (the tidy target exists only then).
+# 3. The benchmark's output check (perfbench/README.md): both workloads'
+#    seed-42 outcome fingerprints must match perfbench/references.json.
+run python3 perfbench/run.py --self-test
+run python3 perfbench/run.py --workload all --seconds 5
+
+# 4. clang-tidy, when installed (the tidy target exists only then).
 if command -v clang-tidy > /dev/null 2>&1; then
   run cmake --build build --target tidy
 else
   echo "clang-tidy not installed; skipping the tidy wall"
 fi
 
-# 4. Optional heavier configurations.
+# 5. Optional heavier configurations.
 if [ "$PARANOID" = 1 ]; then
   run cmake --preset paranoid
   run cmake --build --preset paranoid -j
