@@ -21,10 +21,10 @@
 // runs just the point with that client count (the CI scale-smoke job runs the
 // 100 k point this way).
 //
-// Wall-clock caveat (same as parallel_scale): on a throttled or 1-CPU CI
-// host the absolute numbers compress; the shape to watch is that
-// commits/s stays roughly flat while apps grow 1000x — per-tick cost must
-// track the *runnable* population, not the connected one.
+// Wall-clock caveat: on a throttled or 1-CPU CI host the absolute numbers
+// compress; the shape to watch is that commits/s stays roughly flat while
+// apps grow 1000x — per-tick cost must track the *runnable* population, not
+// the connected one.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -9,9 +9,8 @@ namespace locktune {
 
 namespace {
 
-// Deepest legal nesting today is four (MetricsRegistry → manager →
-// shard/apps → alloc → leaf); 16 leaves headroom for future levels and
-// for shared holds stacked across re-entrant telemetry.
+// Deepest legal nesting today is three (MetricsRegistry → manager →
+// leaf); 16 leaves headroom for future levels.
 constexpr int kMaxHeldRanks = 16;
 
 struct HeldStack {
@@ -51,10 +50,9 @@ void LockRankOnAcquireSlow(int rank, const char* name) {
 
 void LockRankOnReleaseSlow(int rank) {
   HeldStack& held = tls_held;
-  // Releases are usually LIFO (RAII guards), but the fast path drops the
-  // shard latch and the outer shared hold in explicit non-nested scopes,
-  // and paranoid mode can be flipped on while locks are held — so scan
-  // for the most recent matching rank and tolerate a miss.
+  // Releases are usually LIFO (RAII guards), but paranoid mode can be
+  // flipped on while locks are held — so scan for the most recent
+  // matching rank and tolerate a miss.
   for (int i = held.depth - 1; i >= 0; --i) {
     if (held.rank[i] == rank) {
       for (int j = i; j + 1 < held.depth; ++j) {

@@ -15,8 +15,7 @@
 //
 // The rule: a thread may acquire a lock only while every lock it already
 // holds has a STRICTLY SMALLER rank. Strict ordering at equal rank is
-// intentional — it is what enforces "never hold two shard latches at
-// once" (docs/LATCHES.md) without a dedicated rule.
+// intentional: two locks of one rank never nest, in either order.
 //
 // The hierarchy (outermost first; see docs/STATIC_ANALYSIS.md §2 for the
 // prose version and the evidence for each edge):
@@ -27,16 +26,8 @@
 //                                   manager lock — so the registry lock
 //                                   is OUTERMOST, nothing may be held
 //                                   when calling Collect().
-//   rank 10  LockManager::mu_       the two-level outer lock: exclusive
-//                                   for the classic path, shared for the
-//                                   parallel fast path.
-//   rank 20  LockManager::apps_mu_  fast-path app-state map; never
-//            LockTable shard latch  nested with a shard latch, and two
-//                                   shard latches never nest (equal
-//                                   rank ⇒ both are illegal).
-//   rank 30  LockManager::alloc_mu_ pool/block allocation under the
-//                                   fast path: "shard latch, then
-//                                   alloc_mu_ — never the reverse".
+//   rank 10  LockManager::mu_       the lock manager's one mutex; every
+//                                   public manager call holds it.
 //   rank 40  leaf telemetry locks   trace writers, chrome trace, flight
 //                                   recorder + profiler registries,
 //                                   histogram buckets. Take nothing
@@ -59,10 +50,7 @@ namespace locktune {
 // checking (locklint still sees it as a graph node).
 inline constexpr int kLockRankUnranked = -1;
 inline constexpr int kLockRankMetricsRegistry = 0;
-inline constexpr int kLockRankManagerOuter = 10;
-inline constexpr int kLockRankAppsMap = 20;
-inline constexpr int kLockRankShardLatch = 20;
-inline constexpr int kLockRankAlloc = 30;
+inline constexpr int kLockRankManager = 10;
 inline constexpr int kLockRankLeaf = 40;
 
 struct LockRankEntry {
@@ -75,10 +63,7 @@ struct LockRankEntry {
 // here when they participate in any nesting).
 inline constexpr LockRankEntry kLockRankTable[] = {
     {"MetricsRegistry::mu_", kLockRankMetricsRegistry},
-    {"LockManager::mu_", kLockRankManagerOuter},
-    {"LockManager::apps_mu_", kLockRankAppsMap},
-    {"LockTable::shard_latch", kLockRankShardLatch},
-    {"LockManager::alloc_mu_", kLockRankAlloc},
+    {"LockManager::mu_", kLockRankManager},
     // Leaves: telemetry sinks and registries. Code holding one of these
     // must not call back into anything above.
     {"HistogramMetric::mu_", kLockRankLeaf},

@@ -1,27 +1,24 @@
-// Annotated mutex wrappers: the capability types clang's -Wthread-safety
+// Annotated mutex wrapper: the capability type clang's -Wthread-safety
 // analysis reasons about.
 //
-// libstdc++'s std::mutex / std::shared_mutex carry no capability
-// attributes, so a member can be LT_GUARDED_BY a lock only if the lock's
-// type is annotated. These wrappers are that type: zero-overhead
-// forwarding to the std primitive, plus
+// libstdc++'s std::mutex carries no capability attributes, so a member can
+// be LT_GUARDED_BY a lock only if the lock's type is annotated. Mutex is
+// that type: zero-overhead forwarding to std::mutex, plus
 //
 //   * the capability attributes (LT_CAPABILITY / LT_ACQUIRE / ...), and
 //   * an optional lock rank wired into the paranoid-mode runtime
 //     hierarchy assertion (common/lock_rank.h). Ranked construction is
-//     `Mutex(kLockRankAlloc, "LockManager::alloc_mu_")`; the name must
-//     match the canonical spelling in common/lock_rank_table.h so the
-//     runtime checker, locklint's graph, and the docs stay in sync.
+//     `Mutex(kLockRankManager, "LockManager::mu_")`; the name must match
+//     the canonical spelling in common/lock_rank_table.h so the runtime
+//     checker, locklint's graph, and the docs stay in sync.
 //
-// Scoped guards (MutexLock / ReaderLock / WriterLock) replace
-// std::lock_guard / std::shared_lock on these types; the profiled
-// variants on the lock hot path live in telemetry/lock_profiler.h and
-// carry the same annotations.
+// The scoped guard MutexLock replaces std::lock_guard on this type; the
+// profiled variant on the lock hot path lives in telemetry/lock_profiler.h
+// and carries the same annotations.
 #ifndef LOCKTUNE_COMMON_MUTEX_H_
 #define LOCKTUNE_COMMON_MUTEX_H_
 
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
@@ -55,48 +52,6 @@ class LT_CAPABILITY("mutex") Mutex {
   const char* name_ = "Mutex";
 };
 
-class LT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(int rank, const char* name) : rank_(rank), name_(name) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() LT_ACQUIRE() {
-    mu_.lock();
-    LockRankOnAcquire(rank_, name_);
-  }
-  void Unlock() LT_RELEASE() {
-    LockRankOnRelease(rank_);
-    mu_.unlock();
-  }
-  bool TryLock() LT_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    LockRankOnAcquire(rank_, name_);
-    return true;
-  }
-  // Shared holders participate in the rank order too: the fast path
-  // holds this shared while taking shard latches underneath.
-  void LockShared() LT_ACQUIRE_SHARED() {
-    mu_.lock_shared();
-    LockRankOnAcquire(rank_, name_);
-  }
-  void UnlockShared() LT_RELEASE_SHARED() {
-    LockRankOnRelease(rank_);
-    mu_.unlock_shared();
-  }
-  bool TryLockShared() LT_TRY_ACQUIRE_SHARED(true) {
-    if (!mu_.try_lock_shared()) return false;
-    LockRankOnAcquire(rank_, name_);
-    return true;
-  }
-
- private:
-  std::shared_mutex mu_;
-  int rank_ = kLockRankUnranked;
-  const char* name_ = "SharedMutex";
-};
-
 class LT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) LT_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
@@ -106,32 +61,6 @@ class LT_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Shared (reader) hold on a SharedMutex.
-class LT_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) LT_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderLock() LT_RELEASE_GENERIC() { mu_.UnlockShared(); }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// Exclusive (writer) hold on a SharedMutex.
-class LT_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) LT_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterLock() LT_RELEASE() { mu_.Unlock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace locktune

@@ -5,7 +5,7 @@
 // unaffected). They let the compiler prove, per translation unit, that
 //
 //   * a member declared LT_GUARDED_BY(mu_) is only touched while mu_ is
-//     held (exclusively for writes, at least shared for reads);
+//     held;
 //   * a function declared LT_REQUIRES(mu_) is only called with mu_ held,
 //     and one declared LT_EXCLUDES(mu_) is never called with it held
 //     (re-entrancy guard);
@@ -14,7 +14,7 @@
 //
 // The annotated capability types live in src/common/mutex.h (clang's
 // analysis does not know libstdc++'s std::mutex, so guarded members must
-// hang off locktune::Mutex / locktune::SharedMutex / OptLatch instead).
+// hang off locktune::Mutex instead).
 // The whole-repo locking discipline — which lock may be taken under
 // which — is documented in src/common/lock_rank_table.h and checked three
 // ways: by these annotations under clang, by tools/locklint rule LL011
@@ -43,28 +43,17 @@
 // protected by the capability.
 #define LT_PT_GUARDED_BY(x) LT_THREAD_ANNOTATION(pt_guarded_by(x))
 
-// On a function: callers must hold the capability (exclusively / at
-// least shared). Exclusive satisfies shared.
+// On a function: callers must hold the capability.
 #define LT_REQUIRES(...) LT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define LT_REQUIRES_SHARED(...) \
-  LT_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 // On a function: acquires / releases the capability itself.
 #define LT_ACQUIRE(...) LT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define LT_ACQUIRE_SHARED(...) \
-  LT_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define LT_RELEASE(...) LT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define LT_RELEASE_SHARED(...) \
-  LT_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define LT_RELEASE_GENERIC(...) \
-  LT_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 
 // On a bool-returning function: acquires the capability iff the return
 // value equals the first argument.
 #define LT_TRY_ACQUIRE(...) \
   LT_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define LT_TRY_ACQUIRE_SHARED(...) \
-  LT_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 // On a function: callers must NOT hold the capability (deadlock /
 // re-entrancy guard, e.g. MetricsRegistry callbacks must not re-enter
@@ -72,7 +61,7 @@
 #define LT_EXCLUDES(...) LT_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // On a function: returns a reference to the capability guarding the
-// object (lets ShardLatch(h)-style accessors participate in analysis).
+// object (lets lock accessors participate in analysis).
 #define LT_RETURN_CAPABILITY(x) LT_THREAD_ANNOTATION(lock_returned(x))
 
 // On a function: opt out of analysis. Reserved for code that is
@@ -84,7 +73,5 @@
 // On a declaration: assert the capability is held without acquiring it
 // (trusted entry points from annotated-blind code).
 #define LT_ASSERT_CAPABILITY(x) LT_THREAD_ANNOTATION(assert_capability(x))
-#define LT_ASSERT_SHARED_CAPABILITY(x) \
-  LT_THREAD_ANNOTATION(assert_shared_capability(x))
 
 #endif  // LOCKTUNE_COMMON_THREAD_ANNOTATIONS_H_

@@ -5,7 +5,6 @@
 
 #include "core/stmm_report.h"
 #include "telemetry/exporters.h"
-#include "telemetry/lock_profiler.h"
 
 namespace locktune {
 
@@ -113,61 +112,12 @@ std::string RenderSnapshot(const DatabaseSnapshot& s) {
   return out;
 }
 
-std::vector<ShardHeatRow> CaptureShardHeat(Database& db) {
-  const std::vector<int64_t> sizes = db.locks().lock_table_shard_sizes();
-  const ProfileSnapshot prof = CaptureProfile();
-  std::vector<ShardHeatRow> rows;
-  rows.reserve(sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    ShardHeatRow row;
-    row.shard = static_cast<int>(i);
-    row.heads = sizes[i];
-    if (i < prof.shards.size()) {
-      // Shards past kMaxProfiledShards folded their attribution into the
-      // last profiled slot; their rows show occupancy only.
-      row.acquires = prof.shards[i].acquires;
-      row.contended = prof.shards[i].contended;
-      row.wait_ms = static_cast<double>(prof.shards[i].wait_ns) / 1e6;
-    }
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-std::string RenderShardHeatmap(const std::vector<ShardHeatRow>& rows) {
-  std::string out;
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "shard contention heatmap (%zu shards):\n", rows.size());
-  out += line;
-  out += "  shard      heads   acquires  contended    wait_ms  heat\n";
-  double max_wait = 0.0;
-  for (const ShardHeatRow& r : rows) max_wait = std::max(max_wait, r.wait_ms);
-  for (const ShardHeatRow& r : rows) {
-    constexpr int kBarWidth = 20;
-    const int bar =
-        max_wait > 0.0
-            ? static_cast<int>(r.wait_ms / max_wait * kBarWidth + 0.5)
-            : 0;
-    std::snprintf(line, sizeof(line),
-                  "     %02d %10lld %10llu %10llu %10.3f  %s\n", r.shard,
-                  static_cast<long long>(r.heads),
-                  static_cast<unsigned long long>(r.acquires),
-                  static_cast<unsigned long long>(r.contended), r.wait_ms,
-                  std::string(static_cast<size_t>(bar), '#').c_str());
-    out += line;
-  }
-  return out;
-}
-
 std::string RenderInspector(Database& db, int max_app_id,
                             const RingBufferEventMonitor* ring,
                             size_t ring_tail) {
   std::string out = RenderSnapshot(CaptureSnapshot(db, max_app_id));
   out += "\n";
   out += RenderRegistryTable(db.metrics());
-  out += "\n";
-  out += RenderShardHeatmap(CaptureShardHeat(db));
   if (db.stmm() != nullptr && !db.stmm()->history().empty()) {
     out += "\nSTMM tuning history (last 10 passes):\n";
     out += RenderHistoryTable(db.stmm()->history(), 10);

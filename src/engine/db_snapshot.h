@@ -55,24 +55,6 @@ DatabaseSnapshot CaptureSnapshot(Database& db, int max_app_id,
 // Multi-line operator-facing rendering.
 std::string RenderSnapshot(const DatabaseSnapshot& snapshot);
 
-// One row of the per-shard contention heatmap: table occupancy from the
-// lock table, contention attribution from the lock-path profiler (zeros in
-// LOCKTUNE_PROFILE=OFF builds).
-struct ShardHeatRow {
-  int shard = 0;
-  int64_t heads = 0;       // live lock heads resident in the shard
-  uint64_t acquires = 0;   // profiled shard-mutex acquisitions
-  uint64_t contended = 0;  // acquisitions that had to wait
-  double wait_ms = 0.0;    // total contended wait on this shard's mutex
-};
-
-// Occupancy + profiler attribution for every lock-table shard.
-std::vector<ShardHeatRow> CaptureShardHeat(Database& db);
-
-// Aligned heatmap table with shard ids and a wait-weighted heat bar. Pure
-// (layout is golden-tested); returns the full section including heading.
-std::string RenderShardHeatmap(const std::vector<ShardHeatRow>& rows);
-
 // The `locktune_pd` full inspection: the snapshot above, the telemetry
 // registry table, the last STMM tuning passes, and (when a flight recorder
 // is attached) the tail of the lock event ring buffer.

@@ -50,7 +50,6 @@ void LockHead::AddHolder(const LockRequest& request) {
   } else if (live_holders_ > kHolderIndexThreshold) {
     BuildIndex();
   }
-  RefreshSummary();
 }
 
 void LockHead::BuildIndex() {
@@ -115,7 +114,6 @@ LockBlock* LockHead::RemoveHolder(AppId app) {
     dead_holders_ = 0;
     if (indexed_) index_.clear();
   }
-  RefreshSummary();
   return slot;
 }
 
@@ -125,13 +123,11 @@ void LockHead::EnqueueConversion(const WaitingRequest& w) {
   auto it = waiters_.begin();
   while (it != waiters_.end() && it->is_conversion) ++it;
   waiters_.insert(it, w);
-  RefreshSummary();
 }
 
 void LockHead::EnqueueNew(const WaitingRequest& w) {
   LOCKTUNE_DCHECK(!w.is_conversion);
   waiters_.push_back(w);
-  RefreshSummary();
 }
 
 LockBlock* LockHead::RemoveWaiter(AppId app, bool* removed) {
@@ -139,7 +135,6 @@ LockBlock* LockHead::RemoveWaiter(AppId app, bool* removed) {
     if (it->app == app) {
       LockBlock* slot = it->slot;
       waiters_.erase(it);
-      RefreshSummary();
       if (removed != nullptr) *removed = true;
       return slot;
     }
@@ -157,15 +152,14 @@ WaitingRequest LockHead::PopFrontWaiter() {
   LOCKTUNE_DCHECK(!waiters_.empty());
   WaitingRequest w = waiters_.front();
   waiters_.erase(waiters_.begin());
-  RefreshSummary();
   return w;
 }
 
-bool LockHead::SummaryConsistent() const {
-  // The incremental aggregates first: recompute the per-mode counts, the
-  // live/dead split, and the app → slot index from the holder vector and
-  // compare, so a missed maintenance path fails here (paranoid mode /
-  // tests) rather than granting against a stale group mode.
+bool LockHead::AggregatesConsistent() const {
+  // Recompute the per-mode counts, the live/dead split, and the app → slot
+  // index from the holder vector and compare, so a missed maintenance path
+  // fails here (paranoid mode / tests) rather than granting against a
+  // stale group mode.
   std::array<uint32_t, kNumLockModes> counts{};
   uint32_t live = 0;
   uint32_t dead = 0;
@@ -190,10 +184,7 @@ bool LockHead::SummaryConsistent() const {
       if (it == index_.end() || it->second != i) return false;
     }
   }
-  const uint32_t summary = opt_summary();
-  return SummaryMode(summary) == GrantedGroupMode() &&
-         SummaryHasWaiters(summary) == !waiters_.empty() &&
-         SummaryHolderCount(summary) == live_holders_;
+  return true;
 }
 
 }  // namespace locktune

@@ -10,7 +10,6 @@
 #define LOCKTUNE_LOCK_LOCK_HEAD_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <type_traits>
 #include <unordered_map>
@@ -50,34 +49,9 @@ struct WaitingRequest {
 class LockHead {
  public:
   LockHead() = default;
-  // Not copyable: heads live in pooled, pointer-stable nodes; the atomic
-  // summary word must never be duplicated.
+  // Not copyable: heads live in pooled, pointer-stable nodes.
   LockHead(const LockHead&) = delete;
   LockHead& operator=(const LockHead&) = delete;
-
-  // --- optimistic summary (docs/LATCHES.md) ---
-  //
-  // A packed snapshot of the grant-check inputs, readable without the shard
-  // latch: bits [0..3] the granted-group supremum mode, bit [4] whether any
-  // waiter is queued, bits [5..] the holder count. Every mutator below
-  // refreshes it (all mutations run under the shard latch's write side or
-  // the manager's exclusive lock), so an optimistic reader that validates
-  // its latch version saw a summary consistent with the vectors. CanGrantNew
-  // is exactly derivable from it: !HasWaiters && Compatible(Mode, mode).
-  uint32_t opt_summary() const {
-    // order: relaxed-ok(callers read this inside a ReadBegin/ReadValidate
-    // section of the shard latch; the version protocol rejects torn reads)
-    return opt_summary_.load(std::memory_order_relaxed);
-  }
-  static LockMode SummaryMode(uint32_t summary) {
-    return static_cast<LockMode>(summary & 0xF);
-  }
-  static bool SummaryHasWaiters(uint32_t summary) {
-    return (summary & 0x10) != 0;
-  }
-  static uint32_t SummaryHolderCount(uint32_t summary) {
-    return summary >> 5;
-  }
 
   // --- granted group ---
   //
@@ -135,13 +109,11 @@ class LockHead {
 
   // Changes `holder`'s granted mode (conversion grant, escalation). The
   // only sanctioned way to change a granted mode — a plain `holder->mode =`
-  // through FindHolder would leave the optimistic summary and the mode
-  // counts stale (locklint LL010 polices the raw form on shard state).
+  // through FindHolder would leave the per-mode counts stale.
   void SetHolderMode(LockRequest* holder, LockMode mode) {
     --mode_counts_[static_cast<size_t>(holder->mode)];
     ++mode_counts_[static_cast<size_t>(mode)];
     holder->mode = mode;
-    RefreshSummary();
   }
 
   // Removes `app`'s granted request, returning its lock memory slot
@@ -167,7 +139,6 @@ class LockHead {
   // Drops all holders and waiters but keeps vector capacity — called when a
   // pooled head node is recycled, so a reused node re-enters service
   // allocation-free.
-  // locklint: seqlock-writer(mutator; runs under the shard latch write side or the manager exclusive lock, whose version bump publishes the store)
   void Clear() {
     holders_.clear();
     waiters_.clear();
@@ -176,29 +147,18 @@ class LockHead {
     indexed_ = false;
     live_holders_ = 0;
     dead_holders_ = 0;
-    opt_summary_.store(0, std::memory_order_relaxed);
   }
 
-  // True when the summary word matches a fresh recomputation (paranoid
-  // checks / tests).
-  bool SummaryConsistent() const;
+  // True when the incrementally maintained aggregates (per-mode counts,
+  // live/dead split, app → slot index) match a fresh recomputation
+  // (paranoid checks / tests).
+  bool AggregatesConsistent() const;
 
   // Pops the front waiter. Precondition: !waiters().empty().
   WaitingRequest PopFrontWaiter();
   const WaitingRequest& FrontWaiter() const { return waiters_.front(); }
 
  private:
-  // Recomputed after every mutation. O(modes): the group supremum folds
-  // the per-mode counts, never the holder vector, so refreshing a table
-  // intent head with 10^4 holders costs the same as a row head with one.
-  // locklint: seqlock-writer(every caller is a mutator under the shard latch write side or the manager exclusive lock; the latch version bump publishes)
-  void RefreshSummary() {
-    const uint32_t packed = static_cast<uint32_t>(GrantedGroupMode()) |
-                            (waiters_.empty() ? 0u : 0x10u) |
-                            (live_holders_ << 5);
-    opt_summary_.store(packed, std::memory_order_relaxed);
-  }
-
   // Builds the app → slot index over the current live holders (crossing
   // kHolderIndexThreshold). Once built it is maintained incrementally
   // until Clear().
@@ -220,8 +180,6 @@ class LockHead {
   // once re-enters service without rehashing.
   std::unordered_map<AppId, uint32_t> index_;
   bool indexed_ = false;
-  // Relaxed atomic: read by optimistic probes without the shard latch.
-  std::atomic<uint32_t> opt_summary_{0};
 };
 
 }  // namespace locktune

@@ -11,80 +11,23 @@
 
 namespace locktune {
 
-namespace {
-// Source of per-manager epochs for the FastGetApp thread-local cache.
-// Monotone and never reused, so a cache entry keyed by an epoch can only
-// ever match the manager instance that minted it.
-std::atomic<uint64_t> g_manager_epoch{0};
-}  // namespace
-
 LockManager::LockManager(LockManagerOptions options)
     : options_(std::move(options)),
-      max_lock_memory_(options_.max_lock_memory),
-      manager_epoch_(g_manager_epoch.fetch_add(1, std::memory_order_relaxed) +
-                     1),
-      table_(options_.table_shards) {
+      max_lock_memory_(options_.max_lock_memory) {
   LOCKTUNE_DCHECK(options_.policy != nullptr && "an escalation policy is required");
   for (int64_t i = 0; i < options_.initial_blocks; ++i) blocks_.AddBlock();
 }
 
-// Holds the write latch of at most one lock-table shard at a time.
-// Acquire() for the shard already held is free — that is the batching win:
-// consecutive grants hashing to the same shard pay one latch acquisition.
-// A different shard releases the held latch first; shard latches share one
-// lock rank (common/lock_rank_table.h), so the lease never nests two.
-class LockManager::ShardLease {
- public:
-  ShardLease(LockTable& table, ProfileSite site) : table_(table), site_(site) {}
-  ShardLease(const ShardLease&) = delete;
-  ShardLease& operator=(const ShardLease&) = delete;
-
-  // True when this lease already holds the latch of shard `shard`.
-  bool Holds(int shard) const { return guard_.has_value() && shard_ == shard; }
-
-  // Acquires (or keeps) the write latch of the shard `hash` maps to.
-  void Acquire(uint64_t hash) {
-    const int shard = table_.ShardIndex(hash);
-    if (Holds(shard)) return;
-    guard_.reset();
-    guard_.emplace(table_.ShardLatch(hash), site_, shard);
-    shard_ = shard;
-  }
-
- private:
-  LockTable& table_;
-  const ProfileSite site_;
-  int shard_ = -1;
-  // The guard is non-movable; optional gives it deferred construction and
-  // release-then-reacquire. The capability annotations on its constructor
-  // and destructor fire inside std::optional (unanalyzed), which is fine:
-  // the lease's single-latch invariant is what the rank checks enforce.
-  std::optional<OptLatchWriteGuard> guard_;
-};
-
 LockResult LockManager::Lock(AppId app, const ResourceId& resource,
                              LockMode mode) {
-  if (parallel_mode_.load(std::memory_order_relaxed)) {
-    if (std::optional<LockResult> fast = FastLock(app, resource, mode)) {
-      ProfileNoteFastGrant();
-      return *fast;
-    }
-    // The fast path counted the request before bailing; finish on the
-    // exclusive path without double counting.
-    ProfileNoteFastBail();
-    ProfiledExclusiveGuard guard(mu_, ProfileSite::kExclusive);
-    return LockExclusive(app, resource, mode, /*counted=*/true);
-  }
-  ProfiledExclusiveGuard guard(mu_, ProfileSite::kExclusive);
-  return LockExclusive(app, resource, mode, /*counted=*/false);
+  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
+  return RequestLocked(app, resource, mode);
 }
 
-LockResult LockManager::LockExclusive(AppId app, const ResourceId& resource,
-                                      LockMode mode, bool counted) {
-  if (!counted) {
-    Bump(stats_.lock_requests);
-    options_.policy->OnLockRequest();
-  }
+LockResult LockManager::RequestLocked(AppId app, const ResourceId& resource,
+                                      LockMode mode) {
+  ++stats_.lock_requests;
+  options_.policy->OnLockRequest();
   AppState& state = GetApp(app);
   LOCKTUNE_DCHECK(!state.waiting && "application issued a request while blocked");
 
@@ -104,7 +47,7 @@ LockResult LockManager::LockExclusive(AppId app, const ResourceId& resource,
       break;
     case AcquireOutcome::kNoMemory:
       result.outcome = LockOutcome::kOutOfMemory;
-      Bump(stats_.out_of_memory_failures);
+      ++stats_.out_of_memory_failures;
       Emit(LockEventKind::kOutOfLockMemory, app, resource, mode, 0);
       break;
   }
@@ -112,261 +55,19 @@ LockResult LockManager::LockExclusive(AppId app, const ResourceId& resource,
 }
 
 BatchResult LockManager::AcquireBatch(AppId app, LockRequestSource& source) {
+  // Each item runs the identical path a Lock() call would, in the identical
+  // order (the source draws lazily), so a batch is observationally the
+  // per-item loop with one mutex acquisition instead of one per item.
+  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
   BatchResult result;
-  if (!parallel_mode_.load(std::memory_order_relaxed)) {
-    // Serial: one exclusive acquire amortized over the batch; each item
-    // then runs the identical classic path a Lock() call would, in the
-    // identical order (the source draws lazily), so the deterministic
-    // golden contract is untouched.
-    ProfiledExclusiveGuard guard(mu_, ProfileSite::kExclusive);
-    while (std::optional<BatchItem> item = source.Next()) {
-      const LockResult r =
-          LockExclusive(app, item->resource, item->mode, /*counted=*/false);
-      result.escalated |= r.escalated;
-      result.outcome = r.outcome;
-      if (r.outcome != LockOutcome::kGranted) return result;
-      ++result.granted;
-    }
-    return result;
-  }
-  // Parallel: drain the source on the fast path (one shared hold, one
-  // shard lease); an item that bails is retried on the exclusive path and,
-  // when granted there, the fast section resumes with the rest.
-  std::optional<BatchItem> pending;
-  for (;;) {
-    if (FastAcquireBatch(app, source, pending, result)) return result;
-    ProfileNoteFastBail();
-    LockResult r;
-    {
-      ProfiledExclusiveGuard guard(mu_, ProfileSite::kExclusive);
-      // The fast section counted the item when it drew it.
-      r = LockExclusive(app, pending->resource, pending->mode,
-                        /*counted=*/true);
-    }
+  while (std::optional<BatchItem> item = source.Next()) {
+    const LockResult r = RequestLocked(app, item->resource, item->mode);
     result.escalated |= r.escalated;
     result.outcome = r.outcome;
     if (r.outcome != LockOutcome::kGranted) return result;
     ++result.granted;
-    pending.reset();
   }
-}
-
-bool LockManager::FastAcquireBatch(AppId app, LockRequestSource& source,
-                                   std::optional<BatchItem>& pending,
-                                   BatchResult& result) {
-  ProfiledSharedGuard shared(mu_, ProfileSite::kFastShared);
-  AppState& state = FastGetApp(app);
-  LOCKTUNE_DCHECK(!state.waiting && "application issued a request while blocked");
-  ShardLease lease(table_, ProfileSite::kShardBatch);
-  for (;;) {
-    if (!pending.has_value()) {
-      pending = source.Next();
-      if (!pending.has_value()) return true;  // batch exhausted
-      Bump(stats_.lock_requests);
-      options_.policy->OnLockRequest();
-    }
-    if (FastTryOne(app, state, pending->resource, pending->mode, lease) ==
-        FastOutcome::kBail) {
-      return false;  // pending stays set for the exclusive retry
-    }
-    ProfileNoteFastGrant();
-    ++result.granted;
-    pending.reset();
-  }
-}
-
-std::optional<LockResult> LockManager::FastLock(AppId app,
-                                                const ResourceId& resource,
-                                                LockMode mode) {
-  ProfiledSharedGuard shared(mu_, ProfileSite::kFastShared);
-  Bump(stats_.lock_requests);
-  options_.policy->OnLockRequest();
-  AppState& state = FastGetApp(app);
-  LOCKTUNE_DCHECK(!state.waiting && "application issued a request while blocked");
-
-  // Single-request leases attribute to the classic per-shard site; only
-  // batches report under kShardBatch.
-  ShardLease lease(table_, ProfileSite::kQueuedWrite);
-  if (FastTryOne(app, state, resource, mode, lease) == FastOutcome::kBail) {
-    return std::nullopt;
-  }
-  return LockResult{};  // kGranted, escalated=false
-}
-
-LockManager::FastOutcome LockManager::FastTryOne(AppId app, AppState& state,
-                                                 const ResourceId& resource,
-                                                 LockMode mode,
-                                                 ShardLease& lease) {
-  if (resource.kind == ResourceKind::kRow) {
-    const LockMode table_mode = FastTableMode(state, resource.table);
-    if (Covers(table_mode, mode)) {
-      Bump(stats_.grants);
-      return FastOutcome::kGranted;
-    }
-    const LockMode intent = IntentModeFor(mode);
-    if (!Covers(table_mode, intent)) {
-      if (FastAcquireOne(app, state, TableResource(resource.table), intent,
-                         lease) == FastOutcome::kBail) {
-        return FastOutcome::kBail;
-      }
-      // The intent grant refreshed the table-mode cache; a covering grant
-      // cannot have appeared (only this thread changes this app's holds).
-      LOCKTUNE_DCHECK(!Covers(FastTableMode(state, resource.table), mode));
-    }
-  }
-  return FastAcquireOne(app, state, resource, mode, lease);
-}
-
-LockManager::FastOutcome LockManager::FastAcquireOne(
-    AppId app, AppState& state, const ResourceId& resource, LockMode mode,
-    ShardLease& lease) {
-  const uint64_t hash = ResourceIdHash{}(resource);
-  // Already held? Resolved thread-locally: held_index membership and the
-  // HeldSlot mode mirror are owner-thread state, so the dominant re-request
-  // case never touches the shard.
-  if (const uint32_t* idx = state.held_index.Find(resource, hash);
-      idx != nullptr) {
-    HeldSlot& held = state.held[*idx];
-    if (Covers(held.mode, mode)) {
-      Bump(stats_.grants);
-      return FastOutcome::kGranted;
-    }
-    // In-place conversion attempt: needs the latched view of the other
-    // holders.
-    const LockMode target = Supremum(held.mode, mode);
-    lease.Acquire(hash);
-    LockHead* head = held.head;
-    LockRequest* holder = head->FindHolder(app);
-    LOCKTUNE_DCHECK(holder != nullptr && "held slot without holder entry");
-    if (!head->CanGrantConversion(app, target)) {
-      return FastOutcome::kBail;  // the conversion must queue
-    }
-    head->SetHolderMode(holder, target);
-    held.mode = target;
-    if (resource.kind == ResourceKind::kTable) {
-      NoteTableMode(state, resource.table, target);
-    }
-    Bump(stats_.grants);
-    return FastOutcome::kGranted;
-  }
-  // Optimistic pre-flight (docs/LATCHES.md): a version-validated probe of
-  // the directory plus the head's summary word decides "would this new
-  // request have to wait?" without the latch. A wait means queueing — the
-  // classic path's business — so bailing here skips the latch acquisition
-  // entirely on the contended-resource pattern that used to collapse the
-  // hot shard. Validation failures retry, then pessimize to the latched
-  // path below, which decides authoritatively. Skipped when the lease
-  // already holds this shard's latch: we are the writer Busy() would flag,
-  // and the latched re-check below is authoritative and already paid for.
-  if (!lease.Holds(table_.ShardIndex(hash))) {
-    OptLatch& latch = table_.ShardLatch(hash);
-    for (int attempt = 0;; ++attempt) {
-      if (attempt == OptLatch::kOptReadRetries) {
-        ProfileNoteOptPessimize();
-        break;
-      }
-      if (latch.Busy()) continue;  // writer in flight; burn an attempt
-      const LockTable::OptProbeResult probe = table_.OptProbe(resource, hash);
-      if (!probe.valid) {
-        ProfileNoteOptValidationFail();
-        continue;
-      }
-      ProfileNoteOptRead();
-      if (probe.found) {
-        const uint32_t s = probe.summary;
-        if (LockHead::SummaryHasWaiters(s) ||
-            !Compatible(LockHead::SummaryMode(s), mode)) {
-          return FastOutcome::kBail;  // would wait: queueing is exclusive-only
-        }
-      }
-      break;  // absent or grantable: fall through to the latched grant
-    }
-  }
-  // Quota and memory pressure mirror the classic path; anything that needs
-  // escalation or growth is the classic path's business.
-  const LockMemoryState mem = MemoryStateLocked();
-  if (state.held_structures + 1 > options_.policy->MaxStructuresPerApp(mem) ||
-      options_.policy->ForcesMemoryEscalation(mem)) {
-    return FastOutcome::kBail;
-  }
-  lease.Acquire(hash);
-  LockHead* found = table_.Find(resource, hash);
-  // The optimistic verdict is advisory; re-check under the latch before
-  // mutating (the probe may have pessimized or gone stale).
-  if (found != nullptr && !found->CanGrantNew(mode)) return FastOutcome::kBail;
-  LockBlock* slot = nullptr;
-  {
-    // Ordering: shard latch, then alloc_mu_ — never the reverse. The
-    // latch is held through the lease (its guard lives behind a
-    // std::optional the lexical scan cannot see), so the edge is recorded
-    // structurally:
-    // locklint: lock-edge(LockTable::shard_latch -> LockManager::alloc_mu_)
-    ProfiledMutexGuard alloc_guard(alloc_mu_, ProfileSite::kAlloc);
-    Result<LockBlock*> r = blocks_.AllocateSlot();
-    if (!r.ok()) return FastOutcome::kBail;  // exhausted: growth/escalation
-    slot = r.value();
-  }
-  LockHead& head = found != nullptr ? *found : table_.Create(resource, hash);
-  LockRequest request;
-  request.app = app;
-  request.mode = mode;
-  request.slot = slot;
-  head.AddHolder(request);
-  AddHeldEntry(state, resource, hash, &head, mode);
-  if (resource.kind == ResourceKind::kRow) {
-    BumpRowCount(state, resource.table);
-  } else {
-    NoteTableMode(state, resource.table, mode);
-  }
-  ++state.held_structures;
-  Bump(stats_.grants);
-  return FastOutcome::kGranted;
-}
-
-LockMode LockManager::FastTableMode(AppState& state, TableId table) {
-  if (state.table_cache_valid && state.cached_table == table) {
-    return state.cached_table_mode;
-  }
-  // held_index is the authoritative owner-thread record of this app's
-  // grants (a live slot exists iff a holder entry exists), so the miss path
-  // is thread-local too — the shard is never probed for our own mode.
-  const ResourceId resource = TableResource(table);
-  const uint64_t hash = ResourceIdHash{}(resource);
-  LockMode mode = LockMode::kNone;
-  if (const uint32_t* idx = state.held_index.Find(resource, hash);
-      idx != nullptr) {
-    mode = state.held[*idx].mode;
-  }
-  NoteTableMode(state, table, mode);
-  return mode;
-}
-
-LockManager::AppState& LockManager::FastGetApp(AppId app) {
-  // Thread-local pointer cache: apps_ entries are never erased and
-  // unordered_map element pointers are stable, so a resolved AppState* is
-  // good for the manager's lifetime. The epoch (unique per manager ever
-  // constructed) keeps a cache built against a destroyed manager — or a new
-  // manager reusing this address — from ever serving a stale pointer. Only
-  // a thread's first touch of an app pays for apps_mu_.
-  struct TlsAppCache {
-    uint64_t epoch = 0;
-    std::unordered_map<AppId, AppState*> by_app;
-  };
-  static thread_local TlsAppCache tls;
-  if (tls.epoch != manager_epoch_) {
-    tls.epoch = manager_epoch_;
-    tls.by_app.clear();
-  }
-  if (const auto it = tls.by_app.find(app); it != tls.by_app.end()) {
-    return *it->second;
-  }
-  AppState* statep = nullptr;
-  {
-    ProfiledMutexGuard guard(apps_mu_, ProfileSite::kAppsMap);
-    statep = &apps_[app];
-  }
-  tls.by_app.emplace(app, statep);
-  return *statep;
+  return result;
 }
 
 LockManager::AcquireOutcome LockManager::TryAcquire(AppId app,
@@ -380,7 +81,7 @@ LockManager::AcquireOutcome LockManager::TryAcquire(AppId app,
     // memory on the same table.
     const LockMode table_mode = CachedTableMode(app, state, resource.table);
     if (Covers(table_mode, mode)) {
-      Bump(stats_.grants);
+      ++stats_.grants;
       return AcquireOutcome::kDone;
     }
     // Multigranularity: intent lock on the table first.
@@ -398,7 +99,7 @@ LockManager::AcquireOutcome LockManager::TryAcquire(AppId app,
       // The intent acquisition may itself have escalated this table to
       // S or X; re-check coverage before taking the row lock.
       if (Covers(CachedTableMode(app, state, resource.table), mode)) {
-        Bump(stats_.grants);
+        ++stats_.grants;
         return AcquireOutcome::kDone;
       }
     }
@@ -428,17 +129,16 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
   if (found != nullptr) {
     if (LockRequest* holder = found->FindHolder(app); holder != nullptr) {
       if (Covers(holder->mode, mode)) {
-        Bump(stats_.grants);
+        ++stats_.grants;
         return AcquireOutcome::kDone;
       }
       const LockMode target = Supremum(holder->mode, mode);
       if (found->CanGrantConversion(app, target)) {
         found->SetHolderMode(holder, target);
-        NoteHeldMode(state, resource, hash, target);
         if (resource.kind == ResourceKind::kTable) {
           NoteTableMode(state, resource.table, target);
         }
-        Bump(stats_.grants);
+        ++stats_.grants;
         return AcquireOutcome::kDone;
       }
       WaitingRequest w;
@@ -452,7 +152,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
       state.wait_is_conversion = true;
       state.wait_is_escalation = false;
       MarkWaitStart(app, state);
-      Bump(stats_.lock_waits);
+      ++stats_.lock_waits;
       return AcquireOutcome::kBlocked;
     }
   }
@@ -478,7 +178,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
     // The escalation may have covered the requested resource entirely.
     if (resource.kind == ResourceKind::kRow &&
         Covers(CachedTableMode(app, state, resource.table), mode)) {
-      Bump(stats_.grants);
+      ++stats_.grants;
       return AcquireOutcome::kDone;
     }
     // The escalation released this app's row locks; if `resource` was one
@@ -492,7 +192,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
     // Escalation of some application may have covered the request.
     if (resource.kind == ResourceKind::kRow &&
         Covers(CachedTableMode(app, state, resource.table), mode)) {
-      Bump(stats_.grants);
+      ++stats_.grants;
       return AcquireOutcome::kDone;
     }
     return AcquireOutcome::kNoMemory;
@@ -514,13 +214,13 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
     r.mode = mode;
     r.slot = alloc.slot;
     head2.AddHolder(r);
-    AddHeldEntry(state, resource, hash, &head2, mode);
+    AddHeldEntry(state, resource, hash, &head2);
     if (resource.kind == ResourceKind::kRow) {
       BumpRowCount(state, resource.table);
     } else {
       NoteTableMode(state, resource.table, mode);
     }
-    Bump(stats_.grants);
+    ++stats_.grants;
     return AcquireOutcome::kDone;
   }
 
@@ -536,7 +236,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
   state.wait_is_conversion = false;
   state.wait_is_escalation = false;
   MarkWaitStart(app, state);
-  Bump(stats_.lock_waits);
+  ++stats_.lock_waits;
   return AcquireOutcome::kBlocked;
 }
 
@@ -559,7 +259,7 @@ LockManager::AllocResult LockManager::AllocateStructure(AppId requester,
     const AcquireOutcome esc = EscalateApp(requester);
     if (esc == AcquireOutcome::kDone) {
       *escalated = true;
-      Bump(stats_.preferred_escalations);
+      ++stats_.preferred_escalations;
       slot = blocks_.AllocateSlot();
       if (slot.ok()) {
         out.slot = slot.value();
@@ -567,7 +267,7 @@ LockManager::AllocResult LockManager::AllocateStructure(AppId requester,
       }
     } else if (esc == AcquireOutcome::kBlocked) {
       *escalated = true;
-      Bump(stats_.preferred_escalations);
+      ++stats_.preferred_escalations;
       out.blocked = true;
       return out;
     }
@@ -577,7 +277,7 @@ LockManager::AllocResult LockManager::AllocateStructure(AppId requester,
   // Synchronous growth from database overflow memory (paper §3.3).
   if (options_.grow_callback && options_.grow_callback(1)) {
     blocks_.AddBlock();
-    Bump(stats_.sync_growth_blocks);
+    ++stats_.sync_growth_blocks;
     options_.policy->OnResize();
     Emit(LockEventKind::kSynchronousGrowth, requester, ResourceId{},
          LockMode::kNone, 1);
@@ -669,7 +369,7 @@ LockManager::AllocResult LockManager::AllocateStructure(AppId requester,
 LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
                                                      bool only_if_immediate,
                                                      bool silent_probe) {
-  if (!silent_probe) Bump(stats_.escalation_attempts);
+  if (!silent_probe) ++stats_.escalation_attempts;
   AppState& state = GetApp(app);
 
   // Pick the table with the most row locks held by this application. A
@@ -717,12 +417,11 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
   if (Covers(holder->mode, new_mode) ||
       head.CanGrantConversion(app, new_mode)) {
     head.SetHolderMode(holder, new_mode);
-    NoteHeldMode(state, table_res, table_hash, new_mode);
     NoteTableMode(state, victim_table, new_mode);
     // A probe that lands is a real attempt; only failures stay silent.
-    if (silent_probe) Bump(stats_.escalation_attempts);
-    Bump(stats_.escalations);
-    if (target == LockMode::kX) Bump(stats_.exclusive_escalations);
+    if (silent_probe) ++stats_.escalation_attempts;
+    ++stats_.escalations;
+    if (target == LockMode::kX) ++stats_.exclusive_escalations;
     ReleaseRowLocksOnTable(app, victim_table);
     Emit(LockEventKind::kEscalation, app, table_res, new_mode, most_rows);
     return AcquireOutcome::kDone;
@@ -740,7 +439,7 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
   state.wait_is_conversion = true;
   state.wait_is_escalation = true;
   MarkWaitStart(app, state);
-  Bump(stats_.lock_waits);
+  ++stats_.lock_waits;
   return AcquireOutcome::kBlocked;
 }
 
@@ -776,11 +475,7 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
 }
 
 void LockManager::ReleaseAll(AppId app) {
-  if (parallel_mode_.load(std::memory_order_relaxed)) {
-    if (FastReleaseAll(app)) return;
-    ProfileNoteReleaseBail();
-  }
-  ProfiledExclusiveGuard guard(mu_, ProfileSite::kExclusive);
+  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
   AppState& state = GetApp(app);
 
   if (state.waiting) {
@@ -839,64 +534,8 @@ void LockManager::ReleaseAll(AppId app) {
   DrainWorkList();
 }
 
-bool LockManager::FastReleaseAll(AppId app) {
-  ProfiledSharedGuard shared(mu_, ProfileSite::kFastShared);
-  AppState* statep = nullptr;
-  {
-    ProfiledMutexGuard guard(apps_mu_, ProfileSite::kAppsMap);
-    const auto it = apps_.find(app);
-    if (it == apps_.end()) return true;  // never held anything
-    statep = &it->second;
-  }
-  AppState& state = *statep;
-  if (state.waiting || state.continuation.has_value()) return false;
-  // Pass 1: any waiter behind a held lock means releasing must run the
-  // grant cascade — exclusive business. Latch-free: the waiters bit of the
-  // head's summary word is only ever set under the exclusive lock, which
-  // our shared hold excludes, so a clear bit observed here stays clear for
-  // the whole release. Concurrent fast threads do refresh the summary
-  // (holder changes under their shard latch), but the word is atomic and
-  // they never set the waiters bit.
-  for (const HeldSlot& slot : state.held) {
-    if (!slot.live) continue;
-    if (LockHead::SummaryHasWaiters(slot.head->opt_summary())) return false;
-  }
-  // Pass 2: remove our holder entries and recycle. Other fast threads may
-  // add holders to the same heads concurrently; our holder entry keeps each
-  // head non-empty until we remove it, so no other thread can erase it.
-  for (const HeldSlot& slot : state.held) {
-    if (!slot.live) continue;
-    const uint64_t hash = ResourceIdHash{}(slot.res);
-    LockBlock* block = nullptr;
-    {
-      OptLatchWriteGuard shard_guard(table_.ShardLatch(hash),
-                                     ProfileSite::kQueuedWrite,
-                                     table_.ShardIndex(hash));
-      block = slot.head->RemoveHolder(app);
-      LOCKTUNE_DCHECK(block != nullptr);
-      if (!slot.head->HasHolders()) {
-        table_.EraseIfEmpty(slot.res, hash);
-      }
-    }
-    {
-      ProfiledMutexGuard alloc_guard(alloc_mu_, ProfileSite::kAlloc);
-      blocks_.FreeSlot(block);
-    }
-    --state.held_structures;
-  }
-  state.held.clear();
-  state.held_index.Clear();
-  state.held_dead = 0;
-  state.row_locks_per_table.clear();
-  state.total_row_locks = 0;
-  state.table_cache_valid = false;
-  state.row_cache_count = nullptr;
-  LOCKTUNE_DCHECK(state.held_structures == 0);
-  return true;
-}
-
 Status LockManager::Release(AppId app, const ResourceId& resource) {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   AppState& state = GetApp(app);
   const uint64_t hash = ResourceIdHash{}(resource);
   LockHead* head = table_.Find(resource, hash);
@@ -930,10 +569,7 @@ Status LockManager::Release(AppId app, const ResourceId& resource) {
 }
 
 bool LockManager::IsBlocked(AppId app) const {
-  // Shared: wait flags only change under the exclusive lock, and apps_
-  // lookups race only with fast-path insertion (guarded by apps_mu_).
-  ReaderLock shared(mu_);
-  MutexLock guard(apps_mu_);
+  MutexLock guard(mu_);
   const auto it = apps_.find(app);
   return it != apps_.end() && it->second.waiting;
 }
@@ -952,12 +588,10 @@ void LockManager::ProcessQueue(const ResourceId& resource) {
       if (!head.CanGrantConversion(w.app, w.mode)) break;
       const WaitingRequest granted = head.PopFrontWaiter();
       head.SetHolderMode(holder, granted.mode);
-      AppState& conv_state = GetApp(granted.app);
-      NoteHeldMode(conv_state, resource, hash, granted.mode);
       if (resource.kind == ResourceKind::kTable) {
-        NoteTableMode(conv_state, resource.table, granted.mode);
+        NoteTableMode(GetApp(granted.app), resource.table, granted.mode);
       }
-      Bump(stats_.grants);
+      ++stats_.grants;
       OnWaitGranted(granted.app, resource);
     } else {
       if (!Compatible(head.GrantedGroupMode(), w.mode)) break;
@@ -968,13 +602,13 @@ void LockManager::ProcessQueue(const ResourceId& resource) {
       r.slot = granted.slot;
       head.AddHolder(r);
       AppState& state = GetApp(granted.app);
-      AddHeldEntry(state, resource, hash, &head, granted.mode);
+      AddHeldEntry(state, resource, hash, &head);
       if (resource.kind == ResourceKind::kRow) {
         BumpRowCount(state, resource.table);
       } else {
         NoteTableMode(state, resource.table, granted.mode);
       }
-      Bump(stats_.grants);
+      ++stats_.grants;
       OnWaitGranted(granted.app, resource);
     }
   }
@@ -1005,8 +639,8 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
   NoteWaitEnded(state);
 
   if (was_escalation) {
-    Bump(stats_.escalations);
-    if (granted_mode == LockMode::kX) Bump(stats_.exclusive_escalations);
+    ++stats_.escalations;
+    if (granted_mode == LockMode::kX) ++stats_.exclusive_escalations;
     LOCKTUNE_DCHECK(resource.kind == ResourceKind::kTable);
     const int64_t rows_before =
         state.row_locks_per_table.count(resource.table) > 0
@@ -1027,7 +661,7 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
       // The resumed request could not get a lock structure. The application
       // is unblocked; the failure is visible in the counters (engines treat
       // it like a statement error).
-      Bump(stats_.out_of_memory_failures);
+      ++stats_.out_of_memory_failures;
     }
   }
 }
@@ -1079,7 +713,7 @@ class DenseIdTable {
 }  // namespace
 
 std::vector<AppId> LockManager::DetectDeadlocks() {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   // Nothing waits, so no edge exists: the common idle tick costs one
   // counter read instead of an O(apps) scan.
   if (blocked_count_ == 0) return {};
@@ -1204,7 +838,7 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
   std::vector<AppId> victims;
   victims.reserve(victim_ids.size());
   for (uint32_t v : victim_ids) victims.push_back(nodes[v].app);
-  Bump(stats_.deadlock_victims, static_cast<int64_t>(victims.size()));
+  stats_.deadlock_victims += static_cast<int64_t>(victims.size());
   for (uint32_t v : victim_ids) {
     const AppState& state = *nodes[v].state;
     Emit(LockEventKind::kDeadlockVictim, nodes[v].app, state.wait_resource,
@@ -1221,90 +855,67 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
 }
 
 void LockManager::AddBlocks(int64_t count) {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   for (int64_t i = 0; i < count; ++i) blocks_.AddBlock();
   if (count > 0) options_.policy->OnResize();
 }
 
 Status LockManager::TryRemoveBlocks(int64_t count) {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   Status s = blocks_.TryRemoveBlocks(count);
   if (s.ok() && count > 0) options_.policy->OnResize();
   return s;
 }
 
 void LockManager::set_max_lock_memory(Bytes bytes) {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   max_lock_memory_ = bytes;
   options_.policy->OnResize();
 }
 
 LockMemoryState LockManager::MemoryState() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return MemoryStateLocked();
 }
 
 LockManagerStats LockManager::stats() const {
-  // Atomic counters: no lock needed; each field is a relaxed load.
-  LockManagerStats s;
-  s.lock_requests = stats_.lock_requests.load(std::memory_order_relaxed);
-  s.grants = stats_.grants.load(std::memory_order_relaxed);
-  s.lock_waits = stats_.lock_waits.load(std::memory_order_relaxed);
-  s.escalations = stats_.escalations.load(std::memory_order_relaxed);
-  s.exclusive_escalations =
-      stats_.exclusive_escalations.load(std::memory_order_relaxed);
-  s.escalation_attempts =
-      stats_.escalation_attempts.load(std::memory_order_relaxed);
-  s.deadlock_victims = stats_.deadlock_victims.load(std::memory_order_relaxed);
-  s.lock_timeouts = stats_.lock_timeouts.load(std::memory_order_relaxed);
-  s.out_of_memory_failures =
-      stats_.out_of_memory_failures.load(std::memory_order_relaxed);
-  s.sync_growth_blocks =
-      stats_.sync_growth_blocks.load(std::memory_order_relaxed);
-  s.preferred_escalations =
-      stats_.preferred_escalations.load(std::memory_order_relaxed);
-  return s;
-}
-
-void LockManager::SetParallelMode(bool enabled) {
-  // Exclusive: flips only while no fast path can be in flight.
-  WriterLock guard(mu_);
-  parallel_mode_.store(enabled, std::memory_order_relaxed);
+  MutexLock guard(mu_);
+  return stats_;
 }
 
 Bytes LockManager::allocated_bytes() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return blocks_.allocated_bytes();
 }
 
 Bytes LockManager::used_bytes() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return blocks_.used_bytes();
 }
 
 int64_t LockManager::block_count() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return blocks_.block_count();
 }
 
 int64_t LockManager::entirely_free_blocks() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return blocks_.entirely_free_blocks();
 }
 
 double LockManager::CurrentMaxlocksPercent() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return options_.policy->CurrentPercent(MemoryStateLocked());
 }
 
 int64_t LockManager::HeldStructures(AppId app) const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   const auto it = apps_.find(app);
   return it == apps_.end() ? 0 : it->second.held_structures;
 }
 
 int64_t LockManager::MaxHeldStructures() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   int64_t max_held = 0;
   // locklint: ordered-ok(max over a commutative scan, no output)
   for (const auto& [app, state] : apps_) {
@@ -1315,7 +926,7 @@ int64_t LockManager::MaxHeldStructures() const {
 
 std::vector<AppLockUsage> LockManager::TopLockHolders(int max_app_id,
                                                       int top_n) const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   std::vector<AppLockUsage> holders;
   // locklint: ordered-ok(collected unordered, deterministically sorted below)
   for (const auto& [app, state] : apps_) {
@@ -1338,17 +949,17 @@ std::vector<AppLockUsage> LockManager::TopLockHolders(int max_app_id,
 }
 
 LockMode LockManager::HeldMode(AppId app, const ResourceId& resource) const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return HeldModeLockedInternal(app, resource);
 }
 
 int64_t LockManager::waiting_app_count() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return blocked_count_;
 }
 
 Status LockManager::CheckConsistency() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   if (Status s = blocks_.CheckConsistency(); !s.ok()) return s;
   if (Status s = table_.CheckConsistency(); !s.ok()) return s;
   int64_t slots = 0;
@@ -1373,9 +984,6 @@ Status LockManager::CheckConsistency() const {
       }
       if (slot.head != head) {
         return Status::Internal("held slot head pointer is stale");
-      }
-      if (slot.mode != holder->mode) {
-        return Status::Internal("held slot mode mirror is stale");
       }
       const uint32_t* idx =
           state.held_index.Find(slot.res, ResourceIdHash{}(slot.res));
@@ -1469,7 +1077,7 @@ Status LockManager::CheckConsistency() const {
 }
 
 std::vector<AppId> LockManager::ExpireTimedOutWaiters() {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   std::vector<AppId> expired;
   if (options_.clock == nullptr || options_.lock_timeout < 0) return expired;
   if (blocked_count_ == 0) {
@@ -1508,13 +1116,13 @@ std::vector<AppId> LockManager::ExpireTimedOutWaiters() {
   for (auto rit = still_waiting.rbegin(); rit != still_waiting.rend(); ++rit) {
     timeout_queue_.push_front(*rit);
   }
-  Bump(stats_.lock_timeouts, static_cast<int64_t>(expired.size()));
+  stats_.lock_timeouts += static_cast<int64_t>(expired.size());
   LOCKTUNE_DCHECK(timeout_stale_ >= 0);
   return expired;
 }
 
 void LockManager::SetEscalationPreferred(AppId app, bool preferred) {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   if (preferred) {
     escalation_preferred_.insert(app);
   } else {
@@ -1523,7 +1131,7 @@ void LockManager::SetEscalationPreferred(AppId app, bool preferred) {
 }
 
 bool LockManager::IsEscalationPreferred(AppId app) const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return escalation_preferred_.count(app) > 0;
 }
 
@@ -1608,7 +1216,7 @@ void LockManager::Emit(LockEventKind kind, AppId app,
                        int64_t value) {
   const int64_t now = options_.clock != nullptr ? options_.clock->now() : 0;
   // The flight recorder and trace collector see events even when no monitor
-  // is installed (benches, parallel runs without a sampler).
+  // is installed (benches, runs without a sampler).
   FlightRecord(ToFlightKind(kind), now, app, resource.table, value);
   if (IsColdLockEvent(kind)) {
     if (ChromeTraceCollector* trace = GlobalTraceCollector()) {
@@ -1682,10 +1290,10 @@ void LockManager::DrainWorkList() {
 }
 
 void LockManager::AddHeldEntry(AppState& state, const ResourceId& resource,
-                               uint64_t hash, LockHead* head, LockMode mode) {
+                               uint64_t hash, LockHead* head) {
   state.held_index.Insert(resource, hash,
                           static_cast<uint32_t>(state.held.size()));
-  state.held.push_back(HeldSlot{resource, head, mode, true});
+  state.held.push_back(HeldSlot{resource, head, true});
 }
 
 void LockManager::EraseHeldEntry(AppState& state, const ResourceId& resource) {
@@ -1754,10 +1362,16 @@ void LockManager::RegisterMetrics(MetricsRegistry* registry) {
           [this] { return stats().sync_growth_blocks; });
   counter("locktune_lock_blocks_added_total",
           "lock memory blocks ever added",
-          [this] { return blocks_.blocks_added(); });
+          [this] {
+            MutexLock guard(mu_);
+            return blocks_.blocks_added();
+          });
   counter("locktune_lock_blocks_removed_total",
           "lock memory blocks ever removed (shrink)",
-          [this] { return blocks_.blocks_removed(); });
+          [this] {
+            MutexLock guard(mu_);
+            return blocks_.blocks_removed();
+          });
 
   registry->AddCallbackGauge(
       "locktune_lock_memory_allocated_bytes", "lock memory owned",
@@ -1790,37 +1404,38 @@ void LockManager::RegisterMetrics(MetricsRegistry* registry) {
   registry->AddCallbackHistogram(
       "locktune_lock_wait_time_ms", "completed lock-wait durations",
       [this] {
-        WriterLock lock(mu_);
+        MutexLock lock(mu_);
         return SnapshotOf(wait_times_);
       });
 }
 
 int64_t LockManager::lock_table_size() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return table_.size();
 }
 
 int64_t LockManager::lock_table_max_shard_size() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return table_.MaxShardSize();
 }
 
 int LockManager::lock_table_shard_count() const {
-  return table_.shard_count();  // fixed at construction, no lock needed
+  MutexLock guard(mu_);
+  return table_.shard_count();
 }
 
 std::vector<int64_t> LockManager::lock_table_shard_sizes() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return table_.ShardSizes();
 }
 
 int64_t LockManager::head_pool_free_nodes() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return table_.pool_free_nodes();
 }
 
 int64_t LockManager::head_pool_slab_count() const {
-  WriterLock guard(mu_);
+  MutexLock guard(mu_);
   return table_.slab_count();
 }
 
@@ -1830,7 +1445,7 @@ void LockManager::RegisterInternalMetrics(MetricsRegistry* registry) {
       [this] { return static_cast<double>(lock_table_size()); });
   registry->AddCallbackGauge(
       "locktune_lock_table_shards", "lock table partitions",
-      [this] { return static_cast<double>(table_.shard_count()); });
+      [this] { return static_cast<double>(lock_table_shard_count()); });
   registry->AddCallbackGauge(
       "locktune_lock_table_shard_max_heads",
       "heads in the most loaded shard (occupancy skew)",
@@ -1847,7 +1462,8 @@ void LockManager::RegisterInternalMetrics(MetricsRegistry* registry) {
   // Per-shard occupancy, one gauge per shard id so the inspector (and any
   // Prometheus scrape of an --inspect run) can tell the shards apart.
   // Zero-padded ids keep registry order lexicographic.
-  for (int i = 0; i < table_.shard_count(); ++i) {
+  const int shards = lock_table_shard_count();
+  for (int i = 0; i < shards; ++i) {
     char name[64];
     std::snprintf(name, sizeof(name),
                   "locktune_lock_table_shard_heads{shard=\"%02d\"}", i);

@@ -14,24 +14,15 @@
 //  * maintain a FIFO "post" wait discipline (Figure 3) and detect deadlocks
 //    through the waits-for graph.
 //
-// Thread safety: two-level locking (docs/CONCURRENCY.md). All classic logic
-// runs under an exclusive hold of a reader-writer lock, exactly as the
-// previous single-mutex design did. When parallel mode is enabled
-// (SetParallelMode), Lock/ReleaseAll first try an opt-in fast path under a
-// *shared* hold plus the per-shard LockTable OptLatch for the touched
-// resource: grant-feasibility is pre-flighted with an optimistic
-// version-validated probe (no latch), and only the mutating tail of a grant
-// takes the latch's queued write side (docs/LATCHES.md); anything
-// complicated — waits, conversions that queue, escalation, memory growth,
-// grant cascades — bails out and retries on the exclusive path. Because
-// shared and exclusive holds exclude each other, all pre-existing state
-// remains race-free; only the state the fast path itself mutates (stats
-// counters, block-list aggregates, lock-table shards, the curve cache) is
-// atomic or latch-striped.
+// Thread safety: every public member function holds the manager's one
+// mutex, `mu_`, for its whole duration, so calls from several threads
+// (`--threads N`, docs/CONCURRENCY.md) are serialized and each runs exactly
+// the code a single-threaded caller would. The grow callback and the event
+// monitor run under `mu_`; the mutex is not re-entrant, so they must not
+// call back into the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_MANAGER_H_
 #define LOCKTUNE_LOCK_LOCK_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -82,7 +73,7 @@ struct BatchItem {
   LockMode mode = LockMode::kS;
 };
 static_assert(std::is_trivially_copyable_v<BatchItem>,
-              "batch items are staged by value across the shard lease");
+              "hot-column rows must stay trivially copyable");
 
 // Pull-source of a batch's lock requests. AcquireBatch consumes it lazily:
 // Next() is called only after every previous item was granted, so a source
@@ -155,9 +146,6 @@ struct LockManagerOptions {
   // Borrowed; invoked under the manager's mutex — must be fast and must
   // not call back into the manager.
   LockEventMonitor* monitor = nullptr;
-  // Lock table partitions (power of two). Shards bound probe-array size and
-  // are the unit a future per-shard latch would protect.
-  int table_shards = LockTable::kDefaultShards;
 };
 
 class LockManager {
@@ -173,12 +161,8 @@ class LockManager {
   LockResult Lock(AppId app, const ResourceId& resource, LockMode mode);
 
   // Requests every item `source` yields for `app`, in order, with the
-  // per-item semantics of Lock() but the synchronization amortized over
-  // the batch: the serial path takes the manager lock once for all items;
-  // the parallel fast path takes the outer shared hold once and keeps the
-  // per-shard write latch across consecutive same-shard grants (profiler
-  // site kShardBatch). An item the fast path cannot grant is retried on
-  // the exclusive path and, when granted there, the batch resumes.
+  // per-item semantics of Lock() but one hold of the manager mutex for the
+  // whole batch.
   BatchResult AcquireBatch(AppId app, LockRequestSource& source);
 
   // Releases everything `app` holds or waits for (commit/abort under strict
@@ -214,14 +198,6 @@ class LockManager {
   // a clock and a non-negative lock_timeout; returns empty otherwise.
   std::vector<AppId> ExpireTimedOutWaiters();
 
-  // Enables/disables the parallel fast path. Off by default: the manager
-  // then behaves exactly like the single-threaded build (the deterministic
-  // golden contract). ScenarioRunner turns it on for --threads > 1.
-  void SetParallelMode(bool enabled);
-  bool parallel_mode() const {
-    return parallel_mode_.load(std::memory_order_relaxed);
-  }
-
   // §6.1 selective escalation: applications marked escalation-preferred
   // escalate instead of growing lock memory when the lock list is full,
   // conserving memory for caching and sorting.
@@ -244,8 +220,7 @@ class LockManager {
 
   // --- introspection ---
   LockMemoryState MemoryState() const;
-  // Snapshot of the monotonic counters (fields are atomics internally so
-  // both execution modes share one accounting path).
+  // Snapshot of the monotonic counters.
   LockManagerStats stats() const;
   Bytes allocated_bytes() const;
   Bytes used_bytes() const;
@@ -296,7 +271,7 @@ class LockManager {
   int64_t lock_table_size() const;
   int64_t lock_table_max_shard_size() const;
   int lock_table_shard_count() const;
-  // Live heads per shard, indexed by shard id. Serial regions only.
+  // Live heads per shard, indexed by shard id.
   std::vector<int64_t> lock_table_shard_sizes() const;
   int64_t head_pool_free_nodes() const;
   int64_t head_pool_slab_count() const;
@@ -316,16 +291,9 @@ class LockManager {
   // requests to their lock block the same way): pooled head nodes are
   // pointer-stable and a head cannot be erased while this application still
   // holds it, so release and escalation sweeps skip the table probe.
-  //
-  // `mode` mirrors the granted mode of this application's holder entry
-  // (kept in sync by NoteHeldMode at every conversion/escalation site).
-  // AppState is owner-thread-confined, so the fast path answers "do I
-  // already hold this, and does it cover the request?" without touching the
-  // shard — the dominant re-request case costs zero shared memory.
   struct HeldSlot {
     ResourceId res;
     LockHead* head = nullptr;
-    LockMode mode = LockMode::kNone;
     bool live = true;
   };
 
@@ -374,31 +342,7 @@ class LockManager {
     uint64_t epoch = 0;
   };
 
-  // Mirror of LockManagerStats with atomic fields: the parallel fast path
-  // bumps counters under a shared lock, concurrently with other fast
-  // threads. Relaxed ordering — they are monotonic event counts, not
-  // synchronization.
-  struct AtomicStats {
-    std::atomic<int64_t> lock_requests{0};
-    std::atomic<int64_t> grants{0};
-    std::atomic<int64_t> lock_waits{0};
-    std::atomic<int64_t> escalations{0};
-    std::atomic<int64_t> exclusive_escalations{0};
-    std::atomic<int64_t> escalation_attempts{0};
-    std::atomic<int64_t> deadlock_victims{0};
-    std::atomic<int64_t> lock_timeouts{0};
-    std::atomic<int64_t> out_of_memory_failures{0};
-    std::atomic<int64_t> sync_growth_blocks{0};
-    std::atomic<int64_t> preferred_escalations{0};
-  };
-
-  static void Bump(std::atomic<int64_t>& counter, int64_t n = 1) {
-    counter.fetch_add(n, std::memory_order_relaxed);
-  }
-
   enum class AcquireOutcome { kDone, kBlocked, kNoMemory };
-
-  enum class FastOutcome { kGranted, kBail };
 
   struct AllocResult {
     LockBlock* slot = nullptr;
@@ -411,69 +355,10 @@ class LockManager {
     bool table_may_have_changed = false;
   };
 
-  // Classic request path; runs under an exclusive hold of mu_. `counted` is
-  // true when a bailed fast path already counted the request.
-  LockResult LockExclusive(AppId app, const ResourceId& resource,
-                           LockMode mode, bool counted) LT_REQUIRES(mu_);
-
-  // --- parallel fast path (shared hold of mu_ + per-shard table mutexes).
-  // Every function bails (nullopt / kBail) before mutating anything the
-  // classic path would then redo; on a bail the caller retries exclusively.
-
-  // RAII lease over at most one shard's write latch, letting a batch keep
-  // the latch across consecutive grants that hash to the same shard.
-  // Defined in lock_manager.cc.
-  class ShardLease;
-
-  // Uncontended grant attempt. Counts the request (the exclusive retry must
-  // not count again). nullopt = bail to the classic path.
-  std::optional<LockResult> FastLock(AppId app, const ResourceId& resource,
-                                     LockMode mode) LT_EXCLUDES(mu_);
-
-  // Runs the fast section of AcquireBatch under one shared hold of mu_ and
-  // one ShardLease: drains `source` (via `pending`) until exhausted (true)
-  // or an item bails (false; the item stays in `pending`, already counted,
-  // for the caller's exclusive retry). Grants are accumulated in `result`.
-  bool FastAcquireBatch(AppId app, LockRequestSource& source,
-                        std::optional<BatchItem>& pending, BatchResult& result)
-      LT_EXCLUDES(mu_);
-
-  // One full fast-path request: row coverage check, intent-lock chain, then
-  // the resource itself — FastLock and FastAcquireBatch share it. The lease
-  // carries the shard latch between the intent and row grants (and across
-  // batch items).
-  FastOutcome FastTryOne(AppId app, AppState& state,
-                         const ResourceId& resource, LockMode mode,
-                         ShardLease& lease) LT_REQUIRES_SHARED(mu_);
-
-  // Grant/convert `mode` on one resource. An already-held resource resolves
-  // thread-locally through held_index/HeldSlot::mode; a new request is
-  // pre-flighted with an optimistic probe (retry-then-pessimize) and only
-  // the mutating grant takes the shard latch's write side — through
-  // `lease`, so a latch already held for this shard is reused (and the
-  // probe skipped: the latched re-check is authoritative). Bails on
-  // anything that must queue, escalate, or grow memory.
-  FastOutcome FastAcquireOne(AppId app, AppState& state,
-                             const ResourceId& resource, LockMode mode,
-                             ShardLease& lease) LT_REQUIRES_SHARED(mu_);
-
-  // Granted table-lock mode via the AppState cache. Pure thread-local:
-  // held_index membership plus HeldSlot::mode answer it without probing the
-  // shared table.
-  LockMode FastTableMode(AppState& state, TableId table)
-      LT_REQUIRES_SHARED(mu_);
-
-  // App state lookup/creation. A thread-local pointer cache (keyed by a
-  // per-manager epoch) makes repeat lookups latch-free; only a thread's
-  // first touch of an app takes apps_mu_. AppState pointers are stable
-  // (apps_ entries are never erased).
-  AppState& FastGetApp(AppId app) LT_REQUIRES_SHARED(mu_);
-
-  // Commit/abort release when the app has no waiters behind any held lock
-  // and no wait of its own; false = bail to the classic path. Waiters are
-  // only enqueued under the exclusive lock, so the waiter sets observed
-  // under the shared hold are frozen and the check-then-release is sound.
-  bool FastReleaseAll(AppId app) LT_EXCLUDES(mu_);
+  // One Lock() request, counted and run to completion; the caller holds
+  // mu_ (Lock takes it per request, AcquireBatch once per batch).
+  LockResult RequestLocked(AppId app, const ResourceId& resource,
+                           LockMode mode) LT_REQUIRES(mu_);
 
   // Full acquisition chain for one request; may recurse for intent locks
   // and set wait state. `state` is GetApp(app); `escalated` reports any
@@ -520,22 +405,11 @@ class LockManager {
   // completes escalation, and issues any continuation.
   void OnWaitGranted(AppId app, const ResourceId& resource) LT_REQUIRES(mu_);
 
-  // Appends `resource` (whose lock head is `head`, granted in `mode`) to
-  // the held list and indexes it. `hash` is the caller's precomputed
-  // ResourceIdHash of `resource`.
+  // Appends `resource` (whose lock head is `head`) to the held list and
+  // indexes it. `hash` is the caller's precomputed ResourceIdHash of
+  // `resource`.
   void AddHeldEntry(AppState& state, const ResourceId& resource,
-                    uint64_t hash, LockHead* head, LockMode mode)
-      LT_REQUIRES_SHARED(mu_);
-
-  // Records `mode` as the held-slot mirror of `resource`'s granted mode.
-  // Must accompany every SetHolderMode on a resource the app has in its
-  // held list (conversion grants, escalation).
-  static void NoteHeldMode(AppState& state, const ResourceId& resource,
-                           uint64_t hash, LockMode mode) {
-    uint32_t* idx = state.held_index.Find(resource, hash);
-    LOCKTUNE_DCHECK(idx != nullptr && "converted resource not in held list");
-    state.held[*idx].mode = mode;
-  }
+                    uint64_t hash, LockHead* head) LT_REQUIRES(mu_);
 
   // Tombstones `resource` in the held list (O(1) via held_index),
   // compacting when tombstones dominate.
@@ -545,14 +419,14 @@ class LockManager {
 
   AppState& GetApp(AppId app) LT_REQUIRES(mu_);
 
-  LockHead* FindHead(const ResourceId& resource) LT_REQUIRES_SHARED(mu_);
+  LockHead* FindHead(const ResourceId& resource) LT_REQUIRES(mu_);
   const LockHead* FindHead(const ResourceId& resource) const
-      LT_REQUIRES_SHARED(mu_);
+      LT_REQUIRES(mu_);
 
   // Granted mode of `app` on `resource` (kNone when not held); assumes the
   // mutex is held.
   LockMode HeldModeLockedInternal(AppId app, const ResourceId& resource) const
-      LT_REQUIRES_SHARED(mu_);
+      LT_REQUIRES(mu_);
 
   // Granted table-lock mode of `app` on `table`, served from the AppState
   // single-entry cache when possible.
@@ -580,7 +454,7 @@ class LockManager {
     ++state.total_row_locks;
   }
 
-  LockMemoryState MemoryStateLocked() const LT_REQUIRES_SHARED(mu_);
+  LockMemoryState MemoryStateLocked() const LT_REQUIRES(mu_);
 
   void DrainWorkList() LT_REQUIRES(mu_);
 
@@ -602,34 +476,13 @@ class LockManager {
   void Emit(LockEventKind kind, AppId app, const ResourceId& resource,
             LockMode mode, int64_t value) LT_REQUIRES(mu_);
 
-  // Reader-writer lock: exclusive for the classic path and every structural
-  // mutation; shared for the parallel fast path. Rank: below the metrics
-  // registry (whose Collect callbacks take this), above everything else in
-  // the manager (common/lock_rank_table.h).
-  mutable SharedMutex mu_{kLockRankManagerOuter, "LockManager::mu_"};
-  // Serializes block-list slot alloc/free on the fast path. Ordering: a
-  // shard latch may be held when taking alloc_mu_, never the reverse —
-  // which is exactly what rank kLockRankAlloc > kLockRankShardLatch says.
-  Mutex alloc_mu_{kLockRankAlloc, "LockManager::alloc_mu_"};
-  // Guards apps_ map insertion/lookup between fast threads (element
-  // pointers are stable; AppState itself is owner-thread-confined). Repeat
-  // lookups bypass it through FastGetApp's thread-local cache. Never nested
-  // with a shard latch (they share a rank, so nesting would abort in
-  // paranoid mode).
-  mutable Mutex apps_mu_{kLockRankAppsMap, "LockManager::apps_mu_"};
-  // Unique per manager instance ever constructed; keys FastGetApp's
-  // thread-local cache so a pointer cached against a destroyed manager (or
-  // a new manager reusing the address) can never be served.
-  const uint64_t manager_epoch_;
-  std::atomic<bool> parallel_mode_{false};
-  BlockList blocks_;
-  LockTable table_;
-  // apps_, blocks_, and table_ are OR-guarded: exclusive mu_ on the classic
-  // path, or shared mu_ plus apps_mu_ / alloc_mu_ / the shard latch on the
-  // fast path. Clang's capability analysis cannot express an either-or
-  // guard, so they stay unannotated; locklint's lock-order pass and the
-  // paranoid runtime rank checks still cover their locks.
-  std::unordered_map<AppId, AppState> apps_;
+  // Serializes every public call. Rank: below the metrics registry (whose
+  // Collect callbacks take this), above the telemetry leaves the event
+  // paths take underneath (common/lock_rank_table.h).
+  mutable Mutex mu_{kLockRankManager, "LockManager::mu_"};
+  BlockList blocks_ LT_GUARDED_BY(mu_);
+  LockTable table_ LT_GUARDED_BY(mu_);
+  std::unordered_map<AppId, AppState> apps_ LT_GUARDED_BY(mu_);
   std::unordered_set<AppId> escalation_preferred_ LT_GUARDED_BY(mu_);
   std::deque<ResourceId> work_list_ LT_GUARDED_BY(mu_);
   bool draining_ LT_GUARDED_BY(mu_) = false;
@@ -640,7 +493,7 @@ class LockManager {
   std::deque<TimeoutEntry> timeout_queue_ LT_GUARDED_BY(mu_);
   // Queue entries invalidated by an early wait end (grant, rollback, kill).
   int64_t timeout_stale_ LT_GUARDED_BY(mu_) = 0;
-  AtomicStats stats_;
+  LockManagerStats stats_ LT_GUARDED_BY(mu_);
   Histogram wait_times_ LT_GUARDED_BY(mu_){{1, 10, 100, 1000, 10'000, 100'000}};
 };
 

@@ -1,54 +1,26 @@
 #include "lock/lock_table.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace locktune {
 
-namespace {
-int ShardBits(int shard_count) {
-  int bits = 0;
-  while ((1 << bits) < shard_count) ++bits;
-  return bits;
-}
-
-size_t NextPow2(size_t n) {
-  size_t p = LockTable::kInitialDirSlots;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
 LockTable::LockTable(int shard_count) {
   LOCKTUNE_DCHECK(shard_count > 0 && (shard_count & (shard_count - 1)) == 0 &&
          "shard count must be a power of two");
-  shard_mask_ = shard_count - 1;
-  const int bits = ShardBits(shard_count);
+  shard_mask_ = static_cast<uint64_t>(shard_count - 1);
+  int bits = 0;
+  while ((1 << bits) < shard_count) ++bits;
+  shards_.reserve(static_cast<size_t>(shard_count));
   for (int i = 0; i < shard_count; ++i) {
     shards_.emplace_back(/*hash_shift=*/bits);
   }
 }
 
-// locklint: seqlock-writer(probe helper for the write side: callers hold the shard latch; OptProbe runs its own probe inside a ReadBegin/ReadValidate section)
-size_t LockTable::ProbeFind(const Dir& dir, int shift, const ResourceId& key,
-                            uint64_t hash) {
-  const size_t mask = dir.mask;
-  size_t i = (hash >> shift) & mask;
-  for (;;) {
-    const DirSlot& slot = dir.slots[i];
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    if (MetaState(meta) == kSlotEmpty) return kNpos;
-    if (SlotMatches(slot, meta, key)) return i;
-    i = (i + 1) & mask;
-  }
-}
-
-// locklint: seqlock-writer(callers hold the shard latch write side or the manager exclusive lock; the latch version bump publishes)
 LockHead* LockTable::Find(const ResourceId& resource, uint64_t hash) {
-  Shard& shard = ShardFor(hash);
-  const Dir& dir = *shard.dir.load(std::memory_order_relaxed);
-  const size_t i = ProbeFind(dir, shard.shift, resource, hash);
-  if (i == kNpos) return nullptr;
-  return &dir.slots[i].node.load(std::memory_order_relaxed)->head;
+  Node** node = ShardFor(hash).dir.Find(resource, hash);
+  return node == nullptr ? nullptr : &(*node)->head;
 }
 
 LockHead& LockTable::GetOrCreate(const ResourceId& resource, uint64_t hash) {
@@ -59,154 +31,31 @@ LockHead& LockTable::GetOrCreate(const ResourceId& resource, uint64_t hash) {
 LockHead& LockTable::Create(const ResourceId& resource, uint64_t hash) {
   Shard& shard = ShardFor(hash);
   Node* node = AllocateNode(shard);
-  DirInsert(shard, resource, hash, node);
-  ++shard.live;
+  shard.dir.Insert(resource, hash, node);
   return node->head;
 }
 
-// locklint: seqlock-writer(mutator; callers hold the shard latch write side, whose version bump publishes the relaxed slot stores)
 bool LockTable::EraseIfEmpty(const ResourceId& resource, uint64_t hash) {
   Shard& shard = ShardFor(hash);
-  const Dir& dir = *shard.dir.load(std::memory_order_relaxed);
-  const size_t index = ProbeFind(dir, shard.shift, resource, hash);
-  if (index == kNpos) return false;
-  Node* node = dir.slots[index].node.load(std::memory_order_relaxed);
+  const size_t index = shard.dir.FindIndex(resource, hash);
+  if (index == ResourceHashMap<Node*>::kNpos) return false;
+  Node* node = shard.dir.ValueAt(index);
   if (!node->head.empty()) return false;
-  DirEraseIndex(shard, index);
+  shard.dir.EraseIndex(index);
   RecycleNode(shard, node);
-  --shard.live;
   return true;
-}
-
-LockTable::OptProbeResult LockTable::OptProbe(const ResourceId& resource,
-                                              uint64_t hash) const {
-  const Shard& shard = shards_[hash & shard_mask_];
-  OptProbeResult out;
-  const uint64_t version = shard.latch.ReadBegin();
-  if ((version & 1) != 0) return out;  // writer still active: pessimize
-  // One acquire load pins mask and slots to a single array; a rehash
-  // publishing a newer directory mid-probe leaves this one mapped (retired)
-  // and fails the validation below.
-  const Dir& dir = *shard.dir.load(std::memory_order_acquire);
-  const size_t i = ProbeFind(dir, shard.shift, resource, hash);
-  bool found = false;
-  uint32_t summary = 0;
-  if (i != kNpos) {
-    const Node* node = dir.slots[i].node.load(std::memory_order_relaxed);
-    if (node == nullptr) return out;  // torn insert: validation would fail
-    found = true;
-    summary = node->head.opt_summary();
-  }
-  if (!shard.latch.ReadValidate(version)) return out;
-  out.valid = true;
-  out.found = found;
-  out.summary = summary;
-  return out;
-}
-
-// locklint: seqlock-writer(mutator; callers hold the shard latch write side, whose version bump publishes the relaxed slot stores)
-void LockTable::DirInsert(Shard& shard, const ResourceId& key, uint64_t hash,
-                          Node* node) {
-  if ((shard.dir_size + shard.dir_tombstones + 1) * 4 >
-      static_cast<int64_t>(
-          shard.dir.load(std::memory_order_relaxed)->mask + 1) *
-          3) {
-    DirRehash(shard);
-  }
-  const Dir& dir = *shard.dir.load(std::memory_order_relaxed);
-  const size_t mask = dir.mask;
-  size_t i = (hash >> shard.shift) & mask;
-  for (;;) {
-    DirSlot& slot = dir.slots[i];
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    if (MetaState(meta) != kSlotFull) {
-      if (MetaState(meta) == kSlotTombstone) --shard.dir_tombstones;
-      // Key fields before the full-state meta: an optimistic reader that
-      // sees the full meta but a torn row/node fails its validation anyway,
-      // but a null node must never look like a live entry.
-      slot.row.store(key.row, std::memory_order_relaxed);
-      slot.node.store(node, std::memory_order_relaxed);
-      slot.meta.store(PackMeta(kSlotFull, key), std::memory_order_relaxed);
-      ++shard.dir_size;
-      return;
-    }
-    LOCKTUNE_DCHECK(!SlotMatches(slot, meta, key) &&
-                    "duplicate lock-table insert");
-    i = (i + 1) & mask;
-  }
-}
-
-// locklint: seqlock-writer(mutator; callers hold the shard latch write side, whose version bump publishes the relaxed slot stores)
-void LockTable::DirEraseIndex(Shard& shard, size_t index) {
-  const Dir& dir = *shard.dir.load(std::memory_order_relaxed);
-  const size_t mask = dir.mask;
-  LOCKTUNE_DCHECK(
-      MetaState(dir.slots[index].meta.load(std::memory_order_relaxed)) ==
-      kSlotFull);
-  --shard.dir_size;
-  const auto set_state = [&dir](size_t i, uint64_t state) {
-    dir.slots[i].meta.store(state << 48, std::memory_order_relaxed);
-    dir.slots[i].node.store(nullptr, std::memory_order_relaxed);
-  };
-  if (MetaState(dir.slots[(index + 1) & mask].meta.load(
-          std::memory_order_relaxed)) == kSlotEmpty) {
-    // No probe chain continues past this slot: revert it (and any tombstone
-    // run ending here) straight to empty.
-    set_state(index, kSlotEmpty);
-    size_t back = (index + mask) & mask;
-    while (MetaState(dir.slots[back].meta.load(std::memory_order_relaxed)) ==
-           kSlotTombstone) {
-      set_state(back, kSlotEmpty);
-      --shard.dir_tombstones;
-      back = (back + mask) & mask;
-    }
-  } else {
-    set_state(index, kSlotTombstone);
-    ++shard.dir_tombstones;
-  }
-}
-
-// locklint: seqlock-writer(mutator; callers hold the shard latch write side, whose version bump publishes the relaxed slot stores)
-void LockTable::DirRehash(Shard& shard) {
-  const Dir& old = *shard.dir.load(std::memory_order_relaxed);
-  shard.dir_store.push_back(std::make_unique<Dir>(
-      NextPow2(static_cast<size_t>(shard.dir_size + 1) * 2)));
-  Dir& fresh = *shard.dir_store.back();
-  const size_t fresh_mask = fresh.mask;
-  for (size_t i = 0; i <= old.mask; ++i) {
-    const DirSlot& slot = old.slots[i];
-    if (MetaState(slot.meta.load(std::memory_order_relaxed)) != kSlotFull) {
-      continue;
-    }
-    const ResourceId key = SlotKey(slot);
-    const uint64_t hash = ResourceIdHash{}(key);
-    size_t j = (hash >> shard.shift) & fresh_mask;
-    while (MetaState(fresh.slots[j].meta.load(std::memory_order_relaxed)) ==
-           kSlotFull) {
-      j = (j + 1) & fresh_mask;
-    }
-    fresh.slots[j].row.store(key.row, std::memory_order_relaxed);
-    fresh.slots[j].node.store(slot.node.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-    fresh.slots[j].meta.store(PackMeta(kSlotFull, key),
-                              std::memory_order_relaxed);
-  }
-  shard.dir_tombstones = 0;
-  // Release-publish so an optimistic reader's acquire load sees the fully
-  // built array. The old directory stays in dir_store for stale readers.
-  shard.dir.store(&fresh, std::memory_order_release);
 }
 
 int64_t LockTable::size() const {
   int64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.live;
+  for (const Shard& shard : shards_) total += shard.dir.size();
   return total;
 }
 
 int64_t LockTable::MaxShardSize() const {
   int64_t max_size = 0;
   for (const Shard& shard : shards_) {
-    if (shard.dir_size > max_size) max_size = shard.dir_size;
+    max_size = std::max(max_size, shard.dir.size());
   }
   return max_size;
 }
@@ -214,7 +63,7 @@ int64_t LockTable::MaxShardSize() const {
 std::vector<int64_t> LockTable::ShardSizes() const {
   std::vector<int64_t> sizes;
   sizes.reserve(shards_.size());
-  for (const Shard& shard : shards_) sizes.push_back(shard.live);
+  for (const Shard& shard : shards_) sizes.push_back(shard.dir.size());
   return sizes;
 }
 
@@ -240,51 +89,19 @@ int64_t LockTable::slab_count() const {
   return total;
 }
 
-int64_t LockTable::retired_dir_count() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += static_cast<int64_t>(shard.dir_store.size()) - 1;
-  }
-  return total;
-}
-
-// locklint: seqlock-writer(paranoid/test validator; runs in serial regions with no concurrent writer)
 Status LockTable::CheckConsistency() const {
   for (const Shard& shard : shards_) {
-    if (shard.dir_size != shard.live) {
-      return Status::Internal("shard live count does not match its directory");
-    }
-    const Dir& dir = *shard.dir.load(std::memory_order_relaxed);
-    if (shard.dir_store.empty() || shard.dir_store.back().get() != &dir) {
-      return Status::Internal("current directory is not the latest retained");
-    }
-    int64_t full = 0;
-    int64_t tombstones = 0;
-    for (size_t i = 0; i <= dir.mask; ++i) {
-      const DirSlot& slot = dir.slots[i];
-      const uint64_t state =
-          MetaState(slot.meta.load(std::memory_order_relaxed));
-      if (state == kSlotTombstone) ++tombstones;
-      if (state != kSlotFull) continue;
-      ++full;
-      const Node* node = slot.node.load(std::memory_order_relaxed);
+    if (Status s = shard.dir.CheckConsistency(); !s.ok()) return s;
+    Status status = Status::Ok();
+    shard.dir.ForEach([&](const ResourceId&, const Node* node) {
+      if (!status.ok()) return;
       if (node == nullptr) {
-        return Status::Internal("full directory slot has no node");
+        status = Status::Internal("full directory slot has no node");
+      } else if (!node->head.AggregatesConsistent()) {
+        status = Status::Internal("head aggregates do not match its vectors");
       }
-      if (!node->head.SummaryConsistent()) {
-        return Status::Internal("head summary does not match its vectors");
-      }
-      const ResourceId key = SlotKey(slot);
-      if (ProbeFind(dir, shard.shift, key, ResourceIdHash{}(key)) != i) {
-        return Status::Internal("directory probe does not find its own slot");
-      }
-    }
-    if (full != shard.live) {
-      return Status::Internal("directory iteration does not visit every head");
-    }
-    if (tombstones != shard.dir_tombstones) {
-      return Status::Internal("dir_tombstones does not match the directory");
-    }
+    });
+    if (!status.ok()) return status;
     const int64_t shard_nodes =
         static_cast<int64_t>(shard.slabs.size()) * kSlabNodes;
     int64_t free_nodes = 0;
@@ -301,7 +118,7 @@ Status LockTable::CheckConsistency() const {
       return Status::Internal("pool_free does not match the free list");
     }
     // Conservation: every slab node is either live in the shard or free.
-    if (shard.live + shard.pool_free != shard_nodes) {
+    if (shard.dir.size() + shard.pool_free != shard_nodes) {
       return Status::Internal("live + free nodes do not cover the slabs");
     }
   }

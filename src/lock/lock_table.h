@@ -1,59 +1,36 @@
 // Sharded, pooled resource → LockHead table (the lock manager's `table_`).
 //
-// Structural decisions that keep the grant/release hot path off the heap
-// and make the shards independent units of concurrency (the shapes
-// main-memory engines use for lock/latch state; cf. Larson et al.,
-// "High-Performance Concurrency Control Mechanisms for Main-Memory
-// Databases" and the OptiQL lock-queue design):
+// Structural decisions that keep the grant/release hot path off the heap:
 //
 //  * Sharding: the table is split into a power-of-two number of partitions
-//    selected by the low bits of ResourceIdHash; each shard is a flat
-//    open-addressing directory probing on the bits above the shard select.
-//    Shards keep individual probe arrays small and carry the per-shard
-//    OptLatch the parallel execution mode acquires per resource.
-//
-//  * Atomic directory: each shard's resource → node map is an array of
-//    atomic slots (packed key metadata, row, node pointer). Writers mutate
-//    it under the shard latch's write side with the same linear-probe /
-//    tombstone / backshift-to-empty algorithm as ResourceHashMap; optimistic
-//    readers probe it with relaxed loads inside a ReadBegin/ReadValidate
-//    section (OptProbe) and never take the latch. Rehashed-out arrays are
-//    retired, not freed, until the table is destroyed, so a reader holding a
-//    stale directory pointer reads stale-but-mapped memory and its version
-//    validation discards the result (docs/LATCHES.md).
+//    selected by the low bits of ResourceIdHash; each shard's directory is a
+//    ResourceHashMap probing on the bits above the shard select, so one
+//    precomputed hash serves both levels and a rehash only ever copies one
+//    shard's slots.
 //
 //  * Pooling: LockHead nodes live in slab-allocated arrays and are recycled
 //    through a free list. A recycled head keeps its holder/waiter vector
 //    capacity, so steady-state lock/unlock traffic allocates nothing; node
-//    addresses are stable for the node's lifetime (and slabs outlive every
-//    optimistic probe), which the lock manager relies on while draining
-//    grant cascades.
+//    addresses are stable for the node's lifetime, which the lock manager
+//    relies on while draining grant cascades.
 //
-//  * Per-shard pools: slabs and free lists are shard-local, so allocating or
-//    recycling a node never touches state outside the shard being mutated —
-//    holding ShardLatch(hash) is sufficient for every table operation on
-//    that resource.
+//  * Per-shard pools: slabs and free lists are shard-local, so the pool
+//    gauges and the conservation check (CheckConsistency) account each
+//    shard on its own.
 //
-// Thread safety: the table itself takes no latches. In the default
-// single-threaded mode the owning LockManager serializes all access. In
-// parallel mode the manager holds ShardLatch(hash)'s write side around any
-// mutating call touching that resource's shard, and uses OptProbe for
-// latch-free reads; the cross-shard introspection calls (size,
-// MaxShardSize, pool gauges, ForEach, CheckConsistency) are only legal in a
-// serial region (under the manager's exclusive lock).
+// Thread safety: none of its own. The owning LockManager serializes every
+// call under its mutex.
 #ifndef LOCKTUNE_LOCK_LOCK_TABLE_H_
 #define LOCKTUNE_LOCK_LOCK_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "lock/lock_head.h"
-#include "lock/opt_latch.h"
 #include "lock/resource.h"
+#include "lock/resource_map.h"
 
 namespace locktune {
 
@@ -68,8 +45,6 @@ class LockTable {
   static constexpr int kDefaultShards = 16;
   // Nodes per slab; slabs are never returned to the heap.
   static constexpr int kSlabNodes = 256;
-  // Initial directory slots per shard (power of two).
-  static constexpr size_t kInitialDirSlots = 16;
 
   // Head for `resource`, or nullptr. Pointers stay valid until Erase.
   // The `hash` overloads take a precomputed ResourceIdHash so one request
@@ -100,70 +75,34 @@ class LockTable {
   }
   bool EraseIfEmpty(const ResourceId& resource, uint64_t hash);
 
-  // The OptLatch striping `hash`'s shard. Parallel-mode callers hold its
-  // write side (OptLatchWriteGuard) around any mutating
-  // Find/GetOrCreate/Create/EraseIfEmpty on the resource, and use OptProbe
-  // for latch-free reads. Lock ordering: never hold two shard latches at
-  // once.
-  OptLatch& ShardLatch(uint64_t hash) const {
-    return shards_[hash & shard_mask_].latch;
-  }
-
-  // Which shard `hash` selects (the index ShardLatch guards). The profiler
-  // uses this to attribute contention to individual shards.
-  int ShardIndex(uint64_t hash) const {
-    return static_cast<int>(hash & shard_mask_);
-  }
-
-  // One optimistic, latch-free probe of `resource`'s shard (docs/
-  // LATCHES.md): sample the shard latch version, walk the atomic directory
-  // with relaxed loads, snapshot the head's summary word, re-validate.
-  // `valid` is false when a writer was active or ran during the probe — the
-  // contents are then meaningless and the caller retries or pessimizes.
-  struct OptProbeResult {
-    bool valid = false;    // version validated; `found`/`summary` are real
-    bool found = false;    // a head for `resource` exists
-    uint32_t summary = 0;  // LockHead::opt_summary() snapshot when found
-  };
-  OptProbeResult OptProbe(const ResourceId& resource, uint64_t hash) const;
-
   // Calls fn(const ResourceId&, const LockHead&) for every head. Iteration
-  // order is unspecified (shard/slot order). Serial regions only.
-  // locklint: seqlock-writer(serial regions only per the contract above — no concurrent writer exists, so the relaxed loads cannot race)
+  // order is unspecified (shard/slot order).
   template <typename Fn>
   void ForEach(Fn fn) const {
     for (const Shard& shard : shards_) {
-      const Dir* dir = shard.dir.load(std::memory_order_relaxed);
-      for (size_t i = 0; i <= dir->mask; ++i) {
-        const DirSlot& slot = dir->slots[i];
-        const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-        if (MetaState(meta) != kSlotFull) continue;
-        fn(SlotKey(slot),
-           slot.node.load(std::memory_order_relaxed)->head);
-      }
+      shard.dir.ForEach([&fn](const ResourceId& key, const Node* node) {
+        fn(key, node->head);
+      });
     }
   }
 
-  // Full-structure validation (paranoid mode / tests): shard occupancy sums
-  // to size(), every pooled node is either live in its shard or on that
-  // shard's free list (per-shard slab/pool conservation), and every live
-  // head's optimistic summary matches a recomputation. O(total slots);
-  // returns OK or INTERNAL naming the violated invariant.
+  // Full-structure validation (paranoid mode / tests): every directory
+  // entry is found by its own probe, every live head's aggregates match a
+  // recomputation, and every pooled node is either live in its shard or on
+  // that shard's free list (per-shard slab/pool conservation). O(total
+  // heads); returns OK or INTERNAL naming the violated invariant.
   [[nodiscard]] Status CheckConsistency() const;
 
-  // --- introspection (pool/shard gauges; serial regions only) ---
+  // --- introspection (pool/shard gauges) ---
   int64_t size() const;
   int shard_count() const { return static_cast<int>(shards_.size()); }
   // Heads in the most loaded shard (occupancy skew indicator).
   int64_t MaxShardSize() const;
-  // Live-head count per shard, indexed by ShardIndex (heatmap input).
+  // Live-head count per shard, indexed by shard id.
   std::vector<int64_t> ShardSizes() const;
   int64_t pool_free_nodes() const;
   int64_t pool_total_nodes() const;
   int64_t slab_count() const;
-  // Directory arrays retired by rehashes and kept mapped for optimistic
-  // readers (bounded: one per rehash, geometric capacities).
-  int64_t retired_dir_count() const;
 
  private:
   struct Node {
@@ -171,103 +110,23 @@ class LockTable {
     Node* next_free = nullptr;
   };
 
-  // Slot states, packed into the meta word's top bits.
-  static constexpr uint64_t kSlotEmpty = 0;
-  static constexpr uint64_t kSlotTombstone = 1;
-  static constexpr uint64_t kSlotFull = 2;
-
-  // One directory slot. Every field is a relaxed atomic because optimistic
-  // readers probe concurrently with a latched writer; version validation
-  // discards torn multi-field snapshots, but each individual load must be
-  // race-free. meta packs state(2) | kind(8) | table(32); zero-initialized
-  // memory is an empty slot.
-  struct DirSlot {
-    std::atomic<uint64_t> meta{0};
-    std::atomic<int64_t> row{0};
-    std::atomic<Node*> node{nullptr};
-  };
-
-  static constexpr uint64_t PackMeta(uint64_t state, const ResourceId& key) {
-    return (state << 48) |
-           (static_cast<uint64_t>(static_cast<uint8_t>(key.kind)) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(key.table));
-  }
-  static constexpr uint64_t MetaState(uint64_t meta) { return meta >> 48; }
-
-  // locklint: seqlock-writer(helper called either under the shard latch write side or inside the caller's ReadBegin/ReadValidate section, which supplies the ordering)
-  static bool SlotMatches(const DirSlot& slot, uint64_t meta,
-                          const ResourceId& key) {
-    return meta == PackMeta(kSlotFull, key) &&
-           slot.row.load(std::memory_order_relaxed) == key.row;
-  }
-
-  // locklint: seqlock-writer(helper called either under the shard latch write side or inside the caller's ReadBegin/ReadValidate section, which supplies the ordering)
-  static ResourceId SlotKey(const DirSlot& slot) {
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    ResourceId key;
-    key.kind = static_cast<ResourceKind>((meta >> 32) & 0xFF);
-    key.table = static_cast<TableId>(static_cast<int32_t>(
-        static_cast<uint32_t>(meta & 0xFFFFFFFFu)));
-    key.row = slot.row.load(std::memory_order_relaxed);
-    return key;
-  }
-
-  // A probe array. mask/slots are immutable after construction; the array
-  // is retired (kept in dir_store) when a rehash replaces it, so readers
-  // holding a stale pointer stay within mapped memory.
-  struct Dir {
-    explicit Dir(size_t capacity)
-        : mask(capacity - 1), slots(std::make_unique<DirSlot[]>(capacity)) {}
-    const size_t mask;
-    const std::unique_ptr<DirSlot[]> slots;
-  };
-
-  // A shard owns its directory, its node pool, and the OptLatch striping
-  // it. Slabs and free list are shard-local so every mutation is covered by
-  // `latch`.
+  // A shard owns its directory and its node pool.
   struct Shard {
-    // locklint: seqlock-writer(construction is single-threaded; the table is published to workers only afterwards, by the thread that starts them)
-    explicit Shard(int hash_shift) : shift(hash_shift) {
-      dir_store.push_back(std::make_unique<Dir>(kInitialDirSlots));
-      dir.store(dir_store.back().get(), std::memory_order_relaxed);
-    }
+    explicit Shard(int hash_shift) : dir(hash_shift) {}
 
-    // Current directory; readers load it once (acquire) per probe so mask
-    // and slots always come from one array.
-    std::atomic<Dir*> dir{nullptr};
-    // Every directory ever created, current last. Rehashed-out arrays stay
-    // here until destruction (optimistic readers may still be probing
-    // them); total retired memory is a geometric series over the current
-    // capacity.
-    std::vector<std::unique_ptr<Dir>> dir_store;
-    int64_t dir_size = 0;        // full slots
-    int64_t dir_tombstones = 0;  // tombstoned slots
-    const int shift;             // hash bits consumed by the shard select
+    ResourceHashMap<Node*> dir;  // live heads
     std::vector<std::unique_ptr<Node[]>> slabs;
     Node* free_list = nullptr;
     int64_t pool_free = 0;
-    int64_t live = 0;  // heads currently in the directory
-    mutable OptLatch latch;
   };
 
   static Node* AllocateNode(Shard& shard);
   static void RecycleNode(Shard& shard, Node* node);
 
-  static constexpr size_t kNpos = ~static_cast<size_t>(0);
-  // Writer-side probes (caller holds the latch's write side or is serial).
-  static size_t ProbeFind(const Dir& dir, int shift, const ResourceId& key,
-                          uint64_t hash);
-  static void DirInsert(Shard& shard, const ResourceId& key, uint64_t hash,
-                        Node* node);
-  static void DirEraseIndex(Shard& shard, size_t index);
-  static void DirRehash(Shard& shard);
-
   Shard& ShardFor(uint64_t hash) { return shards_[hash & shard_mask_]; }
 
-  // deque: Shard is immovable (atomic/latch members) and needs stable
-  // storage.
-  std::deque<Shard> shards_;
-  int shard_mask_ = 0;
+  std::vector<Shard> shards_;
+  uint64_t shard_mask_ = 0;
 };
 
 }  // namespace locktune

@@ -15,27 +15,6 @@ MaxlocksCurve::MaxlocksCurve(double p_max, double exponent,
   LOCKTUNE_CHECK(refresh_period > 0);
 }
 
-MaxlocksCurve::MaxlocksCurve(const MaxlocksCurve& other)
-    : p_max_(other.p_max_),
-      exponent_(other.exponent_),
-      refresh_period_(other.refresh_period_),
-      requests_since_refresh_(other.requests_since_refresh()),
-      dirty_(other.dirty_.load(std::memory_order_relaxed)),
-      cached_percent_(other.cached_percent_.load(std::memory_order_relaxed)) {}
-
-MaxlocksCurve& MaxlocksCurve::operator=(const MaxlocksCurve& other) {
-  p_max_ = other.p_max_;
-  exponent_ = other.exponent_;
-  refresh_period_ = other.refresh_period_;
-  requests_since_refresh_.store(other.requests_since_refresh(),
-                                std::memory_order_relaxed);
-  dirty_.store(other.dirty_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  cached_percent_.store(other.cached_percent_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  return *this;
-}
-
 double MaxlocksCurve::Evaluate(double used_percent_of_max) const {
   const double x = std::clamp(used_percent_of_max, 0.0, 100.0);
   const double value = p_max_ * (1.0 - std::pow(x / 100.0, exponent_));
@@ -45,24 +24,20 @@ double MaxlocksCurve::Evaluate(double used_percent_of_max) const {
 }
 
 bool MaxlocksCurve::OnLockRequest() {
-  const int n =
-      requests_since_refresh_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n >= refresh_period_) dirty_.store(true, std::memory_order_release);
-  return dirty_.load(std::memory_order_acquire);
+  if (++requests_since_refresh_ >= refresh_period_) dirty_ = true;
+  return dirty_;
 }
 
 double MaxlocksCurve::Current(double used_percent_of_max) {
-  // exchange() so exactly one concurrent caller performs the recomputation;
-  // the counter reset here (not in OnLockRequest) is what keeps every
+  // The counter reset here (not in OnLockRequest) is what keeps every
   // refresh interval exactly refresh_period_ requests long, including after
   // an Invalidate() or the initial computation.
-  if (dirty_.load(std::memory_order_acquire) &&
-      dirty_.exchange(false, std::memory_order_acq_rel)) {
-    requests_since_refresh_.store(0, std::memory_order_relaxed);
-    cached_percent_.store(Evaluate(used_percent_of_max),
-                          std::memory_order_release);
+  if (dirty_) {
+    dirty_ = false;
+    requests_since_refresh_ = 0;
+    cached_percent_ = Evaluate(used_percent_of_max);
   }
-  return cached_percent_.load(std::memory_order_acquire);
+  return cached_percent_;
 }
 
 }  // namespace locktune

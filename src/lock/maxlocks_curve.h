@@ -16,15 +16,11 @@
 // the counter at the period boundary instead, so a resize or the initial
 // computation left a partial count behind and the next refresh fired early).
 //
-// Thread safety: the cached view (OnLockRequest / Invalidate / Current) is
-// safe to call concurrently; the counter, dirty flag, and cached percent are
-// atomics. Under concurrent callers a reader may observe a value that is at
-// most one refresh stale — acceptable for a quota heuristic, and exact in the
-// single-threaded deterministic mode.
+// Thread safety: none of its own; the lock manager calls the cached view
+// under its mutex.
 #ifndef LOCKTUNE_LOCK_MAXLOCKS_CURVE_H_
 #define LOCKTUNE_LOCK_MAXLOCKS_CURVE_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace locktune {
@@ -36,11 +32,6 @@ class MaxlocksCurve {
   // structure requests between recomputations (paper: 0x80).
   MaxlocksCurve(double p_max = 98.0, double exponent = 3.0,
                 int refresh_period = 0x80);
-
-  // Copyable so policies can take the curve by value (atomics are copied as
-  // plain loads; copying while another thread mutates is not supported).
-  MaxlocksCurve(const MaxlocksCurve& other);
-  MaxlocksCurve& operator=(const MaxlocksCurve& other);
 
   double p_max() const { return p_max_; }
   double exponent() const { return exponent_; }
@@ -60,24 +51,22 @@ class MaxlocksCurve {
 
   // Forces recomputation at the next read (called on lock memory resize).
   // The resize-triggered recomputation restarts the request cadence.
-  void Invalidate() { dirty_.store(true, std::memory_order_release); }
+  void Invalidate() { dirty_ = true; }
 
   // Returns the cached percent, recomputing from `used_percent_of_max` if
   // due. This is the externally visible lockPercentPerApplication.
   double Current(double used_percent_of_max);
 
   // Requests observed since the last recomputation (test/inspection hook).
-  int requests_since_refresh() const {
-    return requests_since_refresh_.load(std::memory_order_relaxed);
-  }
+  int requests_since_refresh() const { return requests_since_refresh_; }
 
  private:
   double p_max_;
   double exponent_;
   int refresh_period_;
-  std::atomic<int> requests_since_refresh_{0};
-  std::atomic<bool> dirty_{true};
-  std::atomic<double> cached_percent_{0.0};
+  int requests_since_refresh_ = 0;
+  bool dirty_ = true;
+  double cached_percent_ = 0.0;
 };
 
 }  // namespace locktune

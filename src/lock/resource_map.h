@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 #include "lock/resource.h"
 
 namespace locktune {
@@ -131,6 +132,41 @@ class ResourceHashMap {
     for (const Slot& s : slots_) {
       if (s.state == SlotState::kFull) fn(s.key, s.value);
     }
+  }
+
+  // Recounts the slot array against the bookkeeping that drives rehashing:
+  // size_ and tombstones_ match the full and tombstone slots, the load
+  // bound Insert maintains holds, and every entry's probe finds its slot.
+  [[nodiscard]] Status CheckConsistency() const {
+    if (slots_.empty()) {
+      return size_ == 0 && tombstones_ == 0
+                 ? Status::Ok()
+                 : Status::Internal("empty slot array with nonzero counts");
+    }
+    if ((slots_.size() & (slots_.size() - 1)) != 0) {
+      return Status::Internal("slot array size is not a power of two");
+    }
+    int64_t full = 0;
+    int64_t tombstones = 0;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      const Slot& s = slots_[i];
+      if (s.state == SlotState::kTombstone) ++tombstones;
+      if (s.state != SlotState::kFull) continue;
+      ++full;
+      if (FindIndex(s.key, ResourceIdHash{}(s.key)) != i) {
+        return Status::Internal("probe does not find its own slot");
+      }
+    }
+    if (full != size_) {
+      return Status::Internal("size does not match the full slots");
+    }
+    if (tombstones != tombstones_) {
+      return Status::Internal("tombstone count does not match the slots");
+    }
+    if ((size_ + tombstones_) * 4 > static_cast<int64_t>(slots_.size()) * 3) {
+      return Status::Internal("occupancy exceeds the rehash bound");
+    }
+    return Status::Ok();
   }
 
  private:

@@ -44,13 +44,13 @@ Result<LockBlock*> BlockList::AllocateSlot() {
   }
   LockBlock* head = active_.head;
   head->TakeSlot();
-  slots_in_use_.fetch_add(1, std::memory_order_relaxed);
+  ++slots_in_use_;
   if (head->full()) {
     // The head block is exhausted; park it until one of its locks frees.
     active_.Unlink(head);
-    active_count_.fetch_sub(1, std::memory_order_relaxed);
+    --active_count_;
     exhausted_.PushBack(head);
-    exhausted_count_.fetch_add(1, std::memory_order_relaxed);
+    ++exhausted_count_;
   }
   return head;
 }
@@ -59,14 +59,14 @@ void BlockList::FreeSlot(LockBlock* block) {
   LOCKTUNE_DCHECK(block != nullptr);
   const bool was_exhausted = block->full();
   block->ReturnSlot();
-  slots_in_use_.fetch_sub(1, std::memory_order_relaxed);
+  --slots_in_use_;
   if (was_exhausted) {
     // Returns to the head of the active list so the next request is
     // satisfied from this block again (paper §2.2).
     exhausted_.Unlink(block);
-    exhausted_count_.fetch_sub(1, std::memory_order_relaxed);
+    --exhausted_count_;
     active_.PushFront(block);
-    active_count_.fetch_add(1, std::memory_order_relaxed);
+    ++active_count_;
   }
 }
 

@@ -17,7 +17,6 @@
 #ifndef LOCKTUNE_MEMORY_BLOCK_LIST_H_
 #define LOCKTUNE_MEMORY_BLOCK_LIST_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -56,29 +55,17 @@ class BlockList {
   [[nodiscard]] Status TryRemoveBlocks(int64_t count);
 
   // --- accounting ---
-  // The aggregate counters are atomics so the parallel fast path can read a
-  // consistent-enough memory picture without the allocation mutex; mutation
-  // still happens only under the caller's serialization (see lock_manager.h).
-  int64_t block_count() const {
-    return active_count_.load(std::memory_order_relaxed) +
-           exhausted_count_.load(std::memory_order_relaxed);
-  }
+  int64_t block_count() const { return active_count_ + exhausted_count_; }
   Bytes allocated_bytes() const { return block_count() * kLockBlockSize; }
   int64_t capacity_slots() const { return block_count() * kLocksPerBlock; }
-  int64_t slots_in_use() const {
-    return slots_in_use_.load(std::memory_order_relaxed);
-  }
+  int64_t slots_in_use() const { return slots_in_use_; }
   int64_t free_slots() const { return capacity_slots() - slots_in_use(); }
   Bytes used_bytes() const { return slots_in_use() * kLockStructSize; }
   // Blocks with no outstanding lock structures (candidates for shrink).
   int64_t entirely_free_blocks() const;
   // Lifetime churn: blocks ever added / ever removed (telemetry).
-  int64_t blocks_added() const {
-    return blocks_added_.load(std::memory_order_relaxed);
-  }
-  int64_t blocks_removed() const {
-    return blocks_removed_.load(std::memory_order_relaxed);
-  }
+  int64_t blocks_added() const { return blocks_added_; }
+  int64_t blocks_removed() const { return blocks_removed_; }
 
   // Verifies internal invariants; used by tests. Returns OK or INTERNAL
   // with a description of the violated invariant.
@@ -106,12 +93,12 @@ class BlockList {
   std::vector<BlockPtr> blocks_;  // ownership, unordered
   IntrusiveList active_;          // head = allocation target
   IntrusiveList exhausted_;       // blocks with zero free slots
-  std::atomic<int64_t> active_count_{0};
-  std::atomic<int64_t> exhausted_count_{0};
-  std::atomic<int64_t> slots_in_use_{0};
+  int64_t active_count_ = 0;
+  int64_t exhausted_count_ = 0;
+  int64_t slots_in_use_ = 0;
   int64_t next_block_id_ = 0;
-  std::atomic<int64_t> blocks_added_{0};
-  std::atomic<int64_t> blocks_removed_{0};
+  int64_t blocks_added_ = 0;
+  int64_t blocks_removed_ = 0;
 };
 
 }  // namespace locktune

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -13,20 +12,8 @@ namespace locktune {
 
 const char* ProfileSiteName(ProfileSite site) {
   switch (site) {
-    case ProfileSite::kFastShared:
-      return "fast_shared";
-    case ProfileSite::kOptRead:
-      return "opt_read";
-    case ProfileSite::kQueuedWrite:
-      return "queued_write";
-    case ProfileSite::kShardBatch:
-      return "shard_batch";
     case ProfileSite::kExclusive:
       return "exclusive";
-    case ProfileSite::kAlloc:
-      return "alloc";
-    case ProfileSite::kAppsMap:
-      return "apps_map";
     case ProfileSite::kTickBarrier:
       return "tick_barrier";
   }
@@ -102,39 +89,13 @@ uint64_t NowNs() {
 // noinline: these are the cold 1-in-kProfileSamplePeriod paths; see the
 // declaration comment in lock_profiler.h.
 __attribute__((noinline)) void ObserveAcquire(ProfileSlab& slab, Mutex& mu,
-                                              ProfileSite site, int shard) {
-  RecordAcquire(slab, site, shard, kProfileSamplePeriod);
+                                              ProfileSite site) {
+  RecordAcquire(slab, site, kProfileSamplePeriod);
   if (!mu.TryLock()) {
     const uint64_t t0 = NowNs();
     mu.Lock();
-    RecordContended(slab, site, shard, kProfileSamplePeriod);
-    RecordWait(slab, site, shard, NowNs() - t0, kProfileSamplePeriod);
-  }
-}
-
-__attribute__((noinline)) void ObserveAcquireShared(ProfileSlab& slab,
-                                                    SharedMutex& mu,
-                                                    ProfileSite site) {
-  RecordAcquire(slab, site, kProfileNoShard, kProfileSamplePeriod);
-  if (!mu.TryLockShared()) {
-    const uint64_t t0 = NowNs();
-    mu.LockShared();
-    RecordContended(slab, site, kProfileNoShard, kProfileSamplePeriod);
-    RecordWait(slab, site, kProfileNoShard, NowNs() - t0,
-               kProfileSamplePeriod);
-  }
-}
-
-__attribute__((noinline)) void ObserveAcquireExclusive(ProfileSlab& slab,
-                                                       SharedMutex& mu,
-                                                       ProfileSite site) {
-  RecordAcquire(slab, site, kProfileNoShard, kProfileSamplePeriod);
-  if (!mu.TryLock()) {
-    const uint64_t t0 = NowNs();
-    mu.Lock();
-    RecordContended(slab, site, kProfileNoShard, kProfileSamplePeriod);
-    RecordWait(slab, site, kProfileNoShard, NowNs() - t0,
-               kProfileSamplePeriod);
+    RecordContended(slab, site, kProfileSamplePeriod);
+    RecordWait(slab, site, NowNs() - t0, kProfileSamplePeriod);
   }
 }
 
@@ -164,7 +125,6 @@ void Accumulate(ProfileHistogramData& into, const ProfileHistogramSlab& h) {
 ProfileSnapshot CaptureProfile() {
   ProfileSnapshot snap;
   snap.compiled_in = true;
-  snap.shards.resize(kMaxProfiledShards);
   auto& reg = Registry();
   MutexLock guard(reg.mu);
   for (const auto& slab : reg.slabs) {
@@ -176,22 +136,6 @@ ProfileSnapshot CaptureProfile() {
       Accumulate(snap.sites[s].wait, site.wait);
       Accumulate(snap.sites[s].hold, site.hold);
     }
-    for (int s = 0; s < kMaxProfiledShards; ++s) {
-      const auto& shard = slab->shards[s];
-      snap.shards[s].acquires +=
-          shard.acquires.load(std::memory_order_relaxed);
-      snap.shards[s].contended +=
-          shard.contended.load(std::memory_order_relaxed);
-      snap.shards[s].wait_ns += shard.wait_ns.load(std::memory_order_relaxed);
-    }
-    snap.fast_grants += slab->fast_grants.load(std::memory_order_relaxed);
-    snap.fast_bails += slab->fast_bails.load(std::memory_order_relaxed);
-    snap.release_bails +=
-        slab->release_bails.load(std::memory_order_relaxed);
-    snap.opt_validation_fails +=
-        slab->opt_validation_fails.load(std::memory_order_relaxed);
-    snap.opt_pessimizes +=
-        slab->opt_pessimizes.load(std::memory_order_relaxed);
   }
   return snap;
 }
@@ -209,106 +153,44 @@ void ResetProfileForTesting() {
         h->sum_ns.store(0, std::memory_order_relaxed);
       }
     }
-    for (auto& shard : slab->shards) {
-      shard.acquires.store(0, std::memory_order_relaxed);
-      shard.contended.store(0, std::memory_order_relaxed);
-      shard.wait_ns.store(0, std::memory_order_relaxed);
-    }
-    slab->fast_grants.store(0, std::memory_order_relaxed);
-    slab->fast_bails.store(0, std::memory_order_relaxed);
-    slab->release_bails.store(0, std::memory_order_relaxed);
-    slab->opt_validation_fails.store(0, std::memory_order_relaxed);
-    slab->opt_pessimizes.store(0, std::memory_order_relaxed);
   }
 }
 
-void RegisterProfileMetrics(MetricsRegistry* registry, int shards) {
+void RegisterProfileMetrics(MetricsRegistry* registry) {
   for (int s = 0; s < kProfileSiteCount; ++s) {
     const ProfileSite site = static_cast<ProfileSite>(s);
     const std::string label =
         std::string("{site=\"") + ProfileSiteName(site) + "\"}";
     registry->AddCallbackCounter(
         "locktune_profile_acquires_total" + label,
-        "latch acquisitions through this site",
+        "lock acquisitions through this site",
         [s] {
           return static_cast<int64_t>(CaptureProfile().sites[s].acquires);
         });
     registry->AddCallbackCounter(
         "locktune_profile_contended_total" + label,
-        "latch acquisitions that had to wait (sampled estimate)",
+        "lock acquisitions that had to wait (sampled estimate)",
         [s] {
           return static_cast<int64_t>(CaptureProfile().sites[s].contended);
         });
     registry->AddCallbackHistogram(
         "locktune_profile_wait_ms" + label,
-        "contended latch acquire-wait durations (sampled)",
+        "contended lock acquire-wait durations (sampled)",
         [s] { return ToHistogramSnapshot(CaptureProfile().sites[s].wait); });
     registry->AddCallbackHistogram(
         "locktune_profile_hold_ms" + label,
-        "latch hold durations (sampled)",
+        "lock hold durations (sampled)",
         [s] { return ToHistogramSnapshot(CaptureProfile().sites[s].hold); });
-  }
-  registry->AddCallbackCounter(
-      "locktune_profile_fast_grants_total",
-      "Lock() requests served entirely on the parallel fast path",
-      [] { return static_cast<int64_t>(CaptureProfile().fast_grants); });
-  registry->AddCallbackCounter(
-      "locktune_profile_fast_bails_total",
-      "fast-path requests that bailed to the exclusive path",
-      [] { return static_cast<int64_t>(CaptureProfile().fast_bails); });
-  registry->AddCallbackCounter(
-      "locktune_profile_release_bails_total",
-      "FastReleaseAll calls that bailed to the classic release",
-      [] { return static_cast<int64_t>(CaptureProfile().release_bails); });
-  registry->AddCallbackCounter(
-      "locktune_profile_opt_validation_fails_total",
-      "optimistic shard probes whose version validation failed",
-      [] {
-        return static_cast<int64_t>(CaptureProfile().opt_validation_fails);
-      });
-  registry->AddCallbackCounter(
-      "locktune_profile_opt_pessimizes_total",
-      "optimistic shard probes abandoned after the retry budget",
-      [] { return static_cast<int64_t>(CaptureProfile().opt_pessimizes); });
-  const int capped = std::min(shards, kMaxProfiledShards);
-  for (int s = 0; s < capped; ++s) {
-    // Two-digit shard ids keep label variants of the family in numeric
-    // order under the registry's lexicographic collection.
-    char label[32];
-    std::snprintf(label, sizeof(label), "{shard=\"%02d\"}", s);
-    registry->AddCallbackCounter(
-        std::string("locktune_profile_shard_acquires_total") + label,
-        "shard-latch write acquisitions attributed to this shard",
-        [s] {
-          return static_cast<int64_t>(CaptureProfile().shards[s].acquires);
-        });
-    registry->AddCallbackCounter(
-        std::string("locktune_profile_shard_contended_total") + label,
-        "contended shard-latch acquisitions on this shard (sampled estimate)",
-        [s] {
-          return static_cast<int64_t>(CaptureProfile().shards[s].contended);
-        });
-    registry->AddCallbackGauge(
-        std::string("locktune_profile_shard_wait_ms_total") + label,
-        "estimated contended wait on this shard's latch",
-        [s] {
-          return static_cast<double>(CaptureProfile().shards[s].wait_ns) /
-                 1e6;
-        });
   }
 }
 
 #else  // !LOCKTUNE_PROFILE
 
-ProfileSnapshot CaptureProfile() {
-  ProfileSnapshot snap;
-  snap.shards.resize(kMaxProfiledShards);
-  return snap;
-}
+ProfileSnapshot CaptureProfile() { return ProfileSnapshot{}; }
 
 void ResetProfileForTesting() {}
 
-void RegisterProfileMetrics(MetricsRegistry*, int) {}
+void RegisterProfileMetrics(MetricsRegistry*) {}
 
 #endif  // LOCKTUNE_PROFILE
 

@@ -1,5 +1,5 @@
-// Lock-path contention profiler: per-site and per-shard attribution of
-// where latch time goes (acquire waits, hold times, fast-path bails).
+// Lock-path contention profiler: per-site attribution of where lock time
+// goes (acquire waits, hold times).
 //
 // Design (docs/OBSERVABILITY.md has the full rationale):
 //
@@ -26,9 +26,9 @@
 //    traffic, no clock read, and no second CAS on a hot mutex line (a
 //    failed try_lock steals the line in exclusive state, slowing the
 //    holder's unlock). Sampled bumps land before the acquisition, outside
-//    the critical section, where a saturated shard would pay them once
+//    the critical section, where a saturated mutex would pay them once
 //    per op globally. Hold times ride the same wheel at an offset phase;
-//    fast-path notes (one TLS bump) and ProfileTimer stay exact.
+//    ProfileTimer stays exact.
 //
 //  * Single-writer slabs use plain load+store bumps, not fetch_add: a
 //    relaxed fetch_add still compiles to a locked RMW on x86 (~20 cycles),
@@ -46,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -56,33 +55,15 @@ namespace locktune {
 class MetricsRegistry;
 struct HistogramSnapshot;
 
-// Instrumented latch-acquisition contexts. The names track the lock
-// manager's concurrency design (docs/CONCURRENCY.md, docs/LATCHES.md):
-// kFastShared is the outer shared_mutex taken shared on the parallel fast
-// path, kExclusive is the same mutex taken exclusively (classic path and
-// bail-to-exclusive retries), kOptRead the optimistic version-validated
-// shard probes (acquires = probes, contended = validation failures),
-// kQueuedWrite the per-shard OptLatch write acquisitions, kShardBatch the
-// same latches when acquired by the batched request path (AcquireBatch's
-// shard lease, amortized over consecutive same-shard grants), kAlloc the
-// block-list slot guard, kAppsMap the app-state map guard, and
+// Instrumented contexts (docs/CONCURRENCY.md): kExclusive is the lock
+// manager's mutex, held for every Lock/AcquireBatch/ReleaseAll call, and
 // kTickBarrier the scenario runner's per-tick worker barriers.
 enum class ProfileSite : uint8_t {
-  kFastShared = 0,
-  kOptRead,
-  kQueuedWrite,
-  kShardBatch,
-  kExclusive,
-  kAlloc,
-  kAppsMap,
+  kExclusive = 0,
   kTickBarrier,
 };
-inline constexpr int kProfileSiteCount = 8;
+inline constexpr int kProfileSiteCount = 2;
 const char* ProfileSiteName(ProfileSite site);
-
-// Shards above this fold into the last slot (the default table has 16).
-inline constexpr int kMaxProfiledShards = 64;
-inline constexpr int kProfileNoShard = -1;
 
 // Power-of-two nanosecond buckets: bucket 0 is < 256 ns, bucket i covers
 // [256·2^(i-1), 256·2^i), and the last bucket is the overflow (~>1 s).
@@ -92,7 +73,7 @@ inline constexpr int kProfileHistBuckets = 24;
 // probe, wait timing); observations are recorded with this weight so all
 // profile counters, sums, and histogram totals estimate the full
 // population. Power of two, shared with hold sampling (one wheel, offset
-// phases). Fast-path notes and ProfileTimer stay exact.
+// phases). ProfileTimer stays exact.
 inline constexpr uint64_t kProfileSamplePeriod = 256;
 
 // --- aggregated (read-side) view; compiled in every build so renderers
@@ -114,26 +95,9 @@ struct SiteProfile {
   ProfileHistogramData hold;  // sampled critical-section holds
 };
 
-// Sampled, weight-compensated estimates, like SiteProfile.
-struct ShardProfile {
-  uint64_t acquires = 0;
-  uint64_t contended = 0;
-  uint64_t wait_ns = 0;
-};
-
 struct ProfileSnapshot {
   bool compiled_in = false;  // false in LOCKTUNE_PROFILE=OFF builds
   SiteProfile sites[kProfileSiteCount];
-  std::vector<ShardProfile> shards;  // kMaxProfiledShards entries
-  uint64_t fast_grants = 0;    // Lock() served entirely on the fast path
-  uint64_t fast_bails = 0;     // fast path bailed to the exclusive path
-  uint64_t release_bails = 0;  // FastReleaseAll bailed to the classic path
-  // OptLatch optimistic-read outcomes (exact, like the fast-path notes):
-  // probes whose version validation failed (a writer ran during the probe),
-  // and probes abandoned after kOptReadRetries failures (the caller
-  // pessimized to the write latch or the exclusive path).
-  uint64_t opt_validation_fails = 0;
-  uint64_t opt_pessimizes = 0;
 };
 
 // Walks all thread slabs (including those of exited threads). Callers must
@@ -158,12 +122,11 @@ constexpr bool ProfileCompiledIn() {
 HistogramSnapshot ToHistogramSnapshot(const ProfileHistogramData& h);
 
 // Registers the locktune_profile_* family: per-site acquire/contended
-// counters, wait/hold histograms, fast-path grant/bail counters, and
-// per-shard attribution for `shards` shard ids. Opt-in (the sim's
-// --profile-metrics / --inspect flags): registering changes the export,
-// and default --metrics-out runs must stay byte-identical. No-op when the
-// profiler is compiled out.
-void RegisterProfileMetrics(MetricsRegistry* registry, int shards);
+// counters and wait/hold histograms. Opt-in (the sim's --profile-metrics /
+// --inspect flags): registering changes the export, and default
+// --metrics-out runs must stay byte-identical. No-op when the profiler is
+// compiled out.
+void RegisterProfileMetrics(MetricsRegistry* registry);
 
 #if defined(LOCKTUNE_PROFILE)
 
@@ -191,20 +154,8 @@ struct SiteSlab {
   ProfileHistogramSlab hold;
 };
 
-struct ShardSlab {
-  std::atomic<uint64_t> acquires;
-  std::atomic<uint64_t> contended;
-  std::atomic<uint64_t> wait_ns;
-};
-
 struct ProfileSlab {
   SiteSlab sites[kProfileSiteCount];
-  ShardSlab shards[kMaxProfiledShards];
-  std::atomic<uint64_t> fast_grants;
-  std::atomic<uint64_t> fast_bails;
-  std::atomic<uint64_t> release_bails;
-  std::atomic<uint64_t> opt_validation_fails;
-  std::atomic<uint64_t> opt_pessimizes;
   // Sampling wheel: owner-thread only, no atomicity needed. One counter
   // drives both wait probing (phase 0) and hold timing (phase 32) so a
   // guard pays a single increment.
@@ -232,31 +183,21 @@ inline bool SampleHold(uint64_t tick) {
          kProfileSamplePeriod / 2;
 }
 
-inline void RecordContended(ProfileSlab& slab, ProfileSite site, int shard,
+inline void RecordContended(ProfileSlab& slab, ProfileSite site,
                             uint64_t weight) {
   Bump(slab.sites[static_cast<int>(site)].contended, weight);
-  if (shard != kProfileNoShard) {
-    Bump(slab.shards[shard & (kMaxProfiledShards - 1)].contended, weight);
-  }
 }
 
 // A sampled (weighted) wait observation; the matching RecordContended is
 // the caller's responsibility.
-inline void RecordWait(ProfileSlab& slab, ProfileSite site, int shard,
-                       uint64_t wait_ns, uint64_t weight) {
+inline void RecordWait(ProfileSlab& slab, ProfileSite site, uint64_t wait_ns,
+                       uint64_t weight) {
   slab.sites[static_cast<int>(site)].wait.Record(wait_ns, weight);
-  if (shard != kProfileNoShard) {
-    Bump(slab.shards[shard & (kMaxProfiledShards - 1)].wait_ns,
-         wait_ns * weight);
-  }
 }
 
-inline void RecordAcquire(ProfileSlab& slab, ProfileSite site, int shard,
+inline void RecordAcquire(ProfileSlab& slab, ProfileSite site,
                           uint64_t weight) {
   Bump(slab.sites[static_cast<int>(site)].acquires, weight);
-  if (shard != kProfileNoShard) {
-    Bump(slab.shards[shard & (kMaxProfiledShards - 1)].acquires, weight);
-  }
 }
 
 // Cold out-of-line observers (defined in lock_profiler.cc, marked
@@ -266,29 +207,23 @@ inline void RecordAcquire(ProfileSlab& slab, ProfileSite site, int shard,
 // inline path down to a TLS load, a tick increment, and two predictable
 // branches; inlining the probe at every call site bloats the lock
 // manager's hot functions enough to show up as real overhead.
-void ObserveAcquire(ProfileSlab& slab, Mutex& mu, ProfileSite site,
-                    int shard) LT_ACQUIRE(mu);
-void ObserveAcquireShared(ProfileSlab& slab, SharedMutex& mu,
-                          ProfileSite site) LT_ACQUIRE_SHARED(mu);
-void ObserveAcquireExclusive(ProfileSlab& slab, SharedMutex& mu,
-                             ProfileSite site) LT_ACQUIRE(mu);
+void ObserveAcquire(ProfileSlab& slab, Mutex& mu, ProfileSite site)
+    LT_ACQUIRE(mu);
 void ObserveHold(ProfileSite site, uint64_t held_ns);
 
 }  // namespace profile_internal
 
 // RAII guard over locktune::Mutex with wait/hold attribution. Drop-in
-// for MutexLock at instrumented sites; `shard` additionally routes the
-// wait into per-shard attribution.
+// for MutexLock at instrumented sites.
 class LT_SCOPED_CAPABILITY ProfiledMutexGuard {
  public:
-  ProfiledMutexGuard(Mutex& mu, ProfileSite site,
-                     int shard = kProfileNoShard) LT_ACQUIRE(mu)
-      : mu_(mu), site_(site), shard_(shard) {
+  ProfiledMutexGuard(Mutex& mu, ProfileSite site) LT_ACQUIRE(mu)
+      : mu_(mu), site_(site) {
     using namespace profile_internal;
     ProfileSlab& slab = Tls();
     const uint64_t tick = slab.sample_tick++;
     if (SampleWait(tick)) [[unlikely]] {
-      ObserveAcquire(slab, mu_, site_, shard_);
+      ObserveAcquire(slab, mu_, site_);
     } else {
       mu_.Lock();
     }
@@ -309,73 +244,6 @@ class LT_SCOPED_CAPABILITY ProfiledMutexGuard {
  private:
   Mutex& mu_;
   ProfileSite site_;
-  int shard_;
-  uint64_t hold_t0_ = 0;
-};
-
-// Shared (reader) acquisition of a locktune::SharedMutex.
-class LT_SCOPED_CAPABILITY ProfiledSharedGuard {
- public:
-  ProfiledSharedGuard(SharedMutex& mu, ProfileSite site) LT_ACQUIRE_SHARED(mu)
-      : mu_(mu), site_(site) {
-    using namespace profile_internal;
-    ProfileSlab& slab = Tls();
-    const uint64_t tick = slab.sample_tick++;
-    if (SampleWait(tick)) [[unlikely]] {
-      ObserveAcquireShared(slab, mu_, site_);
-    } else {
-      mu_.LockShared();
-    }
-    if (SampleHold(tick)) [[unlikely]] hold_t0_ = NowNs();
-  }
-  ~ProfiledSharedGuard() LT_RELEASE_GENERIC() {
-    if (hold_t0_ != 0) [[unlikely]] {
-      const uint64_t held = profile_internal::NowNs() - hold_t0_;
-      mu_.UnlockShared();
-      profile_internal::ObserveHold(site_, held);
-    } else {
-      mu_.UnlockShared();
-    }
-  }
-  ProfiledSharedGuard(const ProfiledSharedGuard&) = delete;
-  ProfiledSharedGuard& operator=(const ProfiledSharedGuard&) = delete;
-
- private:
-  SharedMutex& mu_;
-  ProfileSite site_;
-  uint64_t hold_t0_ = 0;
-};
-
-// Exclusive (writer) acquisition of a locktune::SharedMutex.
-class LT_SCOPED_CAPABILITY ProfiledExclusiveGuard {
- public:
-  ProfiledExclusiveGuard(SharedMutex& mu, ProfileSite site) LT_ACQUIRE(mu)
-      : mu_(mu), site_(site) {
-    using namespace profile_internal;
-    ProfileSlab& slab = Tls();
-    const uint64_t tick = slab.sample_tick++;
-    if (SampleWait(tick)) [[unlikely]] {
-      ObserveAcquireExclusive(slab, mu_, site_);
-    } else {
-      mu_.Lock();
-    }
-    if (SampleHold(tick)) [[unlikely]] hold_t0_ = NowNs();
-  }
-  ~ProfiledExclusiveGuard() LT_RELEASE() {
-    if (hold_t0_ != 0) [[unlikely]] {
-      const uint64_t held = profile_internal::NowNs() - hold_t0_;
-      mu_.Unlock();
-      profile_internal::ObserveHold(site_, held);
-    } else {
-      mu_.Unlock();
-    }
-  }
-  ProfiledExclusiveGuard(const ProfiledExclusiveGuard&) = delete;
-  ProfiledExclusiveGuard& operator=(const ProfiledExclusiveGuard&) = delete;
-
- private:
-  SharedMutex& mu_;
-  ProfileSite site_;
   uint64_t hold_t0_ = 0;
 };
 
@@ -390,9 +258,9 @@ class ProfileTimer {
     ProfileSlab& slab = Tls();
     // Barrier waits are cold (per tick), so they are counted and timed
     // exactly (weight 1), unlike the sampled guard probes.
-    RecordAcquire(slab, site_, kProfileNoShard, 1);
-    RecordContended(slab, site_, kProfileNoShard, 1);
-    RecordWait(slab, site_, kProfileNoShard, NowNs() - t0_, 1);
+    RecordAcquire(slab, site_, 1);
+    RecordContended(slab, site_, 1);
+    RecordWait(slab, site_, NowNs() - t0_, 1);
   }
   ProfileTimer(const ProfileTimer&) = delete;
   ProfileTimer& operator=(const ProfileTimer&) = delete;
@@ -402,44 +270,12 @@ class ProfileTimer {
   uint64_t t0_;
 };
 
-inline void ProfileNoteFastGrant() {
-  profile_internal::Bump(profile_internal::Tls().fast_grants);
-}
-inline void ProfileNoteFastBail() {
-  profile_internal::Bump(profile_internal::Tls().fast_bails);
-}
-inline void ProfileNoteReleaseBail() {
-  profile_internal::Bump(profile_internal::Tls().release_bails);
-}
-
-// Optimistic-read notes (exact, one TLS bump each — the probe itself is a
-// handful of relaxed loads, so sampled observation would cost more than it
-// saves). A probe counts one kOptRead acquire; a validation failure
-// additionally counts as a contended kOptRead acquire; a pessimize marks
-// the retry budget running out.
-inline void ProfileNoteOptRead() {
-  profile_internal::ProfileSlab& slab = profile_internal::Tls();
-  profile_internal::Bump(
-      slab.sites[static_cast<int>(ProfileSite::kOptRead)].acquires);
-}
-inline void ProfileNoteOptValidationFail() {
-  profile_internal::ProfileSlab& slab = profile_internal::Tls();
-  profile_internal::Bump(
-      slab.sites[static_cast<int>(ProfileSite::kOptRead)].contended);
-  profile_internal::Bump(slab.opt_validation_fails);
-}
-inline void ProfileNoteOptPessimize() {
-  profile_internal::Bump(profile_internal::Tls().opt_pessimizes);
-}
-
 #else  // !LOCKTUNE_PROFILE — every guard is the plain lock it wraps,
        // every counter a no-op; no clock is ever read.
 
 class LT_SCOPED_CAPABILITY ProfiledMutexGuard {
  public:
-  ProfiledMutexGuard(Mutex& mu, ProfileSite, int = kProfileNoShard)
-      LT_ACQUIRE(mu)
-      : mu_(mu) {
+  ProfiledMutexGuard(Mutex& mu, ProfileSite) LT_ACQUIRE(mu) : mu_(mu) {
     mu_.Lock();
   }
   ~ProfiledMutexGuard() LT_RELEASE() { mu_.Unlock(); }
@@ -450,45 +286,10 @@ class LT_SCOPED_CAPABILITY ProfiledMutexGuard {
   Mutex& mu_;
 };
 
-class LT_SCOPED_CAPABILITY ProfiledSharedGuard {
- public:
-  ProfiledSharedGuard(SharedMutex& mu, ProfileSite) LT_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ProfiledSharedGuard() LT_RELEASE_GENERIC() { mu_.UnlockShared(); }
-  ProfiledSharedGuard(const ProfiledSharedGuard&) = delete;
-  ProfiledSharedGuard& operator=(const ProfiledSharedGuard&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-class LT_SCOPED_CAPABILITY ProfiledExclusiveGuard {
- public:
-  ProfiledExclusiveGuard(SharedMutex& mu, ProfileSite) LT_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.Lock();
-  }
-  ~ProfiledExclusiveGuard() LT_RELEASE() { mu_.Unlock(); }
-  ProfiledExclusiveGuard(const ProfiledExclusiveGuard&) = delete;
-  ProfiledExclusiveGuard& operator=(const ProfiledExclusiveGuard&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
 class ProfileTimer {
  public:
   explicit ProfileTimer(ProfileSite) {}
 };
-
-inline void ProfileNoteFastGrant() {}
-inline void ProfileNoteFastBail() {}
-inline void ProfileNoteReleaseBail() {}
-inline void ProfileNoteOptRead() {}
-inline void ProfileNoteOptValidationFail() {}
-inline void ProfileNoteOptPessimize() {}
 
 #endif  // LOCKTUNE_PROFILE
 

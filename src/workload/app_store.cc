@@ -200,8 +200,8 @@ void AppStore::RunAcquisition(uint32_t i) {
   // drawn from the workload RNG one at a time, and only while every
   // previous request was granted — the draw sequence is exactly the legacy
   // one-Lock()-per-request loop's, so goldens stay byte-identical. The
-  // batch amortizes the manager's synchronization over the whole tick
-  // (one exclusive acquire serial, one shared hold + shard lease parallel).
+  // batch amortizes the manager's mutex over the whole tick (one
+  // acquisition instead of one per request).
   struct TickSource final : public LockRequestSource {
     TickSource(ColdApp& app, int64_t start_acquired)
         : app(app), start_acquired(start_acquired) {}

@@ -189,11 +189,10 @@ void ScenarioRunner::RunUntil(TimeMs until) {
 // join a barrier before the serial phase (scheduler reconciliation, STMM
 // tuning inside db_->Tick, deadlock/timeout detection, sampling) so it
 // observes a consistent epoch snapshot: no application mutates lock state
-// while it runs. Lock-manager internals are protected separately (see
-// docs/CONCURRENCY.md); this loop only guarantees the tick-grain phasing.
+// while it runs. Workers' lock calls serialize on the lock manager's mutex
+// (docs/CONCURRENCY.md); this loop only guarantees the tick-grain phasing.
 void ScenarioRunner::RunUntilParallel(TimeMs until) {
   const int workers = options_.threads;
-  db_->locks().SetParallelMode(true);
   std::atomic<bool> stop{false};
   // +1: the coordinator (this thread) participates in both barriers.
   std::barrier start_barrier(workers + 1);
@@ -247,7 +246,6 @@ void ScenarioRunner::RunUntilParallel(TimeMs until) {
   stop.store(true, std::memory_order_release);
   start_barrier.arrive_and_wait();  // release workers into the stop check
   for (std::thread& t : pool) t.join();
-  db_->locks().SetParallelMode(false);
 }
 
 void ScenarioRunner::BeginTick(TimeMs now) {

@@ -44,8 +44,8 @@ struct ScenarioOptions {
   // is the deterministic single-threaded path — the golden contract. With
   // N > 1, each tick's runnable work list is partitioned into contiguous
   // chunks across N workers (idle/parked applications never reach a
-  // worker), the lock manager's parallel fast path is enabled, and each
-  // tick ends at a barrier so the serial phase (STMM tuning,
+  // worker) whose lock calls serialize on the lock manager's mutex, and
+  // each tick ends at a barrier so the serial phase (STMM tuning,
   // deadlock/timeout checks, sampling) observes a consistent snapshot.
   // See docs/CONCURRENCY.md and docs/SCALE.md.
   int threads = 1;

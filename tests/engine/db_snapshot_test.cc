@@ -150,54 +150,6 @@ TEST_F(DbSnapshotTest, DatabaseTraceSinkSeesLockAndTuningRecords) {
   EXPECT_TRUE(saw_tuning_pass);
 }
 
-// RenderShardHeatmap is pure, so its layout is golden-tested verbatim: the
-// inspect output is a debugging surface people diff across runs.
-TEST(ShardHeatmapTest, LayoutGolden) {
-  const std::vector<ShardHeatRow> rows = {
-      {0, 5, 100, 10, 2.0},
-      {1, 0, 0, 0, 0.0},
-      {2, 1, 50, 5, 1.0},
-  };
-  EXPECT_EQ(RenderShardHeatmap(rows),
-            "shard contention heatmap (3 shards):\n"
-            "  shard      heads   acquires  contended    wait_ms  heat\n"
-            "     00          5        100         10      2.000  "
-            "####################\n"
-            "     01          0          0          0      0.000  \n"
-            "     02          1         50          5      1.000  "
-            "##########\n");
-}
-
-TEST(ShardHeatmapTest, AllIdleRendersWithoutBars) {
-  const std::vector<ShardHeatRow> rows = {{0, 0, 0, 0, 0.0}};
-  const std::string out = RenderShardHeatmap(rows);
-  EXPECT_NE(out.find("(1 shards)"), std::string::npos) << out;
-  EXPECT_EQ(out.find('#'), std::string::npos) << out;
-}
-
-TEST_F(DbSnapshotTest, CaptureShardHeatCoversEveryShard) {
-  // Park some locks so shard occupancy is visible even without profiling.
-  for (int64_t r = 0; r < 200; ++r) {
-    ASSERT_EQ(db_->locks().Lock(1, RowResource(1, r), LockMode::kS).outcome,
-              LockOutcome::kGranted);
-  }
-  const std::vector<ShardHeatRow> rows = CaptureShardHeat(*db_);
-  ASSERT_EQ(rows.size(),
-            static_cast<size_t>(db_->locks().lock_table_shard_count()));
-  int64_t heads = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].shard, static_cast<int>(i));
-    heads += rows[i].heads;
-  }
-  EXPECT_GT(heads, 0);
-}
-
-TEST_F(DbSnapshotTest, InspectorIncludesShardHeatmap) {
-  const std::string out = RenderInspector(*db_, /*max_app_id=*/0);
-  EXPECT_NE(out.find("shard contention heatmap"), std::string::npos);
-  EXPECT_NE(out.find("  shard      heads"), std::string::npos);
-}
-
 TEST_F(DbSnapshotTest, SnapshotOfLiveScenario) {
   OltpWorkload oltp(db_->catalog(), OltpOptions{});
   ClientTimeline tl;

@@ -1,9 +1,8 @@
 // AcquireBatch contract tests: a batch must be observationally identical
 // to the equivalent one-Lock()-per-item loop (conservation), must consume
 // its source lazily (no draws past a blocked item), must carry escalation
-// through and keep going, and the parallel fast path must survive
-// concurrent batches from many threads (run under TSan via the chaos
-// label).
+// through and keep going, and concurrent batches from many threads must
+// each grant in full (run under TSan via the chaos label).
 #include "lock/lock_manager.h"
 
 #include <memory>
@@ -149,44 +148,13 @@ TEST_F(BatchAcquireTest, EmptyBatchGrantsNothing) {
   EXPECT_EQ(m.lm->HeldStructures(1), 0);
 }
 
-// Parallel mode, single caller: an item the fast path cannot grant
-// (escalation needs the exclusive path) bails, retries exclusively, and
-// the batch resumes on the fast path — same end state as serial.
-TEST_F(BatchAcquireTest, ParallelBatchEscalatesViaExclusiveRetry) {
-  Manager m = Make(1, 10.0);
-  m.lm->SetParallelMode(true);
-  VectorSource source(RowRange(kOrders, 0, 250));
-  const BatchResult r = m.lm->AcquireBatch(1, source);
-  EXPECT_EQ(r.outcome, LockOutcome::kGranted);
-  EXPECT_EQ(r.granted, 250);
-  EXPECT_TRUE(r.escalated);
-  EXPECT_EQ(m.lm->HeldMode(1, TableResource(kOrders)), LockMode::kS);
-  EXPECT_EQ(m.lm->HeldStructures(1), 1);
-}
-
-// Parallel mode conflict: the fast path bails to the exclusive path, which
-// queues the wait; the batch ends there with the same result as serial.
-TEST_F(BatchAcquireTest, ParallelBatchConflictWaits) {
-  Manager m = Make(4, 90.0);
-  m.lm->SetParallelMode(true);
-  ASSERT_EQ(m.lm->Lock(1, RowResource(kOrders, 5), LockMode::kX).outcome,
-            LockOutcome::kGranted);
-  VectorSource source(RowRange(kOrders, 4, 3));
-  const BatchResult r = m.lm->AcquireBatch(2, source);
-  EXPECT_EQ(r.outcome, LockOutcome::kWaiting);
-  EXPECT_EQ(r.granted, 1);
-  EXPECT_EQ(source.consumed(), 2);
-  EXPECT_TRUE(m.lm->IsBlocked(2));
-}
-
 // Many threads batching disjoint row ranges on one table: every batch
-// grants fully, per-application footprints are exact, and TSan (chaos
-// label) sees no races on the shared shard lease / allocator paths.
+// grants fully, per-application footprints are exact, and TSan sees no
+// races between batches that share the table's intent-lock head.
 TEST_F(BatchAcquireTest, ConcurrentDisjointBatchesAllGrant) {
   constexpr int kThreads = 4;
   constexpr int64_t kRowsPerApp = 200;
   Manager m = Make(8, 90.0);
-  m.lm->SetParallelMode(true);
 
   std::vector<BatchResult> results(kThreads);
   std::vector<std::thread> threads;

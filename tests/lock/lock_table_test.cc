@@ -1,5 +1,6 @@
 // LockTable unit tests: shard routing, pooled node recycling, pointer
-// stability, and the precomputed-hash fast paths the lock manager relies on.
+// stability, the precomputed-hash fast paths the lock manager relies on,
+// and the self-check of the ResourceHashMap each shard's directory uses.
 #include "lock/lock_table.h"
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "lock/escalation_policy.h"
 #include "lock/lock_manager.h"
 #include "lock/resource.h"
+#include "lock/resource_map.h"
 
 namespace locktune {
 namespace {
@@ -214,6 +216,37 @@ TEST(LockTableTest, SlabCountStabilizesAcrossEscalationBursts) {
       << "escalation bursts must recycle heads, not allocate new slabs";
   EXPECT_EQ(lm.lock_table_size(), table_after_warmup);
   EXPECT_EQ(lm.CheckConsistency(), Status::Ok());
+}
+
+// The directory's own recount: size and tombstone bookkeeping (which
+// decide when Insert rehashes) must match the slots after every insert,
+// tombstoning erase, growth, and Clear. A sliding window of keys keeps
+// erasing ahead of inserts, so tombstones are both left and reused; the
+// check runs after each step because a rehash would reset any drift.
+TEST(ResourceHashMapTest, SelfCheckHoldsAfterEveryStep) {
+  ResourceHashMap<int> map(/*hash_shift=*/4);
+  const auto key = [](int i) { return RowResource(1, i); };
+  const auto hash = [&](int i) { return ResourceIdHash{}(key(i)); };
+  ASSERT_EQ(map.CheckConsistency(), Status::Ok());
+  constexpr int kWindow = 300;
+  for (int i = 0; i < kWindow; ++i) {
+    map.Insert(key(i), hash(i), i);
+    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "insert " << i;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(map.Erase(key(i), hash(i)));
+    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "erase " << i;
+    map.Insert(key(kWindow + i), hash(kWindow + i), i);
+    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "insert " << i;
+  }
+  EXPECT_EQ(map.size(), kWindow);
+  EXPECT_FALSE(map.Erase(key(0), hash(0)));
+  ASSERT_NE(map.Find(key(1299), hash(1299)), nullptr);
+  const int64_t capacity = map.capacity();
+  map.Clear();
+  EXPECT_EQ(map.size(), 0);
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.CheckConsistency(), Status::Ok());
 }
 
 }  // namespace

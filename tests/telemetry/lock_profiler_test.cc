@@ -29,23 +29,20 @@ TEST(LockProfilerTest, UncontendedGuardCountsAcquireOnly) {
   // population weight — the estimate equals the true count.
   std::thread worker([&] {
     for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
-      ProfiledMutexGuard guard(mu, ProfileSite::kQueuedWrite, /*shard=*/3);
+      ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
     }
   });
   worker.join();
   const ProfileSnapshot snap = CaptureProfile();
   EXPECT_TRUE(snap.compiled_in);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kQueuedWrite)].acquires,
+  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].acquires,
             kProfileSamplePeriod);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kQueuedWrite)].contended, 0u);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kQueuedWrite)].wait.total, 0u);
-  ASSERT_EQ(snap.shards.size(), static_cast<size_t>(kMaxProfiledShards));
-  EXPECT_EQ(snap.shards[3].acquires, kProfileSamplePeriod);
-  EXPECT_EQ(snap.shards[3].contended, 0u);
-  EXPECT_EQ(snap.shards[2].acquires, 0u);
+  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].contended, 0u);
+  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].wait.total, 0u);
+  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kTickBarrier)].acquires, 0u);
 }
 
-TEST(LockProfilerTest, ContendedGuardRecordsWaitAndShardAttribution) {
+TEST(LockProfilerTest, ContendedGuardRecordsWait) {
   SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   Mutex mu;
@@ -53,7 +50,7 @@ TEST(LockProfilerTest, ContendedGuardRecordsWaitAndShardAttribution) {
   mu.Lock();
   std::thread waiter([&] {
     started.store(true);
-    ProfiledMutexGuard guard(mu, ProfileSite::kQueuedWrite, /*shard=*/5);
+    ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
   });
   while (!started.load()) std::this_thread::yield();
   // Hold long enough that the waiter is past its failed try_lock and
@@ -62,7 +59,7 @@ TEST(LockProfilerTest, ContendedGuardRecordsWaitAndShardAttribution) {
   mu.Unlock();
   waiter.join();
   const ProfileSnapshot snap = CaptureProfile();
-  const SiteProfile& site = snap.sites[SiteIdx(ProfileSite::kQueuedWrite)];
+  const SiteProfile& site = snap.sites[SiteIdx(ProfileSite::kExclusive)];
   // The waiter is a fresh thread, so its first acquire is the sampled
   // one: the acquire count, the failed try_lock, and the timed wait are
   // all recorded at population weight.
@@ -70,32 +67,6 @@ TEST(LockProfilerTest, ContendedGuardRecordsWaitAndShardAttribution) {
   EXPECT_EQ(site.contended, kProfileSamplePeriod);
   EXPECT_EQ(site.wait.total, kProfileSamplePeriod);
   EXPECT_GT(site.wait.sum_ns, 0u);
-  EXPECT_EQ(snap.shards[5].acquires, kProfileSamplePeriod);
-  EXPECT_EQ(snap.shards[5].contended, kProfileSamplePeriod);
-  EXPECT_GT(snap.shards[5].wait_ns, 0u);
-}
-
-TEST(LockProfilerTest, SharedAndExclusiveGuardsHitTheirSites) {
-  SKIP_UNLESS_PROFILING();
-  ResetProfileForTesting();
-  SharedMutex mu;
-  // One full wheel period per guard kind: each window holds exactly one
-  // sampled tick, so each site's estimate equals its true count.
-  std::thread worker([&] {
-    for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
-      ProfiledSharedGuard guard(mu, ProfileSite::kFastShared);
-    }
-    for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
-      ProfiledExclusiveGuard guard(mu, ProfileSite::kExclusive);
-    }
-  });
-  worker.join();
-  const ProfileSnapshot snap = CaptureProfile();
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kFastShared)].acquires,
-            kProfileSamplePeriod);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].acquires,
-            kProfileSamplePeriod);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kQueuedWrite)].acquires, 0u);
 }
 
 TEST(LockProfilerTest, ProfileTimerAlwaysRecordsWait) {
@@ -109,37 +80,6 @@ TEST(LockProfilerTest, ProfileTimerAlwaysRecordsWait) {
   EXPECT_EQ(site.wait.total, 1u);
 }
 
-TEST(LockProfilerTest, FastPathNotesAccumulate) {
-  SKIP_UNLESS_PROFILING();
-  ResetProfileForTesting();
-  ProfileNoteFastGrant();
-  ProfileNoteFastGrant();
-  ProfileNoteFastBail();
-  ProfileNoteReleaseBail();
-  const ProfileSnapshot snap = CaptureProfile();
-  EXPECT_EQ(snap.fast_grants, 2u);
-  EXPECT_EQ(snap.fast_bails, 1u);
-  EXPECT_EQ(snap.release_bails, 1u);
-}
-
-TEST(LockProfilerTest, OptReadNotesAreExact) {
-  SKIP_UNLESS_PROFILING();
-  ResetProfileForTesting();
-  ProfileNoteOptRead();
-  ProfileNoteOptRead();
-  ProfileNoteOptRead();
-  ProfileNoteOptValidationFail();
-  ProfileNoteOptValidationFail();
-  ProfileNoteOptPessimize();
-  const ProfileSnapshot snap = CaptureProfile();
-  // Notes are exact (weight 1), unlike the sampled guard sites: a probe is
-  // one kOptRead acquire; a validation failure is a contended kOptRead.
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kOptRead)].acquires, 3u);
-  EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kOptRead)].contended, 2u);
-  EXPECT_EQ(snap.opt_validation_fails, 2u);
-  EXPECT_EQ(snap.opt_pessimizes, 1u);
-}
-
 TEST(LockProfilerTest, HoldTimingIsSampled) {
   SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
@@ -148,10 +88,10 @@ TEST(LockProfilerTest, HoldTimingIsSampled) {
   // stands, the window holds exactly two sampled acquires and two
   // sampled holds (the offset phase).
   for (uint64_t i = 0; i < 2 * kProfileSamplePeriod; ++i) {
-    ProfiledMutexGuard guard(mu, ProfileSite::kAlloc);
+    ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
   }
   const ProfileSnapshot snap = CaptureProfile();
-  const SiteProfile& site = snap.sites[SiteIdx(ProfileSite::kAlloc)];
+  const SiteProfile& site = snap.sites[SiteIdx(ProfileSite::kExclusive)];
   EXPECT_EQ(site.acquires, 2 * kProfileSamplePeriod);
   EXPECT_GE(site.hold.total, 1u);
   EXPECT_LE(site.hold.total, 2u);
@@ -161,26 +101,19 @@ TEST(LockProfilerTest, ResetClearsEverything) {
   SKIP_UNLESS_PROFILING();
   Mutex mu;
   for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
-    ProfiledMutexGuard guard(mu, ProfileSite::kQueuedWrite, 1);
+    ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
   }
-  ProfileNoteFastGrant();
+  { ProfileTimer timer(ProfileSite::kTickBarrier); }
   ResetProfileForTesting();
   const ProfileSnapshot snap = CaptureProfile();
   for (int s = 0; s < kProfileSiteCount; ++s) {
     EXPECT_EQ(snap.sites[s].acquires, 0u) << ProfileSiteName(
         static_cast<ProfileSite>(s));
   }
-  EXPECT_EQ(snap.fast_grants, 0u);
-  EXPECT_EQ(snap.shards[1].acquires, 0u);
 }
 
 TEST(LockProfilerTest, SiteNamesAreStable) {
-  EXPECT_STREQ(ProfileSiteName(ProfileSite::kFastShared), "fast_shared");
-  EXPECT_STREQ(ProfileSiteName(ProfileSite::kOptRead), "opt_read");
-  EXPECT_STREQ(ProfileSiteName(ProfileSite::kQueuedWrite), "queued_write");
   EXPECT_STREQ(ProfileSiteName(ProfileSite::kExclusive), "exclusive");
-  EXPECT_STREQ(ProfileSiteName(ProfileSite::kAlloc), "alloc");
-  EXPECT_STREQ(ProfileSiteName(ProfileSite::kAppsMap), "apps_map");
   EXPECT_STREQ(ProfileSiteName(ProfileSite::kTickBarrier), "tick_barrier");
 }
 
@@ -248,31 +181,25 @@ TEST(LockProfilerTest, RegisterProfileMetricsExportsFamilies) {
   Mutex mu;
   std::thread worker([&] {
     for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
-      ProfiledMutexGuard guard(mu, ProfileSite::kQueuedWrite, 0);
+      ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
     }
   });
   worker.join();
   MetricsRegistry registry;
-  RegisterProfileMetrics(&registry, /*shards=*/16);
-  bool saw_site_counter = false, saw_wait_hist = false, saw_shard = false;
+  RegisterProfileMetrics(&registry);
+  bool saw_site_counter = false, saw_wait_hist = false;
   for (const MetricSample& s : registry.Collect()) {
-    if (s.name == "locktune_profile_acquires_total{site=\"queued_write\"}") {
+    if (s.name == "locktune_profile_acquires_total{site=\"exclusive\"}") {
       saw_site_counter = true;
       EXPECT_EQ(s.value, static_cast<double>(kProfileSamplePeriod));
     }
-    if (s.name == "locktune_profile_wait_ms{site=\"queued_write\"}") {
+    if (s.name == "locktune_profile_wait_ms{site=\"exclusive\"}") {
       saw_wait_hist = true;
       EXPECT_EQ(s.kind, MetricKind::kHistogram);
-    }
-    if (s.name.rfind("locktune_profile_shard_acquires_total{shard=\"00\"}",
-                     0) == 0) {
-      saw_shard = true;
-      EXPECT_EQ(s.value, static_cast<double>(kProfileSamplePeriod));
     }
   }
   EXPECT_TRUE(saw_site_counter);
   EXPECT_TRUE(saw_wait_hist);
-  EXPECT_TRUE(saw_shard);
 }
 
 }  // namespace

@@ -26,8 +26,8 @@ class Widget {
  private:
   void Touch() {}
 
-  Mutex a_{kLockRankManagerOuter, "Widget::a_"};
-  Mutex b_{kLockRankAlloc, "Widget::b_"};
+  Mutex a_{kLockRankManager, "Widget::a_"};
+  Mutex b_{kLockRankLeaf, "Widget::b_"};
 };
 
 }  // namespace fixture

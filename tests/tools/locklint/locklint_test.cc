@@ -59,7 +59,8 @@ TEST(LocklintTest, UnorderedIterationRule) {
   const LintRun run = RunLocklint(FixtureRoot() + "/unordered_iter.cc");
   EXPECT_EQ(run.exit_code, 1);
   ExpectViolation(run, "unordered_iter.cc", 9, "LL002");
-  EXPECT_NE(run.output.find("1 violation(s)"), std::string::npos)
+  ExpectViolation(run, "unordered_iter.cc", 20, "LL002");  // annotated decl
+  EXPECT_NE(run.output.find("2 violation(s)"), std::string::npos)
       << run.output;
 }
 
@@ -129,45 +130,17 @@ TEST(LocklintTest, ProfileTimingRule) {
       << run.output;
 }
 
-TEST(LocklintTest, ShardLatchRule) {
-  const LintRun run =
-      RunLocklint(FixtureRoot() + "/src/lock/shard_latch.cc");
-  EXPECT_EQ(run.exit_code, 1);
-  ExpectViolation(run, "shard_latch.cc", 8, "LL010");   // raw mutex member
-  ExpectViolation(run, "shard_latch.cc", 12, "LL010");  // std::lock_guard
-  ExpectViolation(run, "shard_latch.cc", 16, "LL010");  // raw .lock() call
-  // The .unlock() on line 17, the OptLatchGuard use on line 21, and the
-  // suppressed acquisition on line 25 must not be flagged.
-  EXPECT_NE(run.output.find("3 violation(s)"), std::string::npos)
-      << run.output;
-}
-
 TEST(LocklintTest, LockOrderRule) {
   const LintRun run = RunLocklint(FixtureRoot() + "/src/lock/lock_cycle.cc");
   EXPECT_EQ(run.exit_code, 1);
-  // The forward path (a_ rank 10, then b_ rank 30) is legal on its own;
+  // The forward path (a_ rank 10, then b_ rank 40) is legal on its own;
   // the backward path's second acquisition violates the hierarchy, and the
   // pair of edges closes a cycle, reported at the smallest edge site.
   ExpectViolation(run, "lock_cycle.cc", 16, "LL011");  // cycle {a_, b_}
-  ExpectViolation(run, "lock_cycle.cc", 22, "LL011");  // rank 30 -> 10
+  ExpectViolation(run, "lock_cycle.cc", 22, "LL011");  // rank 40 -> 10
   EXPECT_NE(run.output.find("static deadlock"), std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("2 violation(s)"), std::string::npos)
-      << run.output;
-}
-
-TEST(LocklintTest, RelaxedAtomicsRule) {
-  const LintRun run = RunLocklint(FixtureRoot() + "/src/lock/lock_table.cc");
-  EXPECT_EQ(run.exit_code, 1);
-  ExpectViolation(run, "lock_table.cc", 13, "LL012");  // stray relaxed load
-  ExpectViolation(run, "lock_table.cc", 19, "LL012");  // write in section
-  // Line 18 (relaxed LOAD inside the ReadBegin/ReadValidate section) and
-  // line 25 (reasoned order: relaxed-ok) must not be flagged; the unused
-  // suppression on line 29 is stale.
-  ExpectViolation(run, "lock_table.cc", 29, "LL000");
-  EXPECT_NE(run.output.find("stale suppression"), std::string::npos)
-      << run.output;
-  EXPECT_NE(run.output.find("3 violation(s)"), std::string::npos)
       << run.output;
 }
 
@@ -229,6 +202,19 @@ TEST(LocklintTest, EmptyReasonIsItsOwnViolation) {
       << run.output;
 }
 
+TEST(LocklintTest, StaleSuppressionIsItsOwnViolation) {
+  const LintRun run = RunLocklint(FixtureRoot() + "/stale_suppression.cc");
+  EXPECT_EQ(run.exit_code, 1);
+  // The suppression on line 12 excuses a real clock read; the one on
+  // line 17 gates nothing and is reported, with no LL001 beside it.
+  ExpectViolation(run, "stale_suppression.cc", 17, "LL000");
+  EXPECT_NE(run.output.find("stale suppression"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("LL001"), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("1 violation(s)"), std::string::npos)
+      << run.output;
+}
+
 TEST(LocklintTest, CleanFilePasses) {
   const LintRun run = RunLocklint(FixtureRoot() + "/clean.cc");
   EXPECT_EQ(run.exit_code, 0);
@@ -239,11 +225,11 @@ TEST(LocklintTest, CleanFilePasses) {
 TEST(LocklintTest, WholeFixtureTreeIsDeterministicallySorted) {
   const LintRun run = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.exit_code, 1);
-  // 3 wallclock + 1 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
-  // + 2 addr + 1 faultgate + 1 profile + 3 shardlatch + 1 bad-annotation
-  // + 2 lockorder + 2 relaxed + 1 stale-suppression + 2 hotcolumn
-  // + 1 orphan hot-column marker = 25, and a second run must be identical.
-  EXPECT_NE(run.output.find("25 violation(s)"), std::string::npos)
+  // 3 wallclock + 2 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
+  // + 2 addr + 1 faultgate + 1 profile + 1 bad-annotation + 2 lockorder
+  // + 2 hotcolumn + 1 orphan hot-column marker + 1 stale-suppression = 21,
+  // and a second run must be identical.
+  EXPECT_NE(run.output.find("21 violation(s)"), std::string::npos)
       << run.output;
   const LintRun again = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.output, again.output);
@@ -254,7 +240,7 @@ TEST(LocklintTest, ListRules) {
   EXPECT_EQ(run.exit_code, 0);
   for (const char* id : {"LL000", "LL001", "LL002", "LL003", "LL004",
                          "LL005", "LL006", "LL007", "LL008", "LL009",
-                         "LL010", "LL011", "LL012", "LL013"}) {
+                         "LL011", "LL013"}) {
     EXPECT_NE(run.output.find(id), std::string::npos) << run.output;
   }
 }

@@ -36,27 +36,10 @@
 //                       a LOCKTUNE_PROFILE gate — raw clock reads belong in
 //                       telemetry/lock_profiler.h, where the OFF build
 //                       compiles them away
-//   LL010 shardlatch    raw mutex acquisition on shard state in src/lock/
-//                       (std guard or lowercase .lock() on a shard/latch
-//                       identifier, or a std::mutex member named after a
-//                       shard) — shard state is guarded by OptLatch's
-//                       version protocol; a raw mutex never bumps the
-//                       sequence, so optimistic readers would validate
-//                       stale snapshots. Use OptLatchGuard /
-//                       OptLatchWriteGuard / the OptLatch API.
 //   LL011 lockorder     lock-order violation: an acquisition edge in the
 //                       whole-repo lock graph whose ranks do not strictly
 //                       increase (src/common/lock_rank_table.h), or a
 //                       cycle in the graph — a static deadlock.
-//   LL012 relaxed       memory_order_relaxed access to shard/latch state
-//                       (opt_latch / lock_table / lock_head) outside a
-//                       recognized ReadBegin/ReadValidate optimistic
-//                       section, an OptLatch write-guard scope, or a
-//                       `// locklint: seqlock-writer(<reason>)` function;
-//                       relaxed WRITES are never excused by a read
-//                       section — optimistically-read fields may only be
-//                       written under the write latch. Per-line escape:
-//                       `// order: relaxed-ok(<reason>)`.
 //   LL013 hotcolumn     non-trivially-copyable member in a struct marked
 //                       `// locklint: hot-column`. Hot-column structs are
 //                       the SoA rows the per-tick sweep copies and re-files
@@ -75,18 +58,12 @@
 // a violation, and so is a suppression that no longer suppresses anything
 // (stale). Tags: wallclock-ok, ordered-ok, float-ok, alloc-ok,
 // nodiscard-ok, assert-ok, addr-ok, faultgate-ok, profile-ok,
-// shardlatch-ok, lockorder-ok, relaxed-ok (also spelled
-// `// order: relaxed-ok(<reason>)` at atomic-access sites), hotcolumn-ok.
+// lockorder-ok, hotcolumn-ok.
 //
-// Structural annotations (not suppressions):
+// Structural annotation (not a suppression):
 //   `// locklint: lock-edge(A -> B)`       records a lock-order edge the
 //                                          scanner cannot see (callbacks,
 //                                          function pointers)
-//   `// locklint: seqlock-writer(<why>)`   marks the next function as the
-//                                          serialized writer side of the
-//                                          seqlock protocol (or serial-
-//                                          phase-only), licensing its
-//                                          relaxed accesses
 //
 // Usage: locklint [--list-rules] [--json] [--lock-graph <out.dot>]
 //                 <file-or-dir>...
@@ -168,19 +145,10 @@ constexpr RuleInfo kRules[] = {
      "wall-clock timing call (steady_clock, high_resolution_clock, rdtsc) "
      "in src/lock/ outside a LOCKTUNE_PROFILE gate; keep raw clock reads in "
      "telemetry/lock_profiler.h or annotate profile-ok(<reason>)"},
-    {"LL010", "shardlatch",
-     "raw mutex acquisition on shard state (std guard, .lock() call, or "
-     "mutex member on a shard/latch identifier) — shard state is OptLatch-"
-     "guarded; use OptLatchGuard / OptLatchWriteGuard"},
     {"LL011", "lockorder",
      "lock-order violation: acquisition edge whose ranks do not strictly "
      "increase against src/common/lock_rank_table.h, or a cycle in the "
      "whole-repo lock-order graph (static deadlock)"},
-    {"LL012", "relaxed",
-     "memory_order_relaxed access to shard/latch state outside a "
-     "ReadBegin/ReadValidate optimistic section, an OptLatch write-guard "
-     "scope, or a seqlock-writer function; annotate the access with "
-     "order: relaxed-ok(<reason>) when the ordering is proven"},
     {"LL013", "hotcolumn",
      "non-trivially-copyable member in a 'locklint: hot-column' struct — "
      "SoA hot rows are copied/compacted wholesale by the schedulers; keep "
@@ -194,24 +162,12 @@ const std::set<std::string> kAccountingFiles = {
     "lock_head.h",   "lock_head.cc",   "units.h",
 };
 
-// Basenames under src/lock/ whose relaxed atomics implement (or sit under)
-// the shard latch's seqlock protocol — the LL012 audit scope. Everything
-// else's relaxed atomics are statistics counters, which are not
-// synchronization points and stay out of scope.
-const std::set<std::string> kSeqlockFiles = {
-    "opt_latch.h", "opt_latch.cc", "lock_table.h", "lock_table.cc",
-    "lock_head.h",
-};
-
 // Spellings a declaration's rank argument may use; resolved against the
 // shared table so the linter and the runtime checker cannot drift.
 const std::map<std::string, int> kRankConstants = {
     {"kLockRankUnranked", locktune::kLockRankUnranked},
     {"kLockRankMetricsRegistry", locktune::kLockRankMetricsRegistry},
-    {"kLockRankManagerOuter", locktune::kLockRankManagerOuter},
-    {"kLockRankAppsMap", locktune::kLockRankAppsMap},
-    {"kLockRankShardLatch", locktune::kLockRankShardLatch},
-    {"kLockRankAlloc", locktune::kLockRankAlloc},
+    {"kLockRankManager", locktune::kLockRankManager},
     {"kLockRankLeaf", locktune::kLockRankLeaf},
 };
 
@@ -295,13 +251,13 @@ bool LoadFile(const fs::path& path, FileText* out) {
 }
 
 // Collects identifiers declared with an unordered container type, e.g.
-//   std::unordered_map<AppId, AppState> apps_;
+//   std::unordered_map<AppId, AppState> apps_ LT_GUARDED_BY(mu_);
 // Used file-locally plus from the sibling header, so members declared in
 // foo.h are known while scanning foo.cc.
 void CollectUnorderedIdentifiers(const FileText& text,
                                  std::set<std::string>* names) {
   static const std::regex kDecl(
-      R"(unordered_(?:map|set)\s*<[^;{}]*>\s+([A-Za-z_]\w*)\s*(?:;|=|\{|$))");
+      R"(unordered_(?:map|set)\s*<[^;{}]*>\s+([A-Za-z_]\w*)\s*(?:LT_\w+\s*\([^()]*\)\s*)?(?:;|=|\{|$))");
   for (const std::string& line : text.code) {
     for (std::sregex_iterator it(line.begin(), line.end(), kDecl), end;
          it != end; ++it) {
@@ -353,7 +309,7 @@ bool IsSuppressed(const std::string& file, const std::vector<std::string>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// Phase-one/-two concurrency model (LL011, LL012, --lock-graph).
+// Phase-one/-two concurrency model (LL011, --lock-graph).
 // ---------------------------------------------------------------------------
 
 // Tracks the enclosing class/struct across a file so member declarations
@@ -429,10 +385,10 @@ class LockModel {
     // Canonical names live in string literals, so declarations are matched
     // on the raw line; class context comes from the stripped view.
     static const std::regex kLockDecl(
-        "\\b(Mutex|SharedMutex)\\s+(\\w+)\\s*\\{\\s*(kLockRank\\w+)\\s*,"
+        "\\bMutex\\s+(\\w+)\\s*\\{\\s*(kLockRank\\w+)\\s*,"
         "\\s*\"([^\"]+)\"");
     static const std::regex kRequires(
-        R"(([A-Za-z_]\w*)\s*\([^;{}]*\)[^;{}]*LT_REQUIRES(_SHARED)?\s*\(\s*([A-Za-z_]\w*)\s*\))");
+        R"(([A-Za-z_]\w*)\s*\([^;{}]*\)[^;{}]*LT_REQUIRES\s*\(\s*([A-Za-z_]\w*)\s*\))");
     ScopeTracker scope;
     std::string stmt;  // accumulated declaration text (stripped view)
     for (size_t i = 0; i < text.code.size(); ++i) {
@@ -441,11 +397,11 @@ class LockModel {
       std::smatch m;
       if (std::regex_search(text.raw[i], m, kLockDecl)) {
         LockDecl d;
-        d.member = m[2].str();
-        d.canonical = m[4].str();
+        d.member = m[1].str();
+        d.canonical = m[3].str();
         d.klass = scope.current_class();
         d.file_stem = FileStem(file);
-        const auto rank_it = kRankConstants.find(m[3].str());
+        const auto rank_it = kRankConstants.find(m[2].str());
         d.rank = rank_it != kRankConstants.end()
                      ? rank_it->second
                      : locktune::LockRankForName(d.canonical.c_str());
@@ -460,7 +416,7 @@ class LockModel {
         std::string tail = stmt;
         while (std::regex_search(tail, r, kRequires)) {
           RequiresDecl rd;
-          rd.arg = r[3].str();
+          rd.arg = r[2].str();
           rd.klass = scope.current_class();
           rd.file_stem = FileStem(file);
           const std::string key = rd.klass + "::" + r[1].str();
@@ -477,10 +433,8 @@ class LockModel {
 
   // Scans function bodies: guard-construction sites become held-set state
   // and graph edges; call sites are recorded for interprocedural
-  // propagation; relaxed atomics in seqlock-scope files are audited
-  // (LL012). Also parses lock-edge structural annotations.
-  void ScanFunctions(const std::string& file, const FileText& text,
-                     std::vector<Violation>* out, SuppressionUses* used);
+  // propagation. Also parses lock-edge structural annotations.
+  void ScanFunctions(const std::string& file, const FileText& text);
 
   // Interprocedural fixpoint, then LL011 edge/cycle checks.
   void Analyze(const std::map<std::string, FileText>& texts,
@@ -522,21 +476,11 @@ class LockModel {
                            const std::string& file_stem,
                            const std::string& klass) const {
     static const std::regex kTrailing(R"(([A-Za-z_]\w*)\s*$)");
-    if (expr.find("ShardLatch(") != std::string::npos) {
-      return "LockTable::shard_latch";
-    }
     std::smatch m;
     if (!std::regex_search(expr, m, kTrailing)) {
       return file_stem + "::<expr>";
     }
     const std::string member = m[1].str();
-    // A shard-latch reference passed through a local (`OptLatch& latch`).
-    std::string lowered = member;
-    std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (lowered.find("latch") != std::string::npos) {
-      return "LockTable::shard_latch";
-    }
     const auto it = decls_by_member_.find(member);
     if (it == decls_by_member_.end()) return file_stem + "::" + member;
     std::vector<const LockDecl*> cands;
@@ -603,11 +547,9 @@ class LockModel {
   std::map<std::pair<std::string, std::string>, Edge> edges_;
 };
 
-void LockModel::ScanFunctions(const std::string& file, const FileText& text,
-                              std::vector<Violation>* out,
-                              SuppressionUses* used) {
+void LockModel::ScanFunctions(const std::string& file, const FileText& text) {
   static const std::regex kGuardDecl(
-      R"(\b(MutexLock|ReaderLock|WriterLock|ProfiledMutexGuard|ProfiledSharedGuard|ProfiledExclusiveGuard|OptLatchGuard|OptLatchWriteGuard)\s+\w+\s*[({]\s*([^,;)]*))");
+      R"(\b(MutexLock|ProfiledMutexGuard)\s+\w+\s*[({]\s*([^,;)]*))");
   static const std::regex kSignature(
       R"(((?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*|[A-Za-z_]\w*)\s*\()");
   static const std::regex kCall(R"(\b([A-Za-z_]\w*)\s*\()");
@@ -615,19 +557,10 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
   // this also keeps syntax examples in documentation comments inert.
   static const std::regex kLockEdge(
       R"(locklint:\s*lock-edge\(\s*(\w+(?:::\w+)+)\s*->\s*(\w+(?:::\w+)+)\s*\))");
-  static const std::regex kSeqWriter(
-      R"(locklint:\s*seqlock-writer\(([^)]*)\))");
-  static const std::regex kRelaxedWrite(
-      R"(\.\s*(store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|compare_exchange_\w+)\s*\()");
   static const std::set<std::string> kCallKeywords = {
       "if",     "for",    "while",   "switch",   "return", "sizeof",
       "catch",  "assert", "decltype", "alignof", "static_assert",
       "defined"};
-
-  const std::string base = fs::path(file).filename().string();
-  const bool seqlock_scope =
-      file.find("src/lock/") != std::string::npos &&
-      kSeqlockFiles.count(base) != 0;
 
   // Record declared ranks so fixture-local locks (outside the shared
   // table) still rank-check.
@@ -636,14 +569,11 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
   }
 
   ScopeTracker scope;
-  std::string stmt;           // pending statement text (stripped)
-  size_t stmt_first_line = 0;  // first line of the pending statement
+  std::string stmt;  // pending statement text (stripped)
   struct ActiveFn {
     size_t index = 0;
     int base_depth = 0;  // depth before the body's opening brace
     std::set<std::string> requires_held;
-    bool seqlock_writer = false;
-    bool opt_section = false;
   };
   std::vector<ActiveFn> fn_stack;  // lambdas keep the outer entry active
   struct HeldGuard {
@@ -665,13 +595,7 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
     }
 
     const bool in_function = !fn_stack.empty();
-    const bool blank_code =
-        code.find_first_not_of(" \t") == std::string::npos;
-    if (!in_function && !scope.opened_class_this_line() && !blank_code) {
-      // Blank and comment-only lines stay out of the statement buffer so
-      // stmt_first_line is the signature's first real line — the
-      // seqlock-writer scan walks the comment block directly above it.
-      if (stmt.empty()) stmt_first_line = i;
+    if (!in_function && !scope.opened_class_this_line()) {
       stmt += code;
       stmt += ' ';
       static const std::regex kAccessSpec(
@@ -700,30 +624,6 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
           af.base_depth = scope.depth();
           af.requires_held =
               ResolveRequires(fn.qualified, fn.klass);
-          // A seqlock-writer annotation sits in the comment block directly
-          // above the signature (or on its first line).
-          for (size_t j = stmt_first_line + 1;
-               j-- > 0 && (j == stmt_first_line || IsCommentOnlyLine(text.raw[j]));) {
-            std::smatch sm;
-            const std::string& r = text.raw[j];
-            if (std::regex_search(r, sm, kSeqWriter)) {
-              std::string reason = sm[1].str();
-              reason.erase(
-                  std::remove_if(reason.begin(), reason.end(),
-                                 [](unsigned char c) {
-                                   return std::isspace(c) != 0;
-                                 }),
-                  reason.end());
-              if (reason.empty()) {
-                out->push_back({file, static_cast<int>(j) + 1, "LL000",
-                                "seqlock-writer() annotation requires a "
-                                "non-empty reason"});
-              }
-              af.seqlock_writer = true;
-              break;
-            }
-            if (j == 0) break;
-          }
           const std::string fn_base =
               fn.qualified.substr(fn.qualified.rfind("::") == std::string::npos
                                       ? 0
@@ -740,12 +640,6 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
     } else if (in_function) {
       ActiveFn& af = fn_stack.back();
       Function& fn = functions_[af.index];
-
-      // Optimistic-section tracking (LL012).
-      if (code.find("ReadBegin(") != std::string::npos) {
-        af.opt_section = true;
-      }
-      const bool validates = code.find("ReadValidate(") != std::string::npos;
 
       // Guard-construction sites: held-set edges + acquire sets.
       for (std::sregex_iterator it(code.begin(), code.end(), kGuardDecl),
@@ -794,49 +688,6 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text,
         cs.idx = i;
         calls_.push_back(std::move(cs));
       }
-
-      // LL012: relaxed atomics in seqlock-scope files.
-      if (seqlock_scope &&
-          code.find("memory_order_relaxed") != std::string::npos) {
-        const bool under_latch =
-            std::any_of(guards.begin(), guards.end(), [](const HeldGuard& g) {
-              return g.canonical == "LockTable::shard_latch";
-            });
-        const bool is_write = std::regex_search(code, kRelaxedWrite);
-        const bool in_section = af.opt_section || validates;
-        bool excused = under_latch || af.seqlock_writer;
-        if (!excused && in_section && !is_write) excused = true;
-        if (!excused) {
-          bool bad = false;
-          const bool order_ok = IsSuppressed(file, text.raw, i, "order:",
-                                             "relaxed", &bad, used);
-          const bool lint_ok =
-              !order_ok && !bad &&
-              IsSuppressed(file, text.raw, i, "locklint:", "relaxed", &bad,
-                           used);
-          if (!order_ok && !lint_ok) {
-            if (bad) {
-              out->push_back({file, line_no, "LL000",
-                              "relaxed-ok() suppression requires a "
-                              "non-empty reason"});
-            } else if (is_write && in_section) {
-              out->push_back(
-                  {file, line_no, "LL012",
-                   "relaxed WRITE inside an optimistic read section — "
-                   "optimistically-read fields may only be written under "
-                   "the shard latch's write side"});
-            } else {
-              out->push_back(
-                  {file, line_no, "LL012",
-                   "memory_order_relaxed access to shard/latch state "
-                   "outside a ReadBegin/ReadValidate section, OptLatch "
-                   "write guard, or seqlock-writer function — annotate "
-                   "order: relaxed-ok(<reason>) if the ordering is proven"});
-            }
-          }
-        }
-      }
-      if (validates) af.opt_section = false;
     }
 
     scope.EndLine(code);
@@ -1021,7 +872,7 @@ std::string LockModel::DotGraph() const {
 }
 
 // ---------------------------------------------------------------------------
-// Per-line rules (LL001..LL010).
+// Per-line rules (LL001..LL009).
 // ---------------------------------------------------------------------------
 
 class Linter {
@@ -1065,7 +916,6 @@ class Linter {
       }
       if (generic.find("src/lock/") != std::string::npos) {
         CheckProfileTiming(generic, text, i, line_no, code);
-        CheckShardLatch(generic, text, i, line_no, code);
       }
       if (is_header) CheckNodiscard(generic, text, i, line_no, code);
       CheckAssert(generic, text, i, line_no, code);
@@ -1140,7 +990,7 @@ class Linter {
   // itself a finding: stale suppressions rot into false documentation.
   void CheckStaleSuppressions(const std::string& file, const FileText& text) {
     static const std::regex kAnnotation(
-        R"((locklint|order):\s*([a-z]+)-ok\(\s*([^)]*))");
+        R"(locklint:\s*([a-z]+)-ok\(\s*([^)]*))");
     static const std::set<std::string> kKnownTags = [] {
       std::set<std::string> tags;
       for (const RuleInfo& r : kRules) tags.insert(r.tag);
@@ -1150,9 +1000,9 @@ class Linter {
       std::smatch m;
       const std::string& raw = text.raw[i];
       if (!std::regex_search(raw, m, kAnnotation)) continue;
-      const std::string tag = m[2].str();
+      const std::string tag = m[1].str();
       if (kKnownTags.count(tag) == 0) continue;
-      const std::string reason = m[3].str();
+      const std::string reason = m[2].str();
       if (!reason.empty() && reason[0] == '<') continue;  // syntax docs
       if (used_->count({file, i}) != 0) continue;
       violations_.push_back(
@@ -1372,40 +1222,6 @@ class Linter {
                             "gate");
   }
 
-  // Shard state is guarded by OptLatch's sequence-versioned protocol
-  // (optimistic read-validate + MCS queued write), never a raw mutex: a
-  // mutex acquisition does not bump the version, so concurrent optimistic
-  // readers would validate a stale snapshot and miss the write entirely.
-  // Flags, on any line in src/lock/ mentioning a shard/latch identifier:
-  // a std lock guard, a lowercase .lock()/.try_lock()/.lock_shared() call
-  // (OptLatch's own API is capitalized), or declaring a std::mutex member.
-  void CheckShardLatch(const std::string& file, const FileText& text,
-                       size_t idx, int line_no, const std::string& code) {
-    static const std::regex kShardState(R"([Ss]hard|[Ll]atch)");
-    if (!std::regex_search(code, kShardState)) return;
-    static const std::regex kStdGuard(
-        R"(std::(lock_guard|unique_lock|scoped_lock|shared_lock)\b)");
-    static const std::regex kRawCall(
-        R"((?:\.|->)((?:try_)?lock(?:_shared)?)\s*\()");
-    static const std::regex kMutexMember(
-        R"(std::(?:shared_|recursive_|timed_)?mutex\b)");
-    std::smatch m;
-    std::string what;
-    if (std::regex_search(code, m, kStdGuard)) {
-      what = "std::" + m[1].str() + " guard";
-    } else if (std::regex_search(code, m, kRawCall)) {
-      what = "raw ." + m[1].str() + "() call";
-    } else if (std::regex_search(code, m, kMutexMember)) {
-      what = "raw mutex declaration";
-    } else {
-      return;
-    }
-    AddUnlessSuppressed(file, text, idx, line_no, "LL010", "shardlatch",
-                        what +
-                            " on shard state — shard state is OptLatch-"
-                            "guarded; use OptLatchGuard / OptLatchWriteGuard");
-  }
-
   void CheckNodiscard(const std::string& file, const FileText& text,
                       size_t idx, int line_no, const std::string& code) {
     static const std::regex kDecl(
@@ -1549,14 +1365,14 @@ int main(int argc, char** argv) {
   for (const auto& [path, generic] : order) {
     model.ScanDeclarations(generic, texts.at(generic));
   }
-  // Phase two: per-line rules, function models, LL012.
-  std::vector<Violation> extra;
+  // Phase two: per-line rules and function models.
   for (const auto& [path, generic] : order) {
     linter.LintFile(path, generic, texts.at(generic));
-    model.ScanFunctions(generic, texts.at(generic), &extra, &used);
+    model.ScanFunctions(generic, texts.at(generic));
   }
   // Graph analysis (LL011), then the stale-suppression sweep — it must run
   // last so every legitimate suppression has had its chance to be used.
+  std::vector<Violation> extra;
   model.Analyze(texts, &extra, &used);
   linter.AddViolations(extra);
   for (const auto& [path, generic] : order) {

@@ -5,7 +5,8 @@
 //     [--series name,name,...] [--stride N]
 //     [--threads N]            worker threads driving applications; 1
 //                              (default) is the deterministic golden path,
-//                              N > 1 runs the lock manager's parallel mode
+//                              N > 1 ticks applications on N workers whose
+//                              lock calls serialize on the lock manager
 //     [--metrics-out PATH|-]   Prometheus text dump of the telemetry
 //                              registry after the run (.csv extension
 //                              switches to metric,value CSV)
@@ -15,8 +16,7 @@
 //     [--stmm-report]          db2pd -stmm style tuning history table
 //     [--snapshot]             end-of-run state snapshot
 //     [--inspect]              locktune_pd full inspection: snapshot +
-//                              metrics registry + lock event ring buffer +
-//                              shard contention heatmap
+//                              metrics registry + lock event ring buffer
 //     [--trace-profile PATH]   Chrome trace-event JSON (load in
 //                              ui.perfetto.dev): tick/STMM/escalation spans
 //                              on virtual time, worker spans on real time
@@ -228,9 +228,7 @@ int main(int argc, char** argv) {
   // profiler always accumulates (LOCKTUNE_PROFILE builds), but only
   // surfaces in the registry when asked.
   if (profile_metrics || inspect) {
-    RegisterProfileMetrics(
-        &scenario.database().metrics(),
-        scenario.database().locks().lock_table_shard_count());
+    RegisterProfileMetrics(&scenario.database().metrics());
   }
   // Paranoid runs arm the victim dump too: a deadlock victim under paranoid
   // scrutiny is exactly when the recent event history matters. stderr only,
