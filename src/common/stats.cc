@@ -35,24 +35,4 @@ void Histogram::Add(double x) {
   ++total_;
 }
 
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  int64_t cumulative = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const int64_t next = cumulative + counts_[i];
-    if (static_cast<double>(next) >= target && counts_[i] > 0) {
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = i < bounds_.size() ? bounds_[i] : lo * 2.0 + 1.0;
-      const double frac =
-          (target - static_cast<double>(cumulative)) /
-          static_cast<double>(counts_[i]);
-      return lo + frac * (hi - lo);
-    }
-    cumulative = next;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
 }  // namespace locktune

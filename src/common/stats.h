@@ -33,7 +33,8 @@ class SummaryStats {
 
 // Fixed-boundary histogram for latency-like values. Buckets are
 // caller-supplied upper bounds; values above the last bound land in an
-// overflow bucket.
+// overflow bucket. Quantiles come from SnapshotQuantile(SnapshotOf(h), q)
+// (telemetry/metrics.h).
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
@@ -44,9 +45,6 @@ class Histogram {
   // counts() has upper_bounds().size() + 1 entries (last is overflow).
   const std::vector<int64_t>& counts() const { return counts_; }
   const std::vector<double>& upper_bounds() const { return bounds_; }
-
-  // Linear-interpolated quantile estimate, q in [0, 1].
-  double Quantile(double q) const;
 
  private:
   std::vector<double> bounds_;

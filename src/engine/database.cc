@@ -121,16 +121,7 @@ Status Database::Init() {
   lmo.policy = policy_.get();
   lmo.clock = &clock_;
   lmo.lock_timeout = options_.lock_timeout;
-  // The trace bridge is always wired (no-op until a sink is installed);
-  // a user-supplied monitor is fanned out alongside it.
-  if (options_.lock_monitor != nullptr) {
-    tee_monitor_ = std::make_unique<TeeEventMonitor>(
-        std::vector<LockEventMonitor*>{options_.lock_monitor,
-                                       &trace_monitor_});
-    lmo.monitor = tee_monitor_.get();
-  } else {
-    lmo.monitor = &trace_monitor_;
-  }
+  lmo.monitor = options_.lock_monitor;
   switch (options_.mode) {
     case TuningMode::kSelfTuning:
       // Synchronous growth lands in the STMM controller (overflow memory,
@@ -166,7 +157,8 @@ Status Database::Init() {
 }
 
 void Database::set_trace_sink(TraceSink* sink) {
-  trace_monitor_.set_sink(sink);
+  trace_sink_ = sink;
+  locks_->set_trace_sink(sink);
   if (stmm_ != nullptr) stmm_->set_trace_sink(sink);
   if (ledger_ != nullptr) ledger_->set_trace_sink(sink);
 }

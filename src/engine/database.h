@@ -1,5 +1,7 @@
 // The database facade: wires the shared memory set, the lock manager, the
-// escalation policy, and (when self-tuning is on) the STMM controller.
+// escalation policy, and (when self-tuning is on) the STMM controller. The
+// user's lock event monitor goes straight to the lock manager, and the
+// structured trace sink is forwarded to every producer of trace records.
 //
 // Three configurations are supported, matching the paper's comparisons:
 //  * self-tuning DB2 9 (adaptive MAXLOCKS curve + STMM lock memory tuning);
@@ -22,7 +24,6 @@
 #include "fault/fault_plan.h"
 #include "lock/escalation_policy.h"
 #include "lock/lock_manager.h"
-#include "lock/lock_trace_bridge.h"
 #include "memory/database_memory.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -106,10 +107,11 @@ class Database {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  // Installs the structured decision-trace sink: STMM tuning passes and
-  // bridged lock events are appended to it. Borrowed; null disables.
+  // Installs the structured decision-trace sink, forwarded to the lock
+  // manager (lock events), the STMM controller (tuning passes) and the
+  // degradation ledger (fault records). Borrowed; null disables.
   void set_trace_sink(TraceSink* sink);
-  TraceSink* trace_sink() const { return trace_monitor_.sink(); }
+  TraceSink* trace_sink() const { return trace_sink_; }
 
  private:
   explicit Database(const DatabaseOptions& opts);
@@ -120,10 +122,7 @@ class Database {
   SimClock clock_;
   Catalog catalog_;
   MetricsRegistry metrics_;
-  TraceEventMonitor trace_monitor_;
-  // Fans lock events out to the user's monitor and the trace bridge when
-  // both are present.
-  std::unique_ptr<TeeEventMonitor> tee_monitor_;
+  TraceSink* trace_sink_ = nullptr;
   std::unique_ptr<DatabaseMemory> memory_;
   // Built before the subsystems they hook into; both null for a fault-free
   // run.

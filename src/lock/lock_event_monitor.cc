@@ -85,16 +85,4 @@ int64_t CountingEventMonitor::total() const {
   return sum;
 }
 
-TeeEventMonitor::TeeEventMonitor(std::vector<LockEventMonitor*> sinks)
-    : sinks_(std::move(sinks)) {
-  for (LockEventMonitor* sink : sinks_) {
-    LOCKTUNE_CHECK(sink != nullptr);
-    (void)sink;
-  }
-}
-
-void TeeEventMonitor::OnLockEvent(const LockEvent& event) {
-  for (LockEventMonitor* sink : sinks_) sink->OnLockEvent(event);
-}
-
 }  // namespace locktune

@@ -94,18 +94,6 @@ class CountingEventMonitor : public LockEventMonitor {
   std::array<int64_t, kNumLockEventKinds> counts_{};
 };
 
-// Fans one event stream out to several monitors.
-class TeeEventMonitor : public LockEventMonitor {
- public:
-  // Monitors are borrowed and must outlive the tee.
-  explicit TeeEventMonitor(std::vector<LockEventMonitor*> sinks);
-
-  void OnLockEvent(const LockEvent& event) override;
-
- private:
-  std::vector<LockEventMonitor*> sinks_;
-};
-
 }  // namespace locktune
 
 #endif  // LOCKTUNE_LOCK_LOCK_EVENT_MONITOR_H_

@@ -8,6 +8,7 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/lock_profiler.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace locktune {
 
@@ -1216,7 +1217,7 @@ void LockManager::Emit(LockEventKind kind, AppId app,
                        int64_t value) {
   const int64_t now = options_.clock != nullptr ? options_.clock->now() : 0;
   // The flight recorder and trace collector see events even when no monitor
-  // is installed (benches, runs without a sampler).
+  // or trace sink is installed (benches, runs without a sampler).
   FlightRecord(ToFlightKind(kind), now, app, resource.table, value);
   if (IsColdLockEvent(kind)) {
     if (ChromeTraceCollector* trace = GlobalTraceCollector()) {
@@ -1227,15 +1228,44 @@ void LockManager::Emit(LockEventKind kind, AppId app,
                          ",\"value\":" + std::to_string(value) + "}");
     }
   }
-  if (options_.monitor == nullptr) return;
-  LockEvent event;
-  event.kind = kind;
-  event.time = now;
-  event.app = app;
-  event.resource = resource;
-  event.mode = mode;
-  event.value = value;
-  options_.monitor->OnLockEvent(event);
+  if (options_.monitor != nullptr) {
+    LockEvent event;
+    event.kind = kind;
+    event.time = now;
+    event.app = app;
+    event.resource = resource;
+    event.mode = mode;
+    event.value = value;
+    options_.monitor->OnLockEvent(event);
+  }
+  if (trace_sink_ == nullptr) return;
+  TraceRecord rec(now, "lock_event");
+  rec.Str("event", LockEventKindName(kind))
+      .Int("app", app)
+      .Str("resource", resource.ToString())
+      .Str("mode", ModeName(mode));
+  switch (kind) {
+    case LockEventKind::kWaitEnd:
+      rec.Int("wait_ms", value);
+      break;
+    case LockEventKind::kEscalation:
+      rec.Int("rows_released", value);
+      break;
+    default:
+      if (value != 0) rec.Int("value", value);
+      break;
+  }
+  // The sink's Append takes its own leaf lock under mu_. The virtual call
+  // is opaque to locklint's call resolution, so both sink edges are
+  // declared here.
+  // locklint: lock-edge(LockManager::mu_ -> JsonlTraceWriter::mu_)
+  // locklint: lock-edge(LockManager::mu_ -> MemoryTraceSink::mu_)
+  trace_sink_->Append(rec);
+}
+
+void LockManager::set_trace_sink(TraceSink* sink) {
+  MutexLock guard(mu_);
+  trace_sink_ = sink;
 }
 
 LockManager::AppState& LockManager::GetApp(AppId app) { return apps_[app]; }

@@ -17,9 +17,9 @@
 // Thread safety: every public member function holds the manager's one
 // mutex, `mu_`, for its whole duration, so calls from several threads
 // (`--threads N`, docs/CONCURRENCY.md) are serialized and each runs exactly
-// the code a single-threaded caller would. The grow callback and the event
-// monitor run under `mu_`; the mutex is not re-entrant, so they must not
-// call back into the manager.
+// the code a single-threaded caller would. The grow callback, the event
+// monitor and the trace sink run under `mu_`; the mutex is not re-entrant,
+// so they must not call back into the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_MANAGER_H_
 #define LOCKTUNE_LOCK_LOCK_MANAGER_H_
 
@@ -51,6 +51,7 @@
 namespace locktune {
 
 class MetricsRegistry;
+class TraceSink;
 
 // Outcome of a Lock() call, from the requesting application's viewpoint.
 enum class LockOutcome {
@@ -203,6 +204,11 @@ class LockManager {
   // conserving memory for caching and sorting.
   void SetEscalationPreferred(AppId app, bool preferred);
   bool IsEscalationPreferred(AppId app) const;
+
+  // Installs the structured trace sink: every lock event is also appended
+  // to it as one `kind:"lock_event"` record (telemetry/trace.h), after the
+  // monitor sees it. Borrowed; null disables. Append runs under `mu_`.
+  void set_trace_sink(TraceSink* sink);
 
   // --- tuning interface (used by the STMM lock memory tuner) ---
 
@@ -472,7 +478,9 @@ class LockManager {
   // (amortized O(1) per ended wait).
   void MaybeCompactTimeouts() LT_REQUIRES(mu_);
 
-  // Delivers an event to the configured monitor (no-op without one).
+  // Records an event in the flight recorder (and, for the rare structural
+  // kinds, the armed Chrome trace), then delivers it to the monitor and
+  // the trace sink, each when installed.
   void Emit(LockEventKind kind, AppId app, const ResourceId& resource,
             LockMode mode, int64_t value) LT_REQUIRES(mu_);
 
@@ -494,6 +502,7 @@ class LockManager {
   // Queue entries invalidated by an early wait end (grant, rollback, kill).
   int64_t timeout_stale_ LT_GUARDED_BY(mu_) = 0;
   LockManagerStats stats_ LT_GUARDED_BY(mu_);
+  TraceSink* trace_sink_ LT_GUARDED_BY(mu_) = nullptr;
   Histogram wait_times_ LT_GUARDED_BY(mu_){{1, 10, 100, 1000, 10'000, 100'000}};
 };
 

@@ -13,8 +13,7 @@
 // Arming is a process-global pointer (SetGlobalTraceCollector): emission
 // sites are per-tick or per-tuning-pass — cold — and guard themselves
 // with a single relaxed pointer load, so an unarmed run pays one branch
-// per site. The collector itself is unconditional code (no LOCKTUNE_PROFILE
-// gate): it only runs when a sink was explicitly requested
+// per site. The collector only runs when a sink was explicitly requested
 // (locktune_sim --trace-profile).
 #ifndef LOCKTUNE_TELEMETRY_CHROME_TRACE_H_
 #define LOCKTUNE_TELEMETRY_CHROME_TRACE_H_

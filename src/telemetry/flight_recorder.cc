@@ -46,8 +46,6 @@ std::string FlightEvent::ToString() const {
   return buf;
 }
 
-#if defined(LOCKTUNE_PROFILE)
-
 namespace {
 
 struct FlightRing {
@@ -167,7 +165,5 @@ void ResetFlightRecorderForTesting() {
   }
   g_victim_dump_spent.store(false, std::memory_order_relaxed);
 }
-
-#endif  // LOCKTUNE_PROFILE
 
 }  // namespace locktune

@@ -3,8 +3,8 @@
 //
 // Every recording thread owns a 256-event ring (registered on first use,
 // like the profiler's slabs); a Record() is two index ops and a 40-byte
-// struct store, cheap enough to leave on everywhere the profiler is
-// compiled in (LOCKTUNE_PROFILE). Rings are dumped to stderr:
+// struct store, cheap enough to leave on in every build. Rings are dumped
+// to stderr:
 //
 //   * automatically on any LOCKTUNE_CHECK / LOCKTUNE_CHECK_OK failure
 //     (including paranoid-mode invariant violations), via the check-failure
@@ -58,8 +58,6 @@ struct FlightEvent {
 
 inline constexpr int kFlightRingCapacity = 256;
 
-#if defined(LOCKTUNE_PROFILE)
-
 // Appends to the calling thread's ring. Installs the check-failure dump
 // hook on the first call process-wide.
 void FlightRecord(FlightEventKind kind, int64_t time_ms, int32_t app,
@@ -81,22 +79,6 @@ bool TakeVictimDumpBudget();
 std::vector<FlightEvent> FlightEventsForTesting();
 uint64_t FlightTotalForTesting();
 void ResetFlightRecorderForTesting();
-
-#else  // !LOCKTUNE_PROFILE — recording compiles to nothing.
-
-inline void FlightRecord(FlightEventKind, int64_t, int32_t, int64_t,
-                         int64_t) {}
-inline void DumpFlightRecorder(std::FILE* out) {
-  std::fprintf(out, "flight recorder: unavailable (LOCKTUNE_PROFILE off)\n");
-}
-inline void ArmFlightDumpOnVictim(bool) {}
-inline bool FlightDumpOnVictimArmed() { return false; }
-inline bool TakeVictimDumpBudget() { return false; }
-inline std::vector<FlightEvent> FlightEventsForTesting() { return {}; }
-inline uint64_t FlightTotalForTesting() { return 0; }
-inline void ResetFlightRecorderForTesting() {}
-
-#endif  // LOCKTUNE_PROFILE
 
 }  // namespace locktune
 

@@ -37,8 +37,6 @@ HistogramSnapshot ToHistogramSnapshot(const ProfileHistogramData& h) {
   return out;
 }
 
-#if defined(LOCKTUNE_PROFILE)
-
 namespace profile_internal {
 
 void ProfileHistogramSlab::Record(uint64_t ns, uint64_t weight) {
@@ -124,7 +122,6 @@ void Accumulate(ProfileHistogramData& into, const ProfileHistogramSlab& h) {
 
 ProfileSnapshot CaptureProfile() {
   ProfileSnapshot snap;
-  snap.compiled_in = true;
   auto& reg = Registry();
   MutexLock guard(reg.mu);
   for (const auto& slab : reg.slabs) {
@@ -183,15 +180,5 @@ void RegisterProfileMetrics(MetricsRegistry* registry) {
         [s] { return ToHistogramSnapshot(CaptureProfile().sites[s].hold); });
   }
 }
-
-#else  // !LOCKTUNE_PROFILE
-
-ProfileSnapshot CaptureProfile() { return ProfileSnapshot{}; }
-
-void ResetProfileForTesting() {}
-
-void RegisterProfileMetrics(MetricsRegistry*) {}
-
-#endif  // LOCKTUNE_PROFILE
 
 }  // namespace locktune

@@ -70,8 +70,11 @@ struct HistogramSnapshot {
   double sum = 0.0;
 };
 
-// Linear-interpolated quantile over a snapshot (same estimate as
-// Histogram::Quantile). q is clamped to [0, 1]; empty snapshots yield 0.
+// Linear-interpolated quantile over a snapshot: the bucket holding the
+// q-th observation, interpolated between its bounds (the overflow bucket
+// spans [last bound, 2 * last bound + 1)). The one quantile estimator for
+// every histogram; a common/stats Histogram goes through SnapshotOf. q is
+// clamped to [0, 1]; empty snapshots yield 0.
 double SnapshotQuantile(const HistogramSnapshot& snapshot, double q);
 
 // A bucketed distribution plus a running sum (for Prometheus `_sum`).

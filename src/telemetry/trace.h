@@ -4,8 +4,8 @@
 // scenario milestone) with typed key/value fields, rendered as one JSON
 // object per line (JSONL). The STMM controller emits one record per tuning
 // pass capturing its inputs, the chosen action, and a human-readable *why*;
-// the lock manager's events are bridged in via TraceEventMonitor
-// (lock/lock_trace_bridge.h). Timestamps are SimClock virtual time, so
+// the lock manager appends one `lock_event` record per lock event
+// (LockManager::set_trace_sink). Timestamps are SimClock virtual time, so
 // traces line up with the sampled series and the stderr log.
 #ifndef LOCKTUNE_TELEMETRY_TRACE_H_
 #define LOCKTUNE_TELEMETRY_TRACE_H_

@@ -60,48 +60,5 @@ TEST(HistogramTest, BucketsByUpperBound) {
   EXPECT_EQ(h.total_count(), 5);
 }
 
-TEST(HistogramTest, QuantileEmptyIsZero) {
-  Histogram h({1.0, 2.0});
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-}
-
-TEST(HistogramTest, QuantileMonotone) {
-  Histogram h({1, 2, 4, 8, 16, 32});
-  for (int i = 0; i < 1000; ++i) h.Add(static_cast<double>(i % 30));
-  const double p50 = h.Quantile(0.5);
-  const double p90 = h.Quantile(0.9);
-  const double p99 = h.Quantile(0.99);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, p99);
-  EXPECT_GT(p50, 0.0);
-}
-
-TEST(HistogramTest, QuantileAtExtremes) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.Add(5.0);
-  h.Add(50.0);
-  // q=0 is the lower edge of the first occupied bucket; q=1 the upper edge
-  // of the last.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 100.0);
-}
-
-TEST(HistogramTest, QuantileAllMassInOverflow) {
-  Histogram h({10.0});
-  for (int i = 0; i < 4; ++i) h.Add(1000.0);
-  // The overflow bucket spans [last_bound, last_bound*2+1): the estimate
-  // stays finite even though every sample exceeded the last bound.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 15.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 21.0);
-}
-
-TEST(HistogramTest, QuantileClampsArgument) {
-  Histogram h({10.0});
-  h.Add(5.0);
-  EXPECT_GE(h.Quantile(-1.0), 0.0);
-  EXPECT_LE(h.Quantile(2.0), 10.0);
-}
-
 }  // namespace
 }  // namespace locktune

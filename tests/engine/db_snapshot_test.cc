@@ -128,8 +128,10 @@ TEST_F(DbSnapshotTest, InspectorRendersRegistryHistoryAndRing) {
   EXPECT_NE(text.find("locktune_workload_commits_total"), std::string::npos);
   // STMM history section.
   EXPECT_NE(text.find("STMM"), std::string::npos);
-  // Ring-buffer tail.
+  // Ring-buffer tail. The header prints even for an empty ring, so the
+  // ring must also have received the run's events.
   EXPECT_NE(text.find("lock event ring buffer"), std::string::npos);
+  EXPECT_GT(ring.total_events(), 0);
 }
 
 TEST_F(DbSnapshotTest, DatabaseTraceSinkSeesLockAndTuningRecords) {

@@ -8,6 +8,7 @@
 
 #include "common/units.h"
 #include "lock/lock_manager.h"
+#include "telemetry/trace.h"
 
 namespace locktune {
 namespace {
@@ -69,44 +70,6 @@ TEST(CountingMonitorTest, CountsByKind) {
   EXPECT_EQ(counter.count(LockEventKind::kTimeout), 1);
   EXPECT_EQ(counter.count(LockEventKind::kEscalation), 0);
   EXPECT_EQ(counter.total(), 3);
-}
-
-TEST(TeeMonitorTest, FansOut) {
-  CountingEventMonitor a, b;
-  TeeEventMonitor tee({&a, &b});
-  tee.OnLockEvent(MakeEvent(LockEventKind::kDeadlockVictim));
-  EXPECT_EQ(a.count(LockEventKind::kDeadlockVictim), 1);
-  EXPECT_EQ(b.count(LockEventKind::kDeadlockVictim), 1);
-}
-
-// Appends "<tag>:<app>" to a shared log so fan-out order is observable.
-class OrderRecordingMonitor : public LockEventMonitor {
- public:
-  OrderRecordingMonitor(std::string tag, std::vector<std::string>* log)
-      : tag_(std::move(tag)), log_(log) {}
-
-  void OnLockEvent(const LockEvent& event) override {
-    log_->push_back(tag_ + ":" + std::to_string(event.app));
-  }
-
- private:
-  std::string tag_;
-  std::vector<std::string>* log_;
-};
-
-TEST(TeeMonitorTest, DeliversEachEventToSinksInConstructionOrder) {
-  std::vector<std::string> log;
-  OrderRecordingMonitor a("a", &log);
-  OrderRecordingMonitor b("b", &log);
-  OrderRecordingMonitor c("c", &log);
-  TeeEventMonitor tee({&a, &b, &c});
-  tee.OnLockEvent(MakeEvent(LockEventKind::kWaitBegin, 1));
-  tee.OnLockEvent(MakeEvent(LockEventKind::kWaitBegin, 2));
-  // Each event is fully delivered to every sink, in construction order,
-  // before the next event starts — downstream sinks (e.g. the trace
-  // bridge) see the same event order as the primary monitor.
-  EXPECT_EQ(log, (std::vector<std::string>{"a:1", "b:1", "c:1", "a:2", "b:2",
-                                           "c:2"}));
 }
 
 TEST(LockEventKindTest, NamesAreStable) {
@@ -225,6 +188,122 @@ TEST_F(MonitoredManagerTest, OutOfMemoryEvent) {
     if (res.outcome == LockOutcome::kOutOfMemory) break;
   }
   EXPECT_GE(events_.count(LockEventKind::kOutOfLockMemory), 1);
+}
+
+// --- the lock manager's trace sink: one `lock_event` record per event ---
+
+// Records of kind "lock_event" whose `event` field is `name`.
+std::vector<TraceRecord> LockEvents(const MemoryTraceSink& sink,
+                                    const std::string& name) {
+  std::vector<TraceRecord> out;
+  for (const TraceRecord& rec : sink.records()) {
+    const std::string* event = rec.Find("event");
+    if (rec.kind() == "lock_event" && event != nullptr &&
+        *event == "\"" + name + "\"") {
+      out.push_back(rec);
+    }
+  }
+  return out;
+}
+
+TEST_F(MonitoredManagerTest, NoTraceSinkAppendsNothing) {
+  Make(90.0, false);
+  MemoryTraceSink sink;  // never installed
+  ASSERT_EQ(lm_->Lock(1, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(2, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  lm_->ReleaseAll(1);
+  EXPECT_EQ(events_.count(LockEventKind::kWaitBegin), 1);
+  EXPECT_EQ(events_.count(LockEventKind::kWaitEnd), 1);
+  EXPECT_TRUE(sink.records().empty());
+}
+
+TEST_F(MonitoredManagerTest, TraceSinkRendersWait) {
+  Make(90.0, false);
+  MemoryTraceSink sink;
+  lm_->set_trace_sink(&sink);
+  clock_.Advance(12'300);
+  ASSERT_EQ(lm_->Lock(1, RowResource(4, 99), LockMode::kX).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(7, RowResource(4, 99), LockMode::kS).outcome,
+            LockOutcome::kWaiting);
+  // The intent table locks were granted without an event; only the row
+  // wait is recorded.
+  ASSERT_EQ(sink.records().size(), 1u);
+  const TraceRecord& rec = sink.records()[0];
+  EXPECT_EQ(rec.kind(), "lock_event");
+  EXPECT_EQ(rec.time_ms(), 12'300);
+  EXPECT_EQ(*rec.Find("event"), "\"WAIT_BEGIN\"");
+  EXPECT_EQ(*rec.Find("app"), "7");
+  EXPECT_EQ(*rec.Find("resource"), "\"row(4,99)\"");
+  EXPECT_EQ(*rec.Find("mode"), "\"S\"");
+  EXPECT_EQ(rec.Find("wait_ms"), nullptr);
+}
+
+TEST_F(MonitoredManagerTest, TraceSinkWaitEndCarriesWaitMs) {
+  Make(90.0, false);
+  MemoryTraceSink sink;
+  lm_->set_trace_sink(&sink);
+  ASSERT_EQ(lm_->Lock(1, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(3, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  clock_.Advance(250);
+  lm_->ReleaseAll(1);
+  const std::vector<TraceRecord> ends = LockEvents(sink, "WAIT_END");
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_EQ(*ends[0].Find("app"), "3");
+  EXPECT_EQ(*ends[0].Find("wait_ms"), "250");
+  EXPECT_EQ(ends[0].time_ms(), 250);
+}
+
+TEST_F(MonitoredManagerTest, TraceSinkEscalationCarriesRowsReleased) {
+  RingBufferEventMonitor ring(64);
+  policy_ = std::make_unique<FixedMaxlocksPolicy>(10.0);
+  LockManagerOptions opts;
+  opts.initial_blocks = 1;
+  opts.max_lock_memory = 8 * kMiB;
+  opts.database_memory = 64 * kMiB;
+  opts.policy = policy_.get();
+  opts.monitor = &ring;
+  LockManager lm(std::move(opts));
+  MemoryTraceSink sink;
+  lm.set_trace_sink(&sink);
+  for (int64_t r = 0; r < 300; ++r) {
+    if (lm.Lock(1, RowResource(kT, r), LockMode::kS).escalated) break;
+  }
+  int64_t rows_released = 0;
+  for (const LockEvent& e : ring.Events()) {
+    if (e.kind == LockEventKind::kEscalation) rows_released = e.value;
+  }
+  ASSERT_GT(rows_released, 100);
+  const std::vector<TraceRecord> escalations = LockEvents(sink, "ESCALATION");
+  ASSERT_EQ(escalations.size(), 1u);
+  EXPECT_EQ(*escalations[0].Find("resource"), "\"tab(1)\"");
+  EXPECT_EQ(*escalations[0].Find("mode"), "\"S\"");
+  EXPECT_EQ(*escalations[0].Find("rows_released"),
+            std::to_string(rows_released));
+  EXPECT_EQ(escalations[0].Find("wait_ms"), nullptr);
+}
+
+TEST_F(MonitoredManagerTest, TraceSinkClearedMidRunStopsRecords) {
+  Make(90.0, false);
+  MemoryTraceSink sink;
+  ASSERT_EQ(lm_->Lock(1, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(2, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kWaiting);  // WAIT_BEGIN before the sink: dropped
+  lm_->set_trace_sink(&sink);
+  lm_->ReleaseAll(1);  // WAIT_END for app 2: recorded
+  lm_->set_trace_sink(nullptr);
+  ASSERT_EQ(lm_->Lock(3, RowResource(kT, 1), LockMode::kX).outcome,
+            LockOutcome::kWaiting);  // WAIT_BEGIN after clearing: dropped
+  EXPECT_EQ(events_.count(LockEventKind::kWaitBegin), 2);
+  EXPECT_EQ(events_.count(LockEventKind::kWaitEnd), 1);
+  ASSERT_EQ(sink.records().size(), 1u);
+  EXPECT_EQ(*sink.records()[0].Find("event"), "\"WAIT_END\"");
+  EXPECT_EQ(*sink.records()[0].Find("app"), "2");
 }
 
 }  // namespace

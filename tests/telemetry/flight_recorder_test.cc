@@ -6,13 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "telemetry/lock_profiler.h"
 
 namespace locktune {
 namespace {
-
-#define SKIP_UNLESS_PROFILING() \
-  if (!ProfileCompiledIn()) GTEST_SKIP() << "LOCKTUNE_PROFILE is off"
 
 // Reads a FILE* produced by dumping into a tmpfile.
 std::string Slurp(std::FILE* f) {
@@ -25,7 +21,6 @@ std::string Slurp(std::FILE* f) {
 }
 
 TEST(FlightRecorderTest, RecordsInOrder) {
-  SKIP_UNLESS_PROFILING();
   ResetFlightRecorderForTesting();
   FlightRecord(FlightEventKind::kEscalation, 10, 1, 7, 0);
   FlightRecord(FlightEventKind::kTimeout, 20, 2, 8, 1);
@@ -42,7 +37,6 @@ TEST(FlightRecorderTest, RecordsInOrder) {
 }
 
 TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
-  SKIP_UNLESS_PROFILING();
   ResetFlightRecorderForTesting();
   const int kRecorded = 300;  // > kFlightRingCapacity (256)
   for (int i = 0; i < kRecorded; ++i) {
@@ -69,7 +63,6 @@ TEST(FlightRecorderTest, EventToStringNamesTheKind) {
 }
 
 TEST(FlightRecorderTest, DumpListsRingsAndEvents) {
-  SKIP_UNLESS_PROFILING();
   ResetFlightRecorderForTesting();
   FlightRecord(FlightEventKind::kOutOfLockMemory, 99, 4, 0, 123);
   std::FILE* f = std::tmpfile();
@@ -83,7 +76,6 @@ TEST(FlightRecorderTest, DumpListsRingsAndEvents) {
 }
 
 TEST(FlightRecorderTest, VictimDumpBudgetIsOncePerProcessWhenArmed) {
-  SKIP_UNLESS_PROFILING();
   ResetFlightRecorderForTesting();  // also restores the budget
   ArmFlightDumpOnVictim(false);
   EXPECT_FALSE(FlightDumpOnVictimArmed());
@@ -100,7 +92,6 @@ TEST(FlightRecorderTest, VictimDumpBudgetIsOncePerProcessWhenArmed) {
 // also runs this binary under LOCKTUNE_PARANOID=1 to cover the paranoid
 // invariant path, which funnels through the same macro.
 TEST(FlightRecorderDeathTest, CheckFailureDumpsRecorder) {
-  SKIP_UNLESS_PROFILING();
   EXPECT_DEATH(
       {
         FlightRecord(FlightEventKind::kEscalation, 7, 1, 2, 3);

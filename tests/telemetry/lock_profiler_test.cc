@@ -12,16 +12,9 @@
 namespace locktune {
 namespace {
 
-// The aggregated-view tests below need the profiler compiled in; the
-// snapshot/percentile tests at the bottom run in every build (the read-side
-// shapes are unconditional).
-#define SKIP_UNLESS_PROFILING() \
-  if (!ProfileCompiledIn()) GTEST_SKIP() << "LOCKTUNE_PROFILE is off"
-
 constexpr int SiteIdx(ProfileSite site) { return static_cast<int>(site); }
 
 TEST(LockProfilerTest, UncontendedGuardCountsAcquireOnly) {
-  SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   Mutex mu;
   // A fresh thread's sampling wheel starts at tick 0, so one full period
@@ -34,7 +27,6 @@ TEST(LockProfilerTest, UncontendedGuardCountsAcquireOnly) {
   });
   worker.join();
   const ProfileSnapshot snap = CaptureProfile();
-  EXPECT_TRUE(snap.compiled_in);
   EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].acquires,
             kProfileSamplePeriod);
   EXPECT_EQ(snap.sites[SiteIdx(ProfileSite::kExclusive)].contended, 0u);
@@ -43,7 +35,6 @@ TEST(LockProfilerTest, UncontendedGuardCountsAcquireOnly) {
 }
 
 TEST(LockProfilerTest, ContendedGuardRecordsWait) {
-  SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   Mutex mu;
   std::atomic<bool> started{false};
@@ -70,7 +61,6 @@ TEST(LockProfilerTest, ContendedGuardRecordsWait) {
 }
 
 TEST(LockProfilerTest, ProfileTimerAlwaysRecordsWait) {
-  SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   { ProfileTimer timer(ProfileSite::kTickBarrier); }
   const ProfileSnapshot snap = CaptureProfile();
@@ -81,7 +71,6 @@ TEST(LockProfilerTest, ProfileTimerAlwaysRecordsWait) {
 }
 
 TEST(LockProfilerTest, HoldTimingIsSampled) {
-  SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   Mutex mu;
   // Two full wheel periods: wherever this thread's tick currently
@@ -98,7 +87,6 @@ TEST(LockProfilerTest, HoldTimingIsSampled) {
 }
 
 TEST(LockProfilerTest, ResetClearsEverything) {
-  SKIP_UNLESS_PROFILING();
   Mutex mu;
   for (uint64_t i = 0; i < kProfileSamplePeriod; ++i) {
     ProfiledMutexGuard guard(mu, ProfileSite::kExclusive);
@@ -117,7 +105,6 @@ TEST(LockProfilerTest, SiteNamesAreStable) {
   EXPECT_STREQ(ProfileSiteName(ProfileSite::kTickBarrier), "tick_barrier");
 }
 
-#if defined(LOCKTUNE_PROFILE)
 TEST(LockProfilerTest, HistogramBucketEdges) {
   // Bucket 0 is < 256 ns; bucket i covers [256·2^(i-1), 256·2^i); the last
   // bucket absorbs overflow. Probe each edge exactly.
@@ -140,7 +127,6 @@ TEST(LockProfilerTest, HistogramBucketEdges) {
   EXPECT_EQ(slab.counts[1].load(), 2u + kProfileSamplePeriod);
   EXPECT_EQ(slab.total.load(), 6u + kProfileSamplePeriod);
 }
-#endif  // LOCKTUNE_PROFILE
 
 TEST(LockProfilerTest, ToHistogramSnapshotShapeAndUnits) {
   ProfileHistogramData h;
@@ -176,7 +162,6 @@ TEST(LockProfilerTest, PercentilesAtBucketEdges) {
 }
 
 TEST(LockProfilerTest, RegisterProfileMetricsExportsFamilies) {
-  SKIP_UNLESS_PROFILING();
   ResetProfileForTesting();
   Mutex mu;
   std::thread worker([&] {

@@ -1,4 +1,4 @@
-// LL009 fixture: timing calls in a src/lock/ path must be profile-gated.
+// LL009 fixture: timing calls in a src/lock/ path need a profile-ok reason.
 #include <chrono>
 
 uint64_t Ungated() {

@@ -124,9 +124,10 @@ TEST(LocklintTest, ProfileTimingRule) {
       RunLocklint(FixtureRoot() + "/src/lock/profile_timing.cc");
   EXPECT_EQ(run.exit_code, 1);
   ExpectViolation(run, "profile_timing.cc", 5, "LL009");
-  // The LOCKTUNE_PROFILE-gated call on line 10 and the suppressed call on
-  // line 16 must not be flagged.
-  EXPECT_NE(run.output.find("1 violation(s)"), std::string::npos)
+  // A preprocessor region is no exemption: the call on line 10 is flagged
+  // too. Only the suppressed call on line 16 is not.
+  ExpectViolation(run, "profile_timing.cc", 10, "LL009");
+  EXPECT_NE(run.output.find("2 violation(s)"), std::string::npos)
       << run.output;
 }
 
@@ -226,10 +227,10 @@ TEST(LocklintTest, WholeFixtureTreeIsDeterministicallySorted) {
   const LintRun run = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.exit_code, 1);
   // 3 wallclock + 2 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
-  // + 2 addr + 1 faultgate + 1 profile + 1 bad-annotation + 2 lockorder
-  // + 2 hotcolumn + 1 orphan hot-column marker + 1 stale-suppression = 21,
+  // + 2 addr + 1 faultgate + 2 profile + 1 bad-annotation + 2 lockorder
+  // + 2 hotcolumn + 1 orphan hot-column marker + 1 stale-suppression = 22,
   // and a second run must be identical.
-  EXPECT_NE(run.output.find("21 violation(s)"), std::string::npos)
+  EXPECT_NE(run.output.find("22 violation(s)"), std::string::npos)
       << run.output;
   const LintRun again = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.output, again.output);

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -193,6 +194,17 @@ std::vector<std::string> Lines(const std::string& text) {
   return lines;
 }
 
+// The value of the unlabeled sample `name` in a Prometheus text dump, or
+// -1 when absent.
+int64_t PromValue(const std::string& prom, const std::string& name) {
+  for (const std::string& line : Lines(prom)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::atoll(line.c_str() + name.size() + 1);
+    }
+  }
+  return -1;
+}
+
 int RunSim(const std::string& args, const std::string& stdout_path,
            const std::string& stderr_path) {
   const std::string cmd = std::string(LOCKTUNE_SIM_BINARY) + " " +
@@ -214,6 +226,8 @@ TEST(SimSmokeTest, MetricsAndTraceFilesParse) {
   const std::vector<std::string> trace_lines = Lines(ReadFile(trace_path));
   ASSERT_GT(trace_lines.size(), 0u);
   int tuning_passes = 0;
+  int64_t wait_begins = 0;
+  int64_t deadlock_victims = 0;
   for (const std::string& line : trace_lines) {
     ASSERT_TRUE(IsValidJsonObject(line)) << "bad JSONL line: " << line;
     EXPECT_NE(line.find("\"t_ms\":"), std::string::npos);
@@ -222,6 +236,12 @@ TEST(SimSmokeTest, MetricsAndTraceFilesParse) {
       ++tuning_passes;
       EXPECT_NE(line.find("\"action\":"), std::string::npos);
       EXPECT_NE(line.find("\"why\":"), std::string::npos);
+    }
+    if (line.find("\"event\":\"WAIT_BEGIN\"") != std::string::npos) {
+      ++wait_begins;
+    }
+    if (line.find("\"event\":\"DEADLOCK_VICTIM\"") != std::string::npos) {
+      ++deadlock_victims;
     }
   }
   EXPECT_GT(tuning_passes, 0);
@@ -259,6 +279,14 @@ TEST(SimSmokeTest, MetricsAndTraceFilesParse) {
   EXPECT_NE(prom.find("locktune_workload_commits_total"), std::string::npos);
   EXPECT_NE(prom.find("locktune_lock_wait_time_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
+
+  // Exactly one lock_event record per counted event: a lost or doubled
+  // emission on the lock manager's trace path breaks the equality.
+  EXPECT_GT(wait_begins, 0);
+  EXPECT_GT(deadlock_victims, 0);
+  EXPECT_EQ(wait_begins, PromValue(prom, "locktune_lock_waits_total"));
+  EXPECT_EQ(deadlock_victims,
+            PromValue(prom, "locktune_lock_deadlock_victims_total"));
 }
 
 TEST(SimSmokeTest, DashWritesBothStreamsToStdout) {

@@ -32,10 +32,9 @@
 //   LL008 faultgate     fault-injection hook in a lock/memory hot path
 //                       without an Armed() fast-path guard nearby
 //   LL009 profile       wall-clock timing call (steady_clock,
-//                       high_resolution_clock, rdtsc) in src/lock/ outside
-//                       a LOCKTUNE_PROFILE gate — raw clock reads belong in
-//                       telemetry/lock_profiler.h, where the OFF build
-//                       compiles them away
+//                       high_resolution_clock, rdtsc) in src/lock/ — raw
+//                       clock reads belong in telemetry/lock_profiler.h,
+//                       which samples them
 //   LL011 lockorder     lock-order violation: an acquisition edge in the
 //                       whole-repo lock graph whose ranks do not strictly
 //                       increase (src/common/lock_rank_table.h), or a
@@ -143,8 +142,8 @@ constexpr RuleInfo kRules[] = {
      "fast-path guard on the same line or the three lines above"},
     {"LL009", "profile",
      "wall-clock timing call (steady_clock, high_resolution_clock, rdtsc) "
-     "in src/lock/ outside a LOCKTUNE_PROFILE gate; keep raw clock reads in "
-     "telemetry/lock_profiler.h or annotate profile-ok(<reason>)"},
+     "in src/lock/; keep raw clock reads in telemetry/lock_profiler.h or "
+     "annotate profile-ok(<reason>)"},
     {"LL011", "lockorder",
      "lock-order violation: acquisition edge whose ranks do not strictly "
      "increase against src/common/lock_rank_table.h, or a cycle in the "
@@ -1198,28 +1197,19 @@ class Linter {
     }
   }
 
-  // Lock-path code must not read a clock unless the read vanishes in
-  // LOCKTUNE_PROFILE=OFF builds: every timing call needs a LOCKTUNE_PROFILE
-  // token on the same line or within the three lines above (an
-  // #if defined(...) region opener or a ProfileCompiledIn() branch), or a
-  // reasoned profile-ok suppression. steady_clock is deterministic-safe
-  // (LL001 does not ban it) but still costs a vDSO call per read — the
-  // profiler's zero-cost-when-off contract is what this rule protects.
+  // Lock-path code must not read a clock: only a reasoned profile-ok
+  // suppression excuses a timing call. steady_clock is deterministic-safe
+  // (LL001 does not ban it) but still costs a vDSO call per read; the
+  // contention profiler (telemetry/lock_profiler.h) owns the lock path's
+  // clock reads and samples them, and this rule keeps it that way.
   void CheckProfileTiming(const std::string& file, const FileText& text,
                           size_t idx, int line_no, const std::string& code) {
     static const std::regex kTiming(
         R"(steady_clock|high_resolution_clock|\b__?rdtscp?\b)");
     std::smatch m;
     if (!std::regex_search(code, m, kTiming)) return;
-    for (size_t j = idx, steps = 0; steps < 4; ++steps) {
-      if (text.code[j].find("LOCKTUNE_PROFILE") != std::string::npos) return;
-      if (j == 0) break;
-      --j;
-    }
     AddUnlessSuppressed(file, text, idx, line_no, "LL009", "profile",
-                        "timing call '" + m[0].str() +
-                            "' in lock-path code without a LOCKTUNE_PROFILE "
-                            "gate");
+                        "timing call '" + m[0].str() + "' in lock-path code");
   }
 
   void CheckNodiscard(const std::string& file, const FileText& text,

@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
         &scenario.database().metrics());
   }
   // Same opt-in contract for the contention profiler's metrics: the
-  // profiler always accumulates (LOCKTUNE_PROFILE builds), but only
-  // surfaces in the registry when asked.
+  // profiler always accumulates, but only surfaces in the registry when
+  // asked (its values are host timings, not simulated behavior).
   if (profile_metrics || inspect) {
     RegisterProfileMetrics(&scenario.database().metrics());
   }
