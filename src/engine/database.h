@@ -75,8 +75,8 @@ class Database {
   void Tick(DurationMs dt);
 
   // Full-structure validation across the wired subsystems: lock manager
-  // accounting (block list, sharded table/pool conservation, per-app held
-  // index), database memory budget conservation, and STMM lock-memory
+  // accounting (block list, lock table/pool conservation, per-app held
+  // lists), database memory budget conservation, and STMM lock-memory
   // accounting. Read-only; never changes observable output.
   [[nodiscard]] Status ValidateInvariants() const;
 

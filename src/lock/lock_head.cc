@@ -1,17 +1,20 @@
 #include "lock/lock_head.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace locktune {
 
 const LockRequest* LockHead::FindHolder(AppId app) const {
-  if (indexed_) {
-    const auto it = index_.find(app);
-    return it == index_.end() ? nullptr : &holders_[it->second];
+  if (live_holders_ == 0) return nullptr;
+  // A tombstone's kDeadHolder app can never match, so no explicit skip.
+  if (first_.app == app) return &first_;
+  if (!extended_) return nullptr;
+  if (ext_->indexed) {
+    const auto it = ext_->index.find(app);
+    if (it == ext_->index.end()) return nullptr;
+    return it->second == 0 ? &first_ : &ext_->holders[it->second - 1];
   }
-  for (const LockRequest& r : holders_) {
+  for (const LockRequest& r : ext_->holders) {
     if (r.app == app) return &r;
   }
   return nullptr;
@@ -23,7 +26,8 @@ LockRequest* LockHead::FindHolder(AppId app) {
 }
 
 LockMode LockHead::GrantedGroupMode(AppId except) const {
-  // Fold the per-mode counts instead of the holder vector: the supremum is
+  if (live_holders_ == 0) return LockMode::kNone;
+  // Fold the per-mode counts instead of the holder slots: the supremum is
   // a commutative lattice join, so count order gives the same answer as
   // arrival order at O(modes) instead of O(holders).
   size_t except_mode = kNumLockModes;
@@ -34,7 +38,7 @@ LockMode LockHead::GrantedGroupMode(AppId except) const {
   }
   LockMode group = LockMode::kNone;
   for (size_t m = 1; m < kNumLockModes; ++m) {
-    const uint32_t count = mode_counts_[m] - (m == except_mode ? 1u : 0u);
+    const uint32_t count = mode_counts_[m - 1] - (m == except_mode ? 1u : 0u);
     if (count > 0) group = Supremum(group, static_cast<LockMode>(m));
   }
   return group;
@@ -42,41 +46,58 @@ LockMode LockHead::GrantedGroupMode(AppId except) const {
 
 void LockHead::AddHolder(const LockRequest& request) {
   LOCKTUNE_DCHECK(request.app != kDeadHolder);
-  holders_.push_back(request);
-  ++live_holders_;
-  ++mode_counts_[static_cast<size_t>(request.mode)];
-  if (indexed_) {
-    index_[request.app] = static_cast<uint32_t>(holders_.size() - 1);
+  LOCKTUNE_DCHECK(request.mode != LockMode::kNone);
+  ++ModeCount(request.mode);
+  if (live_holders_++ == 0) {
+    // No slots while nothing is held (RemoveHolder drops them), so the
+    // holder goes inline and the extension is not touched.
+    first_ = request;
+    return;
+  }
+  Extension& ext = Ext();
+  ext.holders.push_back(request);
+  if (ext.indexed) {
+    ext.index[request.app] = static_cast<uint32_t>(ext.holders.size());
   } else if (live_holders_ > kHolderIndexThreshold) {
     BuildIndex();
   }
 }
 
 void LockHead::BuildIndex() {
-  index_.clear();
-  index_.reserve(live_holders_);
-  for (size_t i = 0; i < holders_.size(); ++i) {
-    if (holders_[i].app != kDeadHolder) {
-      index_[holders_[i].app] = static_cast<uint32_t>(i);
+  Extension& ext = *ext_;
+  ext.index.clear();
+  ext.index.reserve(live_holders_);
+  if (first_.app != kDeadHolder) ext.index[first_.app] = 0;
+  for (size_t i = 0; i < ext.holders.size(); ++i) {
+    if (ext.holders[i].app != kDeadHolder) {
+      ext.index[ext.holders[i].app] = static_cast<uint32_t>(i + 1);
     }
   }
-  indexed_ = true;
+  ext.indexed = true;
 }
 
 void LockHead::CompactHolders() {
+  std::vector<LockRequest>& rest = ext_->holders;
+  size_t in = 0;
+  if (first_.app == kDeadHolder) {
+    // Live holders remain, so one of the later slots is live.
+    while (rest[in].app == kDeadHolder) ++in;
+    first_ = rest[in++];
+  }
   size_t out = 0;
-  for (size_t i = 0; i < holders_.size(); ++i) {
-    if (holders_[i].app == kDeadHolder) continue;
-    if (out != i) holders_[out] = holders_[i];
+  for (; in < rest.size(); ++in) {
+    if (rest[in].app == kDeadHolder) continue;
+    if (out != in) rest[out] = rest[in];
     ++out;
   }
-  holders_.resize(out);
-  dead_holders_ = 0;
-  if (indexed_) BuildIndex();
+  rest.resize(out);
+  ext_->dead_holders = 0;
+  if (ext_->indexed) BuildIndex();
+  NoteExtensionUse();
 }
 
 bool LockHead::CanGrantNew(LockMode mode) const {
-  if (!waiters_.empty()) return false;
+  if (!waiters().empty()) return false;
   return Compatible(GrantedGroupMode(), mode);
 }
 
@@ -85,34 +106,38 @@ bool LockHead::CanGrantConversion(AppId app, LockMode mode) const {
 }
 
 LockBlock* LockHead::RemoveHolder(AppId app) {
-  size_t pos;
-  if (indexed_) {
-    const auto it = index_.find(app);
-    if (it == index_.end()) return nullptr;
-    pos = it->second;
-    index_.erase(it);
-  } else {
-    // A tombstone's kDeadHolder app can never match, so no explicit skip.
-    pos = 0;
-    while (pos < holders_.size() && holders_[pos].app != app) ++pos;
-    if (pos == holders_.size()) return nullptr;
-  }
-  LockRequest& dead = holders_[pos];
-  LockBlock* slot = dead.slot;
-  --mode_counts_[static_cast<size_t>(dead.mode)];
-  --live_holders_;
-  ++dead_holders_;
+  LockRequest* dead = FindHolder(app);
+  if (dead == nullptr) return nullptr;
+  LockBlock* slot = dead->slot;
+  --ModeCount(dead->mode);
   // Tombstone, not erase: arrival order of the survivors is observable
-  // (see holders()), and a stable erase would cost O(holders) per removal.
-  dead.app = kDeadHolder;
-  dead.mode = LockMode::kNone;
-  dead.slot = nullptr;
-  if (dead_holders_ > live_holders_ && dead_holders_ > kHolderIndexThreshold) {
+  // (see ForEachHolder), and a stable erase would cost O(holders) per
+  // removal.
+  dead->app = kDeadHolder;
+  dead->mode = LockMode::kNone;
+  dead->slot = nullptr;
+  if (--live_holders_ == 0) {
+    // The last live holder left: drop every slot, so the next holder is
+    // inline again.
+    if (extended_) {
+      ext_->holders.clear();
+      ext_->dead_holders = 0;
+      if (ext_->indexed) {
+        ext_->index.erase(app);
+        ext_->indexed = false;
+      }
+      NoteExtensionUse();
+    }
+    return slot;
+  }
+  // A live holder remains besides the dead slot, so the extension is in
+  // use.
+  Extension& ext = *ext_;
+  if (ext.indexed) ext.index.erase(app);
+  ++ext.dead_holders;
+  if (ext.dead_holders > live_holders_ &&
+      ext.dead_holders > kHolderIndexThreshold) {
     CompactHolders();
-  } else if (live_holders_ == 0) {
-    holders_.clear();
-    dead_holders_ = 0;
-    if (indexed_) index_.clear();
   }
   return slot;
 }
@@ -120,69 +145,106 @@ LockBlock* LockHead::RemoveHolder(AppId app) {
 void LockHead::EnqueueConversion(const WaitingRequest& w) {
   LOCKTUNE_DCHECK(w.is_conversion);
   // After any already-queued conversions, ahead of all new requests.
-  auto it = waiters_.begin();
-  while (it != waiters_.end() && it->is_conversion) ++it;
-  waiters_.insert(it, w);
+  std::vector<WaitingRequest>& waiters = Ext().waiters;
+  auto it = waiters.begin();
+  while (it != waiters.end() && it->is_conversion) ++it;
+  waiters.insert(it, w);
 }
 
 void LockHead::EnqueueNew(const WaitingRequest& w) {
   LOCKTUNE_DCHECK(!w.is_conversion);
-  waiters_.push_back(w);
+  Ext().waiters.push_back(w);
 }
 
 LockBlock* LockHead::RemoveWaiter(AppId app, bool* removed) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (it->app == app) {
-      LockBlock* slot = it->slot;
-      waiters_.erase(it);
-      if (removed != nullptr) *removed = true;
-      return slot;
+  if (extended_) {
+    std::vector<WaitingRequest>& waiters = ext_->waiters;
+    for (auto it = waiters.begin(); it != waiters.end(); ++it) {
+      if (it->app == app) {
+        LockBlock* slot = it->slot;
+        waiters.erase(it);
+        NoteExtensionUse();
+        if (removed != nullptr) *removed = true;
+        return slot;
+      }
     }
   }
   if (removed != nullptr) *removed = false;
   return nullptr;
 }
 
-bool LockHead::HasWaiter(AppId app) const {
-  return std::any_of(waiters_.begin(), waiters_.end(),
-                     [app](const WaitingRequest& w) { return w.app == app; });
+WaitingRequest LockHead::PopFrontWaiter() {
+  LOCKTUNE_DCHECK(!waiters().empty());
+  std::vector<WaitingRequest>& waiters = ext_->waiters;
+  WaitingRequest w = waiters.front();
+  waiters.erase(waiters.begin());
+  NoteExtensionUse();
+  return w;
 }
 
-WaitingRequest LockHead::PopFrontWaiter() {
-  LOCKTUNE_DCHECK(!waiters_.empty());
-  WaitingRequest w = waiters_.front();
-  waiters_.erase(waiters_.begin());
-  return w;
+void LockHead::Clear() {
+  mode_counts_.fill(0);
+  live_holders_ = 0;
+  if (!extended_) return;
+  ext_->holders.clear();
+  ext_->waiters.clear();
+  // clear() rewrites the whole bucket array; an empty index needs nothing.
+  if (!ext_->index.empty()) ext_->index.clear();
+  ext_->dead_holders = 0;
+  ext_->indexed = false;
+  extended_ = false;
 }
 
 bool LockHead::AggregatesConsistent() const {
   // Recompute the per-mode counts, the live/dead split, and the app → slot
-  // index from the holder vector and compare, so a missed maintenance path
+  // index from the holder slots and compare, so a missed maintenance path
   // fails here (paranoid mode / tests) rather than granting against a
   // stale group mode.
-  std::array<uint32_t, kNumLockModes> counts{};
-  uint32_t live = 0;
-  uint32_t dead = 0;
-  for (const LockRequest& r : holders_) {
-    if (r.app == kDeadHolder) {
-      if (r.mode != LockMode::kNone || r.slot != nullptr) return false;
-      ++dead;
-      continue;
+  if (ext_ != nullptr) {
+    const Extension& ext = *ext_;
+    const bool in_use =
+        !ext.holders.empty() || !ext.waiters.empty() || ext.indexed;
+    if (extended_ != in_use) return false;
+    // An unused extension is fully empty: nothing stale survives for the
+    // node's next life.
+    if (!in_use && (ext.dead_holders != 0 || !ext.index.empty())) {
+      return false;
     }
-    ++counts[static_cast<size_t>(r.mode)];
-    ++live;
-  }
-  if (counts != mode_counts_ || live != live_holders_ ||
-      dead != dead_holders_) {
+  } else if (extended_) {
     return false;
   }
-  if (indexed_) {
-    if (index_.size() != live) return false;
-    for (size_t i = 0; i < holders_.size(); ++i) {
-      if (holders_[i].app == kDeadHolder) continue;
-      const auto it = index_.find(holders_[i].app);
-      if (it == index_.end() || it->second != i) return false;
+  const std::vector<LockRequest>* rest = extended_ ? &ext_->holders : nullptr;
+  if (live_holders_ == 0) {
+    // Nothing held: no slots, no tombstones, no index.
+    return mode_counts_ == decltype(mode_counts_){} &&
+           (!extended_ || (rest->empty() && ext_->dead_holders == 0 &&
+                           !ext_->indexed && ext_->index.empty()));
+  }
+  decltype(mode_counts_) counts{};
+  uint32_t live = 0;
+  uint32_t dead = 0;
+  bool valid = true;
+  ForEachHolder([&](const LockRequest& r) {
+    if (r.app == kDeadHolder) {
+      if (r.mode != LockMode::kNone || r.slot != nullptr) valid = false;
+      ++dead;
+    } else if (r.mode == LockMode::kNone) {
+      valid = false;
+    } else {
+      ++counts[static_cast<size_t>(r.mode) - 1];
+      ++live;
     }
+  });
+  if (!valid || counts != mode_counts_ || live != live_holders_) return false;
+  if (!extended_) return true;
+  if (dead != ext_->dead_holders) return false;
+  if (!ext_->indexed) return ext_->index.empty();
+  if (ext_->index.size() != live) return false;
+  for (uint32_t pos = 0; pos <= rest->size(); ++pos) {
+    const LockRequest& r = pos == 0 ? first_ : (*rest)[pos - 1];
+    if (r.app == kDeadHolder) continue;
+    const auto it = ext_->index.find(r.app);
+    if (it == ext_->index.end() || it->second != pos) return false;
   }
   return true;
 }

@@ -6,11 +6,23 @@
 // request locks, unlike Oracle's sleep-wake-check polling which can jump the
 // queue, §2.3). Conversion requests from an existing holder queue ahead of
 // new requests, the standard treatment that avoids conversion starvation.
+//
+// Layout: a head is sized so that its pooled lock-table node fits one
+// 64-byte cache line, like DB2's 64-byte lock structure (§2.2). It carries
+// its first holder inline, which is all a row lock ever needs: in Figure 9
+// about 98 % of holder insertions are a head's first holder. Everything a
+// shared or contended head needs beyond that — later holders, the wait
+// queue, the app → slot index and the tombstone count — lives in an
+// out-of-line Extension, created the first time a head gets a second holder
+// or a waiter and kept across recycling, so steady-state traffic allocates
+// nothing.
 #ifndef LOCKTUNE_LOCK_LOCK_HEAD_H_
 #define LOCKTUNE_LOCK_LOCK_HEAD_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -26,14 +38,13 @@ using AppId = int32_t;
 
 class LockBlock;
 
-// One lock structure: an application's granted or waiting interest in a
-// resource. Consumes one 64 B slot of lock memory while it exists.
+// One lock structure: an application's granted interest in a resource.
+// Consumes one 64 B slot of lock memory while it exists.
 // locklint: hot-column
 struct LockRequest {
   AppId app = 0;
-  LockMode mode = LockMode::kNone;        // granted mode
-  LockMode convert_to = LockMode::kNone;  // pending conversion target
-  LockBlock* slot = nullptr;              // lock memory slot backing this
+  LockMode mode = LockMode::kNone;  // granted mode
+  LockBlock* slot = nullptr;        // lock memory slot backing this
 };
 static_assert(std::is_trivially_copyable_v<LockRequest>,
               "holder rows are tombstoned and compacted byte-wise");
@@ -55,16 +66,17 @@ class LockHead {
 
   // --- granted group ---
   //
-  // Live holders appear in arrival order, interleaved with tombstones:
-  // RemoveHolder marks the slot dead (app = kDeadHolder, mode = kNone)
-  // instead of erasing it, and the vector is compacted — stably, so
-  // arrival order is preserved — once tombstones outnumber live entries.
-  // Arrival order is observable (the deadlock detector builds waits-for
-  // edges in it, and victim selection on overlapping cycles is
-  // golden-locked to the resulting traversal), which is why removal cannot
-  // swap-erase. Iterating callers need no tombstone check in practice: a
-  // dead slot's app matches no real application and its kNone mode is
-  // compatible with everything, so conflict scans skip it naturally.
+  // Holder slots are kept in arrival order: slot 0 is the inline first
+  // holder, slots 1.. are the extension's. RemoveHolder marks a slot dead
+  // (app = kDeadHolder, mode = kNone) instead of erasing it, and the slots
+  // are compacted — stably, so arrival order is preserved — once tombstones
+  // outnumber live entries; compaction moves the first live holder inline.
+  // A holder added while live holders remain goes after the last slot, never
+  // into a dead inline slot; once the last live holder leaves, every slot
+  // is dropped and the next holder is inline again. Arrival order is
+  // observable (the deadlock detector builds waits-for edges in it, and
+  // victim selection on overlapping cycles is golden-locked to the
+  // resulting traversal), which is why removal cannot swap-erase.
   //
   // Every aggregate the grant check needs is maintained incrementally —
   // per-mode holder counts make GrantedGroupMode O(modes) instead of
@@ -73,10 +85,19 @@ class LockHead {
   // heads are why: with 10^5 concurrent transactions every row lock
   // probes its table's intent head, and a linear holder scan there made
   // the whole lock path O(holders) per request (docs/SCALE.md).
-  const std::vector<LockRequest>& holders() const { return holders_; }
 
-  // Granted (live) holders; holders().size() also counts tombstones.
-  uint32_t live_holder_count() const { return live_holders_; }
+  // Calls fn(const LockRequest&) for every holder slot in arrival order,
+  // tombstones included. Callers need no tombstone check in practice: a
+  // dead slot's app matches no real application and its kNone mode is
+  // compatible with everything, so conflict scans skip it naturally.
+  template <typename Fn>
+  void ForEachHolder(Fn fn) const {
+    if (live_holders_ == 0) return;
+    fn(first_);
+    if (!extended_) return;
+    for (const LockRequest& r : ext_->holders) fn(r);
+  }
+
   bool HasHolders() const { return live_holders_ != 0; }
 
   // `app` of a tombstoned holder slot. Never a real application id.
@@ -84,7 +105,7 @@ class LockHead {
 
   // Live-group size at which the app → slot index is built. Row heads (a
   // handful of holders) never pay the hash-map overhead; table intent
-  // heads cross it once and stay indexed until recycled.
+  // heads cross it once and stay indexed until their last holder leaves.
   static constexpr size_t kHolderIndexThreshold = 16;
 
   // Granted request of `app`, or nullptr.
@@ -104,15 +125,15 @@ class LockHead {
   // holders (conversions do not queue behind new waiters).
   bool CanGrantConversion(AppId app, LockMode mode) const;
 
-  // Appends a granted request.
+  // Appends a granted request. Its mode must not be kNone.
   void AddHolder(const LockRequest& request);
 
   // Changes `holder`'s granted mode (conversion grant, escalation). The
   // only sanctioned way to change a granted mode — a plain `holder->mode =`
   // through FindHolder would leave the per-mode counts stale.
   void SetHolderMode(LockRequest* holder, LockMode mode) {
-    --mode_counts_[static_cast<size_t>(holder->mode)];
-    ++mode_counts_[static_cast<size_t>(mode)];
+    --ModeCount(holder->mode);
+    ++ModeCount(mode);
     holder->mode = mode;
   }
 
@@ -121,7 +142,11 @@ class LockHead {
   LockBlock* RemoveHolder(AppId app);
 
   // --- wait queue ---
-  const std::vector<WaitingRequest>& waiters() const { return waiters_; }
+  // Front = next to service.
+  std::span<const WaitingRequest> waiters() const {
+    if (!extended_) return {};
+    return ext_->waiters;
+  }
 
   // Conversions enter at the front (after other conversions); new requests
   // at the back.
@@ -132,22 +157,12 @@ class LockHead {
   // it was a conversion or absent). Used when a waiter aborts.
   LockBlock* RemoveWaiter(AppId app, bool* removed);
 
-  bool HasWaiter(AppId app) const;
+  bool empty() const { return live_holders_ == 0 && waiters().empty(); }
 
-  bool empty() const { return live_holders_ == 0 && waiters_.empty(); }
-
-  // Drops all holders and waiters but keeps vector capacity — called when a
-  // pooled head node is recycled, so a reused node re-enters service
-  // allocation-free.
-  void Clear() {
-    holders_.clear();
-    waiters_.clear();
-    mode_counts_.fill(0);
-    index_.clear();  // keeps the bucket array for the node's next life
-    indexed_ = false;
-    live_holders_ = 0;
-    dead_holders_ = 0;
-  }
+  // Drops all holders and waiters but keeps the extension and its capacity
+  // — called when a pooled head node is recycled, so a reused node
+  // re-enters service allocation-free.
+  void Clear();
 
   // True when the incrementally maintained aggregates (per-mode counts,
   // live/dead split, app → slot index) match a fresh recomputation
@@ -156,30 +171,60 @@ class LockHead {
 
   // Pops the front waiter. Precondition: !waiters().empty().
   WaitingRequest PopFrontWaiter();
-  const WaitingRequest& FrontWaiter() const { return waiters_.front(); }
+  const WaitingRequest& FrontWaiter() const { return ext_->waiters.front(); }
 
  private:
+  // What a head needs beyond its inline first holder.
+  struct Extension {
+    std::vector<LockRequest> holders;     // holder slots 1.., with tombstones
+    std::vector<WaitingRequest> waiters;  // front = next to service
+    // App → holder slot for live entries; valid iff indexed. clear() keeps
+    // the bucket array, so a pooled node that crossed the threshold once
+    // re-enters service without rehashing.
+    std::unordered_map<AppId, uint32_t> index;
+    uint32_t dead_holders = 0;
+    bool indexed = false;
+  };
+
+  // The extension, created on first use, for a caller about to put a
+  // holder slot, a waiter or the index in it.
+  Extension& Ext() {
+    if (ext_ == nullptr) ext_ = std::make_unique<Extension>();
+    extended_ = true;
+    return *ext_;
+  }
+
+  // Recomputes extended_ after the extension may have emptied.
+  void NoteExtensionUse() {
+    extended_ =
+        !ext_->holders.empty() || !ext_->waiters.empty() || ext_->indexed;
+  }
+
+  // Live holders per granted mode; kNone is never held, so it has no count.
+  uint32_t& ModeCount(LockMode mode) {
+    return mode_counts_[static_cast<size_t>(mode) - 1];
+  }
+
   // Builds the app → slot index over the current live holders (crossing
   // kHolderIndexThreshold). Once built it is maintained incrementally
-  // until Clear().
+  // until the last live holder leaves or Clear().
   void BuildIndex();
 
-  // Stably removes tombstones (arrival order of live entries preserved)
-  // and rebuilds the index. Called when tombstones outnumber live
-  // holders, so its O(slots) cost amortizes to O(1) per removal.
+  // Stably removes tombstones (arrival order of live entries preserved),
+  // moving the first live holder inline, and rebuilds the index. Called
+  // when tombstones outnumber live holders, so its O(slots) cost amortizes
+  // to O(1) per removal.
   void CompactHolders();
 
-  std::vector<LockRequest> holders_;     // arrival order + tombstones
-  std::vector<WaitingRequest> waiters_;  // front = next to service
-  // Live holders per granted mode; GrantedGroupMode folds these.
-  std::array<uint32_t, kNumLockModes> mode_counts_{};
+  LockRequest first_;  // holder slot 0; meaningful iff live_holders_ > 0
+  std::unique_ptr<Extension> ext_;
+  // Live holders per granted mode (ModeCount); GrantedGroupMode folds these.
+  std::array<uint32_t, kNumLockModes - 1> mode_counts_{};
   uint32_t live_holders_ = 0;
-  uint32_t dead_holders_ = 0;
-  // App → holders_ slot for live entries; valid iff indexed_. clear()
-  // keeps the bucket array, so a pooled node that crossed the threshold
-  // once re-enters service without rehashing.
-  std::unordered_map<AppId, uint32_t> index_;
-  bool indexed_ = false;
+  // True while the extension holds a holder slot, a waiter or the index. A
+  // recycled node keeps its emptied extension, so a row head tests this
+  // flag instead of touching the extension's cache lines.
+  bool extended_ = false;
 };
 
 }  // namespace locktune

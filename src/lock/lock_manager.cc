@@ -121,8 +121,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
                                                     const ResourceId& resource,
                                                     LockMode mode,
                                                     bool* escalated) {
-  // One hash serves every table touch this request makes (find, create,
-  // held-index insert).
+  // One hash serves every table touch this request makes (find, create).
   const uint64_t hash = ResourceIdHash{}(resource);
   // Do not create the head until a holder or waiter is actually added:
   // early-return paths below must not leave empty heads behind.
@@ -215,7 +214,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
     r.mode = mode;
     r.slot = alloc.slot;
     head2.AddHolder(r);
-    AddHeldEntry(state, resource, hash, &head2);
+    AddHeldEntry(state, resource, &head2);
     if (resource.kind == ResourceKind::kRow) {
       BumpRowCount(state, resource.table);
     } else {
@@ -450,7 +449,6 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
     if (!slot.live) continue;
     const ResourceId& res = slot.res;
     if (res.kind != ResourceKind::kRow || res.table != table) continue;
-    const uint64_t hash = ResourceIdHash{}(res);
     LockHead* head = slot.head;
     LOCKTUNE_DCHECK(head != nullptr);
     LockBlock* block = head->RemoveHolder(app);
@@ -458,13 +456,12 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
     blocks_.FreeSlot(block);
     --state.held_structures;
     if (head->waiters().empty()) {
-      if (!head->HasHolders()) table_.EraseIfEmpty(res, hash);
+      if (!head->HasHolders()) table_.EraseIfEmpty(res);
     } else {
       work_list_.push_back(res);
     }
     slot.live = false;
     ++state.held_dead;
-    state.held_index.Erase(res, hash);
   }
   const auto it = state.row_locks_per_table.find(table);
   if (it != state.row_locks_per_table.end()) {
@@ -520,11 +517,7 @@ void LockManager::ReleaseAll(AppId app) {
       work_list_.push_back(slot.res);
     }
   }
-  // Clear() (one pass over the slot array, no tombstones) beats per-entry
-  // erases here: those leave tombstone runs that force rehash allocations
-  // on the next transaction's inserts.
   state.held.clear();  // keeps capacity for the next transaction
-  state.held_index.Clear();
   state.held_dead = 0;
   state.row_locks_per_table.clear();
   state.total_row_locks = 0;
@@ -603,7 +596,7 @@ void LockManager::ProcessQueue(const ResourceId& resource) {
       r.slot = granted.slot;
       head.AddHolder(r);
       AppState& state = GetApp(granted.app);
-      AddHeldEntry(state, resource, hash, &head);
+      AddHeldEntry(state, resource, &head);
       if (resource.kind == ResourceKind::kRow) {
         BumpRowCount(state, resource.table);
       } else {
@@ -751,11 +744,11 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
   // Waits-for adjacency in CSR form: node v's successors are
   // succ[first[v] .. first[v + 1]). A waiting application waits for every
   // *other* holder whose granted mode conflicts with its wanted mode
-  // (tombstones hold kNone and conflict with nothing); a new request also
-  // waits for every waiter queued ahead of it (strict FIFO: it cannot
-  // overtake). Edges keep the queue order, duplicates included — an
-  // application can be both a conflicting holder and a conversion queued
-  // ahead.
+  // (tombstones hold kNone and conflict with nothing), in the head's
+  // holder arrival order; a new request also waits for every waiter queued
+  // ahead of it (strict FIFO: it cannot overtake). Edges keep the queue
+  // order, duplicates included — an application can be both a conflicting
+  // holder and a conversion queued ahead.
   std::vector<uint32_t> first(n + 1);
   std::vector<uint32_t> succ;
   std::vector<int64_t> held(n);
@@ -763,13 +756,13 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
     const Node& node = nodes[v];
     first[v] = static_cast<uint32_t>(succ.size());
     held[v] = node.state->held_structures;
-    for (const LockRequest& h : node.head->holders()) {
+    node.head->ForEachHolder([&](const LockRequest& h) {
       if (h.app == node.app || Compatible(h.mode, node.state->wait_mode)) {
-        continue;
+        return;
       }
       const uint32_t target = ids.Find(h.app);
       if (target != DenseIdTable::kAbsent) succ.push_back(target);
-    }
+    });
     if (!node.state->wait_is_conversion) {
       for (const WaitingRequest& w : node.head->waiters()) {
         if (w.app == node.app) break;
@@ -971,8 +964,7 @@ Status LockManager::CheckConsistency() const {
     if (state.waiting) ++blocked;
     int64_t dead = 0;
     int64_t live_rows = 0;
-    for (size_t i = 0; i < state.held.size(); ++i) {
-      const HeldSlot& slot = state.held[i];
+    for (const HeldSlot& slot : state.held) {
       if (!slot.live) {
         ++dead;
         continue;
@@ -986,19 +978,19 @@ Status LockManager::CheckConsistency() const {
       if (slot.head != head) {
         return Status::Internal("held slot head pointer is stale");
       }
-      const uint32_t* idx =
-          state.held_index.Find(slot.res, ResourceIdHash{}(slot.res));
-      if (idx == nullptr || *idx != i) {
-        return Status::Internal("held_index does not point at its slot");
-      }
       if (slot.res.kind == ResourceKind::kRow) ++live_rows;
     }
     if (dead != state.held_dead) {
       return Status::Internal("held_dead does not match tombstone count");
     }
-    if (static_cast<int64_t>(state.held.size()) - dead !=
-        state.held_index.size()) {
-      return Status::Internal("held_index size does not match live slots");
+    // Each live entry is one granted structure and a waiting new request
+    // owns one more, so a duplicate or missing held entry breaks this.
+    const int64_t waiting_new =
+        state.waiting && !state.wait_is_conversion ? 1 : 0;
+    if (static_cast<int64_t>(state.held.size()) - dead + waiting_new !=
+        state.held_structures) {
+      return Status::Internal(
+          "live held entries do not match held_structures");
     }
     int64_t per_table = 0;
     // locklint: ordered-ok(validation only; commutative sum, no output)
@@ -1320,20 +1312,19 @@ void LockManager::DrainWorkList() {
 }
 
 void LockManager::AddHeldEntry(AppState& state, const ResourceId& resource,
-                               uint64_t hash, LockHead* head) {
-  state.held_index.Insert(resource, hash,
-                          static_cast<uint32_t>(state.held.size()));
+                               LockHead* head) {
   state.held.push_back(HeldSlot{resource, head, true});
 }
 
 void LockManager::EraseHeldEntry(AppState& state, const ResourceId& resource) {
-  const uint64_t hash = ResourceIdHash{}(resource);
-  const uint32_t* idx = state.held_index.Find(resource, hash);
-  if (idx == nullptr) return;
-  state.held[*idx].live = false;
-  ++state.held_dead;
-  state.held_index.Erase(resource, hash);
-  CompactHeld(state);
+  for (auto it = state.held.rbegin(); it != state.held.rend(); ++it) {
+    if (it->live && it->res == resource) {
+      it->live = false;
+      ++state.held_dead;
+      CompactHeld(state);
+      return;
+    }
+  }
 }
 
 void LockManager::CompactHeld(AppState& state) {
@@ -1343,14 +1334,10 @@ void LockManager::CompactHeld(AppState& state) {
       2 * static_cast<size_t>(state.held_dead) < state.held.size()) {
     return;
   }
-  uint32_t out = 0;
-  for (uint32_t i = 0; i < state.held.size(); ++i) {
+  size_t out = 0;
+  for (size_t i = 0; i < state.held.size(); ++i) {
     if (!state.held[i].live) continue;
     if (out != i) state.held[out] = state.held[i];
-    uint32_t* idx = state.held_index.Find(
-        state.held[out].res, ResourceIdHash{}(state.held[out].res));
-    LOCKTUNE_DCHECK(idx != nullptr);
-    *idx = out;
     ++out;
   }
   state.held.resize(out);
@@ -1444,21 +1431,6 @@ int64_t LockManager::lock_table_size() const {
   return table_.size();
 }
 
-int64_t LockManager::lock_table_max_shard_size() const {
-  MutexLock guard(mu_);
-  return table_.MaxShardSize();
-}
-
-int LockManager::lock_table_shard_count() const {
-  MutexLock guard(mu_);
-  return table_.shard_count();
-}
-
-std::vector<int64_t> LockManager::lock_table_shard_sizes() const {
-  MutexLock guard(mu_);
-  return table_.ShardSizes();
-}
-
 int64_t LockManager::head_pool_free_nodes() const {
   MutexLock guard(mu_);
   return table_.pool_free_nodes();
@@ -1474,13 +1446,6 @@ void LockManager::RegisterInternalMetrics(MetricsRegistry* registry) {
       "locktune_lock_table_heads", "lock heads resident in the lock table",
       [this] { return static_cast<double>(lock_table_size()); });
   registry->AddCallbackGauge(
-      "locktune_lock_table_shards", "lock table partitions",
-      [this] { return static_cast<double>(lock_table_shard_count()); });
-  registry->AddCallbackGauge(
-      "locktune_lock_table_shard_max_heads",
-      "heads in the most loaded shard (occupancy skew)",
-      [this] { return static_cast<double>(lock_table_max_shard_size()); });
-  registry->AddCallbackGauge(
       "locktune_lock_head_pool_free", "recycled lock-head nodes available",
       [this] { return static_cast<double>(head_pool_free_nodes()); });
   registry->AddCallbackGauge(
@@ -1489,19 +1454,6 @@ void LockManager::RegisterInternalMetrics(MetricsRegistry* registry) {
   registry->AddCallbackGauge(
       "locktune_lock_blocked_apps", "applications blocked on a lock wait",
       [this] { return static_cast<double>(waiting_app_count()); });
-  // Per-shard occupancy, one gauge per shard id so the inspector (and any
-  // Prometheus scrape of an --inspect run) can tell the shards apart.
-  // Zero-padded ids keep registry order lexicographic.
-  const int shards = lock_table_shard_count();
-  for (int i = 0; i < shards; ++i) {
-    char name[64];
-    std::snprintf(name, sizeof(name),
-                  "locktune_lock_table_shard_heads{shard=\"%02d\"}", i);
-    registry->AddCallbackGauge(
-        name, "lock heads resident in this shard", [this, i] {
-          return static_cast<double>(lock_table_shard_sizes()[i]);
-        });
-  }
 }
 
 }  // namespace locktune

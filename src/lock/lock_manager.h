@@ -45,7 +45,6 @@
 #include "lock/lock_mode.h"
 #include "lock/lock_table.h"
 #include "lock/resource.h"
-#include "lock/resource_map.h"
 #include "memory/block_list.h"
 
 namespace locktune {
@@ -170,7 +169,10 @@ class LockManager {
   // two-phase locking), granting unblocked waiters.
   void ReleaseAll(AppId app);
 
-  // Releases one granted resource (used by tests and internal escalation).
+  // Releases one granted resource. Only tests and bench/micro_lock_manager
+  // call it; escalation releases rows through ReleaseRowLocksOnTable and
+  // commit through ReleaseAll. Finds the entry by scanning `app`'s held
+  // list, O(held).
   [[nodiscard]] Status Release(AppId app, const ResourceId& resource);
 
   // True while `app` has a waiting request (possibly an escalation
@@ -265,20 +267,16 @@ class LockManager {
   // are read (under the manager mutex where needed) at Collect() time.
   void RegisterMetrics(MetricsRegistry* registry);
 
-  // Registers the hot-path structure gauges (`locktune_lock_table_*`,
-  // `locktune_lock_head_pool_*`, `locktune_lock_blocked_apps`): shard
-  // occupancy, head-pool slab/free counts, and the blocked-application
-  // count. Kept separate from RegisterMetrics so default runs keep the
+  // Registers the hot-path structure gauges (`locktune_lock_table_heads`,
+  // `locktune_lock_head_pool_*`, `locktune_lock_blocked_apps`): resident
+  // heads, head-pool slab/free counts, and the blocked-application count.
+  // Kept separate from RegisterMetrics so default runs keep the
   // pre-existing metric set (and byte-identical exports); the inspector
   // (`locktune_sim --inspect`) opts in.
   void RegisterInternalMetrics(MetricsRegistry* registry);
 
   // --- introspection into the table/pool (tests and gauges) ---
   int64_t lock_table_size() const;
-  int64_t lock_table_max_shard_size() const;
-  int lock_table_shard_count() const;
-  // Live heads per shard, indexed by shard id.
-  std::vector<int64_t> lock_table_shard_sizes() const;
   int64_t head_pool_free_nodes() const;
   int64_t head_pool_slab_count() const;
 
@@ -288,10 +286,12 @@ class LockManager {
     LockMode mode;
   };
 
-  // One granted resource in an application's held list. Erasing tombstones
-  // the slot (O(1) through held_index) instead of shifting the vector;
-  // grant order — which drives commit-time release order and therefore the
-  // grant cascade — is preserved for the surviving entries.
+  // One granted resource in an application's held list. The list has no
+  // index: commit (ReleaseAll) and escalation (ReleaseRowLocksOnTable) walk
+  // it whole, and the test-only Release scans it. Erasing tombstones the
+  // slot instead of shifting the vector; grant order — which drives
+  // commit-time release order and therefore the grant cascade — is
+  // preserved for the surviving entries.
   //
   // `head` back-references the resource's lock head (DB2 chains lock
   // requests to their lock block the same way): pooled head nodes are
@@ -305,9 +305,10 @@ class LockManager {
 
   struct AppState {
     std::vector<HeldSlot> held;  // granted resources in grant order, unique
-    ResourceHashMap<uint32_t> held_index;  // resource -> index into held
-    int32_t held_dead = 0;                 // tombstoned entries in held
-    int64_t held_structures = 0;           // granted + waiting slots
+    int32_t held_dead = 0;       // tombstoned entries in held
+    // Granted + waiting slots: the live held entries, plus one while the
+    // application waits on a new (non-conversion) request.
+    int64_t held_structures = 0;
     int64_t total_row_locks = 0;  // sum over row_locks_per_table
     std::unordered_map<TableId, int64_t> row_locks_per_table;
     bool waiting = false;
@@ -411,14 +412,12 @@ class LockManager {
   // completes escalation, and issues any continuation.
   void OnWaitGranted(AppId app, const ResourceId& resource) LT_REQUIRES(mu_);
 
-  // Appends `resource` (whose lock head is `head`) to the held list and
-  // indexes it. `hash` is the caller's precomputed ResourceIdHash of
-  // `resource`.
+  // Appends `resource` (whose lock head is `head`) to the held list.
   void AddHeldEntry(AppState& state, const ResourceId& resource,
-                    uint64_t hash, LockHead* head) LT_REQUIRES(mu_);
+                    LockHead* head) LT_REQUIRES(mu_);
 
-  // Tombstones `resource` in the held list (O(1) via held_index),
-  // compacting when tombstones dominate.
+  // Tombstones `resource`'s live entry in the held list, found by a scan
+  // from the newest entry, compacting when tombstones dominate.
   void EraseHeldEntry(AppState& state, const ResourceId& resource);
 
   void CompactHeld(AppState& state);

@@ -1,22 +1,19 @@
-// Sharded, pooled resource → LockHead table (the lock manager's `table_`).
+// Pooled resource → LockHead table (the lock manager's `table_`).
 //
-// Structural decisions that keep the grant/release hot path off the heap:
+// Structural decisions that keep the grant/release hot path off the heap
+// and in cache:
 //
-//  * Sharding: the table is split into a power-of-two number of partitions
-//    selected by the low bits of ResourceIdHash; each shard's directory is a
-//    ResourceHashMap probing on the bits above the shard select, so one
-//    precomputed hash serves both levels and a rehash only ever copies one
-//    shard's slots.
+//  * One directory: a ResourceHashMap from resource to pooled node, probed
+//    with the caller's precomputed ResourceIdHash. Erasure shifts the probe
+//    run back (no tombstones), so a miss stops at the first empty slot.
 //
 //  * Pooling: LockHead nodes live in slab-allocated arrays and are recycled
-//    through a free list. A recycled head keeps its holder/waiter vector
-//    capacity, so steady-state lock/unlock traffic allocates nothing; node
-//    addresses are stable for the node's lifetime, which the lock manager
-//    relies on while draining grant cascades.
-//
-//  * Per-shard pools: slabs and free lists are shard-local, so the pool
-//    gauges and the conservation check (CheckConsistency) account each
-//    shard on its own.
+//    through a free list. A node is one 64-byte cache line — a head with
+//    its first holder inline plus the free-list link — and a recycled head
+//    keeps its extension (later holders, waiters, index) and that
+//    extension's capacity, so steady-state lock/unlock traffic allocates
+//    nothing. Node addresses are stable for the node's lifetime, which the
+//    lock manager relies on while draining grant cascades.
 //
 // Thread safety: none of its own. The owning LockManager serializes every
 // call under its mutex.
@@ -36,13 +33,11 @@ namespace locktune {
 
 class LockTable {
  public:
-  // `shard_count` must be a power of two.
-  explicit LockTable(int shard_count = kDefaultShards);
+  LockTable() = default;
 
   LockTable(const LockTable&) = delete;
   LockTable& operator=(const LockTable&) = delete;
 
-  static constexpr int kDefaultShards = 16;
   // Nodes per slab; slabs are never returned to the heap.
   static constexpr int kSlabNodes = 256;
 
@@ -76,57 +71,41 @@ class LockTable {
   bool EraseIfEmpty(const ResourceId& resource, uint64_t hash);
 
   // Calls fn(const ResourceId&, const LockHead&) for every head. Iteration
-  // order is unspecified (shard/slot order).
+  // order is unspecified (slot order).
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (const Shard& shard : shards_) {
-      shard.dir.ForEach([&fn](const ResourceId& key, const Node* node) {
-        fn(key, node->head);
-      });
-    }
+    dir_.ForEach([&fn](const ResourceId& key, const Node* node) {
+      fn(key, node->head);
+    });
   }
 
   // Full-structure validation (paranoid mode / tests): every directory
   // entry is found by its own probe, every live head's aggregates match a
-  // recomputation, and every pooled node is either live in its shard or on
-  // that shard's free list (per-shard slab/pool conservation). O(total
-  // heads); returns OK or INTERNAL naming the violated invariant.
+  // recomputation, and every pooled node is either live or on the free
+  // list (slab/pool conservation). O(total heads); returns OK or INTERNAL
+  // naming the violated invariant.
   [[nodiscard]] Status CheckConsistency() const;
 
-  // --- introspection (pool/shard gauges) ---
-  int64_t size() const;
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  // Heads in the most loaded shard (occupancy skew indicator).
-  int64_t MaxShardSize() const;
-  // Live-head count per shard, indexed by shard id.
-  std::vector<int64_t> ShardSizes() const;
-  int64_t pool_free_nodes() const;
-  int64_t pool_total_nodes() const;
-  int64_t slab_count() const;
+  // --- introspection (pool gauges) ---
+  int64_t size() const { return dir_.size(); }
+  int64_t pool_free_nodes() const { return pool_free_; }
+  int64_t pool_total_nodes() const { return slab_count() * kSlabNodes; }
+  int64_t slab_count() const { return static_cast<int64_t>(slabs_.size()); }
 
  private:
   struct Node {
     LockHead head;
     Node* next_free = nullptr;
   };
+  static_assert(sizeof(Node) <= 64, "a lock-table node is one cache line");
 
-  // A shard owns its directory and its node pool.
-  struct Shard {
-    explicit Shard(int hash_shift) : dir(hash_shift) {}
+  Node* AllocateNode();
+  void RecycleNode(Node* node);
 
-    ResourceHashMap<Node*> dir;  // live heads
-    std::vector<std::unique_ptr<Node[]>> slabs;
-    Node* free_list = nullptr;
-    int64_t pool_free = 0;
-  };
-
-  static Node* AllocateNode(Shard& shard);
-  static void RecycleNode(Shard& shard, Node* node);
-
-  Shard& ShardFor(uint64_t hash) { return shards_[hash & shard_mask_]; }
-
-  std::vector<Shard> shards_;
-  uint64_t shard_mask_ = 0;
+  ResourceHashMap<Node*> dir_;  // live heads
+  std::vector<std::unique_ptr<Node[]>> slabs_;
+  Node* free_list_ = nullptr;
+  int64_t pool_free_ = 0;
 };
 
 }  // namespace locktune

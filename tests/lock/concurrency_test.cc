@@ -168,10 +168,10 @@ TEST_F(ConcurrencyTest, DisjointDrainLeavesEmptyTable) {
   EXPECT_TRUE(lm_->CheckConsistency().ok());
 }
 
-// Hot-shard mix at 8 threads: every thread hammers the same 64 rows, so
+// Hot-row mix at 8 threads: every thread hammers the same 64 rows, so
 // grants, conversions, waits, and grant cascades on release interleave
 // across threads on the same heads.
-TEST_F(ConcurrencyTest, HotShardContentionStaysConsistent) {
+TEST_F(ConcurrencyTest, HotRowContentionStaysConsistent) {
   constexpr int kThreads = 8;
   constexpr int kOps = 30'000;
   std::atomic<int> ready{0};

@@ -1,9 +1,10 @@
-// LockTable unit tests: shard routing, pooled node recycling, pointer
-// stability, the precomputed-hash fast paths the lock manager relies on,
-// and the self-check of the ResourceHashMap each shard's directory uses.
+// LockTable unit tests: pooled node recycling, pointer stability, the
+// precomputed-hash fast paths the lock manager relies on, and the
+// ResourceHashMap the directory uses (backward-shift erase, self-check).
 #include "lock/lock_table.h"
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,36 +90,23 @@ TEST(LockTableTest, HeadPointersAreStableAcrossInserts) {
     heads.push_back(&table.GetOrCreate(RowResource(1, i)));
   }
   for (int i = 100; i < 1000; ++i) {
-    table.GetOrCreate(RowResource(1, i));  // force shard-map rehashes
+    table.GetOrCreate(RowResource(1, i));  // force directory growth
   }
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(table.Find(RowResource(1, i)), heads[i]) << "row " << i;
   }
 }
 
-TEST(LockTableTest, ShardCountAndOccupancy) {
-  LockTable table(/*shard_count=*/4);
-  EXPECT_EQ(table.shard_count(), 4);
-  for (int i = 0; i < 64; ++i) table.GetOrCreate(RowResource(1, i));
-  EXPECT_EQ(table.size(), 64);
-  // The fullest shard holds at least the mean and no more than everything.
-  EXPECT_GE(table.MaxShardSize(), 16);
-  EXPECT_LE(table.MaxShardSize(), 64);
-  // A single-shard table degenerates to one flat map and still works.
-  LockTable one(/*shard_count=*/1);
-  for (int i = 0; i < 32; ++i) one.GetOrCreate(RowResource(1, i));
-  EXPECT_EQ(one.size(), 32);
-  EXPECT_EQ(one.MaxShardSize(), 32);
-}
-
 TEST(LockTableTest, PoolRecyclesNodesWithoutNewSlabs) {
-  // Pools are shard-local (a shard's mutex covers its own allocator), so
-  // slab counts scale with the number of shards touched, not globally.
-  LockTable table(/*shard_count=*/1);
+  LockTable table;
   ASSERT_EQ(table.slab_count(), 0);
   for (int i = 0; i < 100; ++i) table.GetOrCreate(RowResource(1, i));
   EXPECT_EQ(table.slab_count(), 1);
+  // Conservation: live + free == slabs * kSlabNodes.
+  EXPECT_EQ(table.pool_total_nodes(),
+            table.slab_count() * LockTable::kSlabNodes);
   EXPECT_EQ(table.pool_free_nodes(), LockTable::kSlabNodes - 100);
+  ASSERT_EQ(table.CheckConsistency(), Status::Ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.EraseIfEmpty(RowResource(1, i)));
   }
@@ -132,29 +120,18 @@ TEST(LockTableTest, PoolRecyclesNodesWithoutNewSlabs) {
   }
   EXPECT_EQ(table.slab_count(), 1);
   EXPECT_EQ(table.pool_total_nodes(), LockTable::kSlabNodes);
+  EXPECT_EQ(table.pool_free_nodes(), LockTable::kSlabNodes);
+  EXPECT_EQ(table.CheckConsistency(), Status::Ok());
 }
 
 TEST(LockTableTest, PoolGrowsByWholeSlabs) {
-  LockTable table(/*shard_count=*/1);
+  LockTable table;
   const int n = LockTable::kSlabNodes + 1;
   for (int i = 0; i < n; ++i) table.GetOrCreate(RowResource(1, i));
   EXPECT_EQ(table.slab_count(), 2);
   EXPECT_EQ(table.pool_total_nodes(), 2 * LockTable::kSlabNodes);
   EXPECT_EQ(table.pool_free_nodes(), 2 * LockTable::kSlabNodes - n);
-}
-
-TEST(LockTableTest, ShardedPoolsAreIndependent) {
-  // A default (16-shard) table allocates one slab per shard it touches;
-  // conservation (live + free == slabs * kSlabNodes) holds per shard and in
-  // the summed gauges.
-  LockTable table;
-  for (int i = 0; i < 100; ++i) table.GetOrCreate(RowResource(1, i));
-  EXPECT_GE(table.slab_count(), 1);
-  EXPECT_LE(table.slab_count(), table.shard_count());
-  EXPECT_EQ(table.pool_total_nodes(),
-            table.slab_count() * LockTable::kSlabNodes);
-  EXPECT_EQ(table.pool_free_nodes(), table.pool_total_nodes() - 100);
-  ASSERT_TRUE(table.CheckConsistency().ok());
+  EXPECT_EQ(table.CheckConsistency(), Status::Ok());
 }
 
 TEST(LockTableTest, RecycledHeadComesBackEmpty) {
@@ -218,13 +195,15 @@ TEST(LockTableTest, SlabCountStabilizesAcrossEscalationBursts) {
   EXPECT_EQ(lm.CheckConsistency(), Status::Ok());
 }
 
-// The directory's own recount: size and tombstone bookkeeping (which
-// decide when Insert rehashes) must match the slots after every insert,
-// tombstoning erase, growth, and Clear. A sliding window of keys keeps
-// erasing ahead of inserts, so tombstones are both left and reused; the
-// check runs after each step because a rehash would reset any drift.
+// The directory's own recount: the size (which decides when Insert grows
+// the slot array) must match the slots, and every entry must stay
+// reachable from its home slot, after every insert, backward-shift erase
+// and growth. A sliding window of keys keeps erasing ahead of
+// inserts, so probe runs are both shifted back and refilled; the check
+// runs after each step because growth re-inserts everything and would
+// hide drift.
 TEST(ResourceHashMapTest, SelfCheckHoldsAfterEveryStep) {
-  ResourceHashMap<int> map(/*hash_shift=*/4);
+  ResourceHashMap<int> map;
   const auto key = [](int i) { return RowResource(1, i); };
   const auto hash = [&](int i) { return ResourceIdHash{}(key(i)); };
   ASSERT_EQ(map.CheckConsistency(), Status::Ok());
@@ -242,10 +221,67 @@ TEST(ResourceHashMapTest, SelfCheckHoldsAfterEveryStep) {
   EXPECT_EQ(map.size(), kWindow);
   EXPECT_FALSE(map.Erase(key(0), hash(0)));
   ASSERT_NE(map.Find(key(1299), hash(1299)), nullptr);
+}
+
+// Backward-shift erase inside a probe run that wraps past the end of the
+// slot array. Keys are picked by home slot (the low hash bits, as the map
+// probes them) so that a run starts in the last slots and continues from
+// slot 0: three keys homed at slot 14, two at 15, two at 0, one at 1
+// occupy slots 14, 15, 0, ..., 5. Erasing any one of them, from before,
+// at, or after the wrap, must leave every other key findable.
+TEST(ResourceHashMapTest, EraseInsideAWrappingProbeRun) {
+  constexpr size_t kCapacity = 16;  // the map's first slot array
+  const auto hash = [](const ResourceId& key) { return ResourceIdHash{}(key); };
+  std::vector<ResourceId> keys;
+  for (const auto& [home, count] :
+       std::vector<std::pair<size_t, int>>{{14, 3}, {15, 2}, {0, 2}, {1, 1}}) {
+    int found = 0;
+    for (int64_t row = 0; found < count; ++row) {
+      const ResourceId key = RowResource(7, row);
+      if ((hash(key) & (kCapacity - 1)) != home) continue;
+      bool fresh = true;
+      for (const ResourceId& k : keys) fresh = fresh && !(k == key);
+      if (!fresh) continue;
+      keys.push_back(key);
+      ++found;
+    }
+  }
+  ASSERT_EQ(keys.size(), 8u);
+  for (size_t victim = 0; victim < keys.size(); ++victim) {
+    ResourceHashMap<int> map;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      map.Insert(keys[i], hash(keys[i]), static_cast<int>(i));
+    }
+    ASSERT_EQ(map.capacity(), static_cast<int64_t>(kCapacity));
+    ASSERT_TRUE(map.Erase(keys[victim], hash(keys[victim])));
+    EXPECT_EQ(map.CheckConsistency(), Status::Ok()) << "erase " << victim;
+    EXPECT_EQ(map.size(), static_cast<int64_t>(keys.size()) - 1);
+    EXPECT_EQ(map.Find(keys[victim], hash(keys[victim])), nullptr);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i == victim) continue;
+      const int* value = map.Find(keys[i], hash(keys[i]));
+      ASSERT_NE(value, nullptr) << "erase " << victim << " lost key " << i;
+      EXPECT_EQ(*value, static_cast<int>(i));
+    }
+  }
+}
+
+// With no tombstones, erase/insert churn at a constant size never fills
+// the slot array, so it never grows (or re-hashes) past its high-water
+// mark.
+TEST(ResourceHashMapTest, ChurnAtConstantSizeKeepsCapacity) {
+  ResourceHashMap<int> map;
+  const auto key = [](int i) { return RowResource(2, i); };
+  const auto hash = [&](int i) { return ResourceIdHash{}(key(i)); };
+  constexpr int kLive = 100;
+  for (int i = 0; i < kLive; ++i) map.Insert(key(i), hash(i), i);
   const int64_t capacity = map.capacity();
-  map.Clear();
-  EXPECT_EQ(map.size(), 0);
-  EXPECT_EQ(map.capacity(), capacity);
+  for (int i = 0; i < 20 * static_cast<int>(capacity); ++i) {
+    ASSERT_TRUE(map.Erase(key(i), hash(i)));
+    map.Insert(key(kLive + i), hash(kLive + i), i);
+    ASSERT_EQ(map.capacity(), capacity) << "step " << i;
+  }
+  EXPECT_EQ(map.size(), kLive);
   EXPECT_EQ(map.CheckConsistency(), Status::Ok());
 }
 

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
 
   LoadedScenario& scenario = *loaded.value();
 
-  // Hot-path structure gauges (lock table shards, head pool, blocked apps)
+  // Hot-path structure gauges (lock table heads, head pool, blocked apps)
   // are inspector-only: registering them changes the metric export, and the
   // default --metrics-out must stay identical across runs.
   if (inspect) {
