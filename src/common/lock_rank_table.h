@@ -29,9 +29,8 @@
 //   rank 10  LockManager::mu_       the lock manager's one mutex; every
 //                                   public manager call holds it.
 //   rank 40  leaf telemetry locks   trace writers, chrome trace, flight
-//                                   recorder + profiler registries,
-//                                   histogram buckets. Take nothing
-//                                   underneath.
+//                                   recorder registry, histogram
+//                                   buckets. Take nothing underneath.
 //
 // Adding a lock: give it a rank here, name it in the table below with
 // the same canonical `Class::member` spelling locklint derives, and add
@@ -71,7 +70,6 @@ inline constexpr LockRankEntry kLockRankTable[] = {
     {"MemoryTraceSink::mu_", kLockRankLeaf},
     {"ChromeTraceCollector::mu_", kLockRankLeaf},
     {"flight_recorder::mu", kLockRankLeaf},
-    {"lock_profiler::mu", kLockRankLeaf},
 };
 
 inline constexpr std::size_t kLockRankTableSize =

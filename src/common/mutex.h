@@ -12,9 +12,7 @@
 //     the canonical spelling in common/lock_rank_table.h so the runtime
 //     checker, locklint's graph, and the docs stay in sync.
 //
-// The scoped guard MutexLock replaces std::lock_guard on this type; the
-// profiled variant on the lock hot path lives in telemetry/lock_profiler.h
-// and carries the same annotations.
+// The scoped guard MutexLock replaces std::lock_guard on this type.
 #ifndef LOCKTUNE_COMMON_MUTEX_H_
 #define LOCKTUNE_COMMON_MUTEX_H_
 
@@ -39,11 +37,6 @@ class LT_CAPABILITY("mutex") Mutex {
   void Unlock() LT_RELEASE() {
     LockRankOnRelease(rank_);
     mu_.unlock();
-  }
-  bool TryLock() LT_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    LockRankOnAcquire(rank_, name_);
-    return true;
   }
 
  private:

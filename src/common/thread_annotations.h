@@ -50,11 +50,6 @@
 #define LT_ACQUIRE(...) LT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define LT_RELEASE(...) LT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-// On a bool-returning function: acquires the capability iff the return
-// value equals the first argument.
-#define LT_TRY_ACQUIRE(...) \
-  LT_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 // On a function: callers must NOT hold the capability (deadlock /
 // re-entrancy guard, e.g. MetricsRegistry callbacks must not re-enter
 // the registry).

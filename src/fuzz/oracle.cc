@@ -1,11 +1,10 @@
 #include "fuzz/oracle.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "workload/scenario.h"
 #include "workload/scenario_config.h"
 
 namespace locktune {
@@ -22,21 +21,6 @@ bool WriteFile(const std::string& path, const std::string& text) {
   out << text;
   out.flush();
   return out.good();
-}
-
-// Total application slots of a parsed scenario: max clients per workload
-// group, summed. One slot total means one application ever runs, which is
-// the bit-deterministic-across-threads case (docs/CONCURRENCY.md).
-int64_t TotalClientSlots(const ScenarioSpec& spec) {
-  int64_t total = 0;
-  for (const WorkloadSpec& w : spec.workloads) {
-    int64_t max_clients = 0;
-    for (const auto& [at, count] : w.client_steps) {
-      max_clients = std::max<int64_t>(max_clients, count);
-    }
-    total += max_clients;
-  }
-  return total;
 }
 
 // True when the scenario carries any deny-heap pressure. The degradation
@@ -71,55 +55,6 @@ std::string FirstLines(const std::string& text, int n) {
 
 }  // namespace
 
-std::vector<std::string> CsvColumn(const std::string& csv, size_t index) {
-  std::vector<std::string> column;
-  std::istringstream is(csv);
-  std::string line;
-  bool header = true;
-  while (std::getline(is, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    size_t start = 0;
-    for (size_t col = 0; col < index; ++col) {
-      const size_t comma = line.find(',', start);
-      if (comma == std::string::npos) {
-        start = std::string::npos;
-        break;
-      }
-      start = comma + 1;
-    }
-    if (start == std::string::npos) continue;
-    const size_t end = line.find(',', start);
-    column.push_back(line.substr(
-        start, end == std::string::npos ? std::string::npos : end - start));
-  }
-  return column;
-}
-
-std::vector<std::string> MetricNames(const std::string& metrics_csv) {
-  std::vector<std::string> names;
-  std::istringstream is(metrics_csv);
-  std::string line;
-  bool header = true;
-  while (std::getline(is, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    // Name column may be RFC 4180 quoted (labels); the quoted form is
-    // itself canonical, so keep it verbatim up to the last comma — metric
-    // names can contain commas only inside quotes, values never do.
-    const size_t comma = line.rfind(',');
-    if (comma == std::string::npos) continue;
-    names.push_back(line.substr(0, comma));
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
 double MetricValue(const std::string& metrics_csv, const std::string& name,
                    double fallback) {
   std::istringstream is(metrics_csv);
@@ -131,18 +66,6 @@ double MetricValue(const std::string& metrics_csv, const std::string& name,
     return std::strtod(line.c_str() + comma + 1, nullptr);
   }
   return fallback;
-}
-
-std::vector<std::string> ClientsChangeRecords(const std::string& trace) {
-  std::vector<std::string> records;
-  std::istringstream is(trace);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (Contains(line, "\"kind\":\"clients_change\"")) {
-      records.push_back(line);
-    }
-  }
-  return records;
 }
 
 OracleReport ClassifyRun(const SimRunResult& run) {
@@ -204,107 +127,21 @@ OracleReport EvaluateScenario(const std::string& conf_text,
     return report;
   }
 
-  SimRunRequest base;
-  base.sim_binary = options.sim_binary;
-  base.conf_path = conf_path;
-  base.timeout_ms = options.timeout_ms;
-  base.tick_watchdog_ms = options.tick_watchdog_ms;
-  base.paranoid = true;
-  base.extra_env = options.extra_env;
-  // The series under comparison. `clients` is last: the skeleton compare
-  // needs it, and keeping the default four first leaves the strict
-  // compare's CSV a superset of the tool's default output.
-  base.series = {ScenarioRunner::kLockAllocatedMb,
-                 ScenarioRunner::kLockUsedMb, ScenarioRunner::kThroughputTps,
-                 ScenarioRunner::kEscalations, ScenarioRunner::kClients};
-  const size_t clients_column = base.series.size();  // 0 is time_s
-
-  SimRunRequest t1 = base;
-  t1.threads = 1;
-  t1.metrics_path = options.work_dir + "/t1.metrics.csv";
-  t1.trace_path = options.work_dir + "/t1.trace.jsonl";
-  const SimRunResult r1 = RunSim(t1);
-  if (OracleReport r = ClassifyRun(r1); r.failed) {
-    r.detail = "[--threads 1] " + r.detail;
-    return r;
-  }
-
-  SimRunRequest tn = base;
-  tn.threads = options.threads;
-  tn.metrics_path = options.work_dir + "/tn.metrics.csv";
-  tn.trace_path = options.work_dir + "/tn.trace.jsonl";
-  const SimRunResult rn = RunSim(tn);
-  if (OracleReport r = ClassifyRun(rn); r.failed) {
-    r.detail = "[--threads " + std::to_string(options.threads) + "] " +
-               r.detail;
-    return r;
-  }
-
-  // Both runs either succeeded or were cleanly rejected; a rejection
-  // must at least be the SAME rejection (a thread-count-dependent config
-  // error would be its own bug).
-  if (r1.exit_code != 0 || rn.exit_code != 0) {
-    if (r1.exit_code != rn.exit_code ||
-        r1.stderr_text != rn.stderr_text) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "thread-count-dependent rejection: exit " +
-                      std::to_string(r1.exit_code) + " vs " +
-                      std::to_string(rn.exit_code);
-    }
-    return report;
-  }
-
-  // Differential oracle.
-  if (TotalClientSlots(spec.value()) <= 1) {
-    // Single application: full bit-determinism across thread counts.
-    if (r1.stdout_text != rn.stdout_text) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "single-app series CSV differs between --threads 1 "
-                      "and --threads " + std::to_string(options.threads);
-      return report;
-    }
-    if (r1.metrics_text != rn.metrics_text) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "single-app metrics export differs between thread "
-                      "counts";
-      return report;
-    }
-  } else {
-    // Contended: compare the invariant skeleton.
-    if (CsvColumn(r1.stdout_text, 0) != CsvColumn(rn.stdout_text, 0)) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "sample-time column differs between thread counts";
-      return report;
-    }
-    // The clients series is pure timeline replay — virtual-time scripted,
-    // thread-count-independent by contract.
-    if (CsvColumn(r1.stdout_text, clients_column) !=
-        CsvColumn(rn.stdout_text, clients_column)) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "clients series differs between thread counts";
-      return report;
-    }
-    if (MetricNames(r1.metrics_text) != MetricNames(rn.metrics_text)) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "exported metric name set differs between thread "
-                      "counts";
-      return report;
-    }
-    if (ClientsChangeRecords(r1.trace_text) !=
-        ClientsChangeRecords(rn.trace_text)) {
-      report.failed = true;
-      report.oracle = "differential";
-      report.detail = "clients_change trace records differ between thread "
-                      "counts";
-      return report;
-    }
-  }
+  SimRunRequest request;
+  request.sim_binary = options.sim_binary;
+  request.conf_path = conf_path;
+  request.timeout_ms = options.timeout_ms;
+  request.tick_watchdog_ms = options.tick_watchdog_ms;
+  request.paranoid = true;
+  request.extra_env = options.extra_env;
+  request.metrics_path = options.work_dir + "/candidate.metrics.csv";
+  // Never read back: the trace is written so that fuzzed runs exercise
+  // the JSONL trace path (under ASan builds too).
+  request.trace_path = options.work_dir + "/candidate.trace.jsonl";
+  const SimRunResult run = RunSim(request);
+  if (OracleReport r = ClassifyRun(run); r.failed) return r;
+  // A clean rejection (see ClassifyRun) has no metrics to check.
+  if (run.exit_code != 0) return report;
 
   // Degradation-ledger contract (docs/ROBUSTNESS.md): under selftuning,
   // absorbed deny-heap denials must never surface as OOM aborts —
@@ -312,9 +149,9 @@ OracleReport EvaluateScenario(const std::string& conf_text,
   if (spec.value().database.mode == TuningMode::kSelfTuning &&
       HasDenyHeapFault(spec.value())) {
     const double absorbed =
-        MetricValue(r1.metrics_text, "locktune_fault_absorbed_total", 0);
+        MetricValue(run.metrics_text, "locktune_fault_absorbed_total", 0);
     const double oom = MetricValue(
-        r1.metrics_text, "locktune_workload_oom_aborts_total", 0);
+        run.metrics_text, "locktune_workload_oom_aborts_total", 0);
     if (absorbed > 0 && oom > 0) {
       char detail[160];
       std::snprintf(detail, sizeof(detail),

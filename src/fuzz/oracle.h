@@ -1,19 +1,12 @@
 // The fuzzer's stacked oracles, in the order they veto a scenario:
 //
-//  1. per-run classification — CHECK failure ("invariant"), tick-watchdog
+//  1. run classification — CHECK failure ("invariant"), tick-watchdog
 //     abort or harness kill timeout ("livelock"), any other fatal signal
 //     ("crash"); a clean non-zero exit is an "error" (the scenario is
 //     semantically invalid, e.g. a kill target beyond the population) and
 //     deliberately NOT a failure: the generator must not emit those, but
 //     the minimizer must not chase them either;
-//  2. differential — the same scenario under --threads 1 and --threads N
-//     must agree. Single-application scenarios are bit-deterministic
-//     across thread counts, so they get a strict byte comparison of the
-//     series CSV and the metrics export; contended scenarios are compared
-//     on their invariant skeleton (docs/CONCURRENCY.md): sample-time
-//     column, the `clients` series, the exported metric name set, and the
-//     clients_change trace subsequence;
-//  3. degradation — the docs/ROBUSTNESS.md ledger contract: a selftuning
+//  2. degradation — the docs/ROBUSTNESS.md ledger contract: a selftuning
 //     run whose deny-heap denials were absorbed must show zero OOM aborts.
 //
 // EvaluateScenario is shared verbatim between the fuzz loop and the
@@ -33,8 +26,8 @@ namespace locktune {
 
 struct OracleReport {
   bool failed = false;
-  // One of: "invariant", "livelock", "crash", "differential",
-  // "degradation". Empty when !failed.
+  // One of: "invariant", "livelock", "crash", "degradation". Empty when
+  // !failed.
   std::string oracle;
   std::string detail;
 };
@@ -44,7 +37,6 @@ struct OracleOptions {
   // Scratch directory for the candidate .conf and its artifacts; contents
   // are overwritten on every evaluation.
   std::string work_dir;
-  int threads = 4;  // the N of the t1-vs-tN differential
   int64_t timeout_ms = 30'000;
   int64_t tick_watchdog_ms = 2'000;
   // Extra child environment for every run (the oracle self-tests inject
@@ -55,23 +47,16 @@ struct OracleOptions {
 // Classifies one finished run in isolation (oracle class 1 above).
 OracleReport ClassifyRun(const SimRunResult& run);
 
-// Runs the full stack on `conf_text`: --threads 1 and --threads N, both
-// under LOCKTUNE_PARANOID=1 and the tick watchdog, then the differential
-// and degradation checks. Deterministic for a deterministic simulator.
+// Runs the simulator once on `conf_text`, under LOCKTUNE_PARANOID=1 and the
+// tick watchdog, classifies the run, then applies the degradation check.
+// Deterministic for a deterministic simulator.
 OracleReport EvaluateScenario(const std::string& conf_text,
                               const OracleOptions& options);
 
-// Canonicalization helpers, exposed for unit tests.
-//
-// Column `index` (0-based) of a CSV text, header row skipped.
-std::vector<std::string> CsvColumn(const std::string& csv, size_t index);
-// Sorted unique metric names of a metric,value CSV export.
-std::vector<std::string> MetricNames(const std::string& metrics_csv);
-// The metric's value, or `fallback` when absent.
+// The value of `name` in a metric,value CSV export, or `fallback` when
+// absent. Exposed for unit tests.
 double MetricValue(const std::string& metrics_csv, const std::string& name,
                    double fallback);
-// The clients_change records of a JSONL trace, one canonical line each.
-std::vector<std::string> ClientsChangeRecords(const std::string& trace);
 
 }  // namespace locktune
 

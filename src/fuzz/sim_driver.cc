@@ -70,22 +70,9 @@ SimRunResult RunSim(const SimRunRequest& request) {
   std::vector<std::string> args;
   args.push_back(request.sim_binary);
   args.push_back(request.conf_path);
-  args.push_back("--threads");
-  args.push_back(std::to_string(request.threads));
   if (request.tick_watchdog_ms > 0) {
     args.push_back("--tick-watchdog-ms");
     args.push_back(std::to_string(request.tick_watchdog_ms));
-  }
-  if (!request.series.empty()) {
-    std::string joined;
-    for (const std::string& name : request.series) {
-      if (!joined.empty()) joined += ",";
-      joined += name;
-    }
-    args.push_back("--series");
-    args.push_back(joined);
-    args.push_back("--stride");
-    args.push_back("1");
   }
   if (!request.metrics_path.empty()) {
     args.push_back("--metrics-out");
@@ -177,7 +164,6 @@ SimRunResult RunSim(const SimRunRequest& request) {
   }
 
   result.metrics_text = ReadFileOrEmpty(request.metrics_path);
-  result.trace_text = ReadFileOrEmpty(request.trace_path);
   return result;
 }
 

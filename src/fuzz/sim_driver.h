@@ -1,7 +1,7 @@
 // Subprocess harness: runs locktune_sim on a scenario file and captures
 // everything an oracle needs — exit status, termination signal, wall-clock
 // timeout, stdout (series CSV), stderr (summary + CHECK failures + flight
-// recorder), and the --metrics-out / --trace-out artifacts.
+// recorder), and the --metrics-out export.
 //
 // fork/exec rather than in-process: a fuzzer-provoked crash, sanitizer
 // report, or livelock must never take the fuzzer down with it, the kill
@@ -20,7 +20,6 @@ namespace locktune {
 struct SimRunRequest {
   std::string sim_binary;
   std::string conf_path;
-  int threads = 1;
   // Wall-clock kill budget. A run that exceeds it is SIGKILLed and
   // reported with timed_out = true — the backstop liveness oracle.
   int64_t timeout_ms = 30'000;
@@ -28,15 +27,13 @@ struct SimRunRequest {
   int64_t tick_watchdog_ms = 0;
   // Sets LOCKTUNE_PARANOID=1 in the child (invariant oracle).
   bool paranoid = false;
-  // Extra child environment, e.g. {"LOCKTUNE_TEST_PLANT", "thread_skew"}.
+  // Extra child environment, e.g. {"LOCKTUNE_TEST_PLANT", "invariant"}.
   std::vector<std::pair<std::string, std::string>> extra_env;
-  // When non-empty, passed as --metrics-out / --trace-out and read back
-  // into the result after the run.
+  // When non-empty, passed as --metrics-out and read back into the result
+  // after the run.
   std::string metrics_path;
+  // When non-empty, passed as --trace-out; the file is not read back.
   std::string trace_path;
-  // When non-empty, passed as --series (comma-joined) with --stride 1, so
-  // the stdout CSV carries exactly the columns the oracles canonicalize.
-  std::vector<std::string> series;
 };
 
 struct SimRunResult {
@@ -47,7 +44,6 @@ struct SimRunResult {
   std::string stdout_text;
   std::string stderr_text;
   std::string metrics_text;  // contents of metrics_path ("" if unused)
-  std::string trace_text;    // contents of trace_path ("" if unused)
 
   bool ok() const {
     return started && !timed_out && term_signal == 0 && exit_code == 0;

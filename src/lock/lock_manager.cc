@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/lock_profiler.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -21,7 +20,7 @@ LockManager::LockManager(LockManagerOptions options)
 
 LockResult LockManager::Lock(AppId app, const ResourceId& resource,
                              LockMode mode) {
-  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
+  MutexLock guard(mu_);
   return RequestLocked(app, resource, mode);
 }
 
@@ -59,7 +58,7 @@ BatchResult LockManager::AcquireBatch(AppId app, LockRequestSource& source) {
   // Each item runs the identical path a Lock() call would, in the identical
   // order (the source draws lazily), so a batch is observationally the
   // per-item loop with one mutex acquisition instead of one per item.
-  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
+  MutexLock guard(mu_);
   BatchResult result;
   while (std::optional<BatchItem> item = source.Next()) {
     const LockResult r = RequestLocked(app, item->resource, item->mode);
@@ -473,7 +472,7 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
 }
 
 void LockManager::ReleaseAll(AppId app) {
-  ProfiledMutexGuard guard(mu_, ProfileSite::kExclusive);
+  MutexLock guard(mu_);
   AppState& state = GetApp(app);
 
   if (state.waiting) {

@@ -16,8 +16,8 @@
 //
 // Thread safety: every public member function holds the manager's one
 // mutex, `mu_`, for its whole duration, so calls from several threads
-// (`--threads N`, docs/CONCURRENCY.md) are serialized and each runs exactly
-// the code a single-threaded caller would. The grow callback, the event
+// (library callers; docs/CONCURRENCY.md) are serialized and each runs
+// exactly the code a single-threaded caller would. The grow callback, the event
 // monitor and the trace sink run under `mu_`; the mutex is not re-entrant,
 // so they must not call back into the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_MANAGER_H_

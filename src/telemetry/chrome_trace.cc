@@ -33,9 +33,6 @@ std::string JsonString(const std::string& s) {
 
 }  // namespace
 
-ChromeTraceCollector::ChromeTraceCollector()
-    : t0_(std::chrono::steady_clock::now()) {}
-
 void ChromeTraceCollector::Span(const std::string& name, int pid, int tid,
                                 int64_t ts_us, int64_t dur_us,
                                 const std::string& args_json) {
@@ -50,12 +47,6 @@ void ChromeTraceCollector::Instant(const std::string& name, int pid, int tid,
   events_.push_back({name, 'i', ts_us, 0, pid, tid, args_json});
 }
 
-int64_t ChromeTraceCollector::RealNowUs() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - t0_)
-      .count();
-}
-
 size_t ChromeTraceCollector::event_count() const {
   MutexLock guard(mu_);
   return events_.size();
@@ -64,7 +55,7 @@ size_t ChromeTraceCollector::event_count() const {
 void ChromeTraceCollector::WriteJson(std::ostream& os) const {
   MutexLock guard(mu_);
   std::vector<std::string> lines;
-  lines.reserve(events_.size() + 5);
+  lines.reserve(events_.size() + 4);
   const auto meta = [&lines](int pid, int tid, const char* which,
                              const std::string& name) {
     lines.push_back("{\"name\":\"" + std::string(which) +
@@ -73,7 +64,6 @@ void ChromeTraceCollector::WriteJson(std::ostream& os) const {
                     ",\"args\":{\"name\":" + JsonString(name) + "}}");
   };
   meta(kTracePidSim, 0, "process_name", "sim (virtual time)");
-  meta(kTracePidReal, 0, "process_name", "profiler (real time)");
   meta(kTracePidSim, kTraceTidTicks, "thread_name", "ticks");
   meta(kTracePidSim, kTraceTidStmm, "thread_name", "stmm");
   meta(kTracePidSim, kTraceTidLockEvents, "thread_name", "lock events");

@@ -1,14 +1,9 @@
 // Chrome trace-event JSON exporter (ui.perfetto.dev / chrome://tracing).
 //
-// The collector records complete ("X") and instant ("i") events on two
-// synthetic processes:
-//
-//   pid 1  "sim (virtual time)"  — timestamps are SimClock milliseconds
-//          converted to trace microseconds: tick spans, STMM tuning
-//          passes, escalation/victim/timeout instants. Deterministic.
-//   pid 2  "profiler (real time)" — timestamps are steady_clock
-//          microseconds since the collector was armed: per-tick worker
-//          spans in parallel mode, showing real load imbalance.
+// The collector records complete ("X") and instant ("i") events on one
+// synthetic process, pid 1 "sim (virtual time)": timestamps are SimClock
+// milliseconds converted to trace microseconds — tick spans, STMM tuning
+// passes, escalation/victim/timeout instants. Deterministic.
 //
 // Arming is a process-global pointer (SetGlobalTraceCollector): emission
 // sites are per-tick or per-tuning-pass — cold — and guard themselves
@@ -18,7 +13,6 @@
 #ifndef LOCKTUNE_TELEMETRY_CHROME_TRACE_H_
 #define LOCKTUNE_TELEMETRY_CHROME_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -30,7 +24,6 @@
 namespace locktune {
 
 inline constexpr int kTracePidSim = 1;
-inline constexpr int kTracePidReal = 2;
 
 // Well-known tids on the sim process.
 inline constexpr int kTraceTidTicks = 0;
@@ -49,15 +42,10 @@ struct ChromeTraceEvent {
 
 class ChromeTraceCollector {
  public:
-  ChromeTraceCollector();
-
   void Span(const std::string& name, int pid, int tid, int64_t ts_us,
             int64_t dur_us, const std::string& args_json = "");
   void Instant(const std::string& name, int pid, int tid, int64_t ts_us,
                const std::string& args_json = "");
-
-  // Microseconds of real time since construction (the pid-2 clock).
-  int64_t RealNowUs() const;
 
   size_t event_count() const;
 
@@ -66,11 +54,10 @@ class ChromeTraceCollector {
   void WriteJson(std::ostream& os) const;
 
  private:
-  // Leaf rank: Span/Instant are called from tick loops and workers that
-  // may hold subsystem locks above; the collector takes nothing else.
+  // Leaf rank: Span/Instant are called from the tick loop and from under
+  // the lock manager's mutex; the collector takes nothing else.
   mutable Mutex mu_{kLockRankLeaf, "ChromeTraceCollector::mu_"};
   std::vector<ChromeTraceEvent> events_ LT_GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point t0_;
 };
 
 // Global arming. The caller owns the collector and must disarm (set

@@ -1,8 +1,8 @@
 // Flight recorder: fixed-size per-thread ring buffers of recent lock,
 // tuner, and fault events, dumped post-mortem when an invariant trips.
 //
-// Every recording thread owns a 256-event ring (registered on first use,
-// like the profiler's slabs); a Record() is two index ops and a 40-byte
+// Every recording thread owns a 256-event ring (registered on first use);
+// a Record() is two index ops and a 40-byte
 // struct store, cheap enough to leave on in every build. Rings are dumped
 // to stderr:
 //

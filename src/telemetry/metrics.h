@@ -36,8 +36,8 @@
 namespace locktune {
 
 // Monotonically increasing event count. Lock-free: producers on concurrent
-// worker threads bump it with relaxed atomics (it is a statistic, not a
-// synchronization point).
+// threads (library callers; concurrency_test) bump it with relaxed atomics
+// (it is a statistic, not a synchronization point).
 class Counter {
  public:
   void Increment(int64_t n = 1) {

@@ -62,9 +62,9 @@ class TraceRecord {
 
 // Receives trace records. Implementations must tolerate records arriving
 // from under the lock manager's mutex: be fast, never call back into the
-// producing subsystem. In parallel mode records can arrive from several
-// worker threads; Append must be thread-safe (both implementations below
-// serialize internally).
+// producing subsystem. A library caller may drive one database from
+// several threads, so Append must be thread-safe (both implementations
+// below serialize internally).
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

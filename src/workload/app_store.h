@@ -18,12 +18,11 @@
 // kRunning and kBlocked applications stay in a runnable bitmap that is
 // swept in ascending index order (the lock manager observes requests in
 // the same cross-application order as the legacy all-apps loop, which is
-// what keeps --threads 1 goldens byte-identical). See docs/SCALE.md.
+// what keeps the goldens byte-identical). See docs/SCALE.md.
 #ifndef LOCKTUNE_WORKLOAD_APP_STORE_H_
 #define LOCKTUNE_WORKLOAD_APP_STORE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <type_traits>
@@ -49,19 +48,17 @@ inline constexpr int kNumAppPhases = 5;
 // Stable short name, e.g. "thinking".
 const char* AppPhaseName(AppPhase phase);
 
-// Counters are atomics because several worker threads mirror bumps into one
-// shared sink in parallel mode (reads convert implicitly, so `stats().x`
-// keeps working; relaxed ordering — these are monotonic event counts).
+// Monotonic event counts, per application and in the runner's aggregate.
 struct ApplicationStats {
-  std::atomic<int64_t> commits{0};
-  std::atomic<int64_t> table_plan_txns{0};  // txns compiled to table locking
-  std::atomic<int64_t> deadlock_aborts{0};
-  std::atomic<int64_t> timeout_aborts{0};  // lock waits past LOCKTIMEOUT
-  std::atomic<int64_t> oom_aborts{0};  // txns failed for lack of lock memory
-  std::atomic<int64_t> user_aborts{0};  // client rollbacks (abort storms)
-  std::atomic<int64_t> kill_aborts{0};  // mid-txn connection kills (faults)
-  std::atomic<int64_t> locks_acquired{0};
-  std::atomic<int64_t> blocked_ticks{0};
+  int64_t commits = 0;
+  int64_t table_plan_txns = 0;  // txns compiled to table locking
+  int64_t deadlock_aborts = 0;
+  int64_t timeout_aborts = 0;  // lock waits past LOCKTIMEOUT
+  int64_t oom_aborts = 0;  // txns failed for lack of lock memory
+  int64_t user_aborts = 0;  // client rollbacks (abort storms)
+  int64_t kill_aborts = 0;  // mid-txn connection kills (faults)
+  int64_t locks_acquired = 0;
+  int64_t blocked_ticks = 0;
 };
 
 class AppStore {
@@ -100,8 +97,8 @@ class AppStore {
   }
   const ApplicationStats& stats(uint32_t i) const { return cold_[i].stats; }
 
-  // --- lifecycle (serial contexts only: timeline application, fault
-  // kills, deadlock/timeout treatment — never from the tick sweep) ---
+  // --- lifecycle (timeline application, fault kills, deadlock/timeout
+  // treatment — never from the tick sweep) ---
 
   // Connection management (scenario timelines). Disconnecting
   // mid-transaction aborts it and releases all locks.
@@ -123,25 +120,21 @@ class AppStore {
   //
   // Exactly once per simulation tick, in order:
   //   1. CollectRunnable() — advances the wheel one tick, wakes parked
-  //      applications whose deadline arrived, and rebuilds the runnable
-  //      work list (ascending application index).
-  //   2. Tick(i) for every i in work() — inline for one thread, or
-  //      partitioned into contiguous chunks of the work list across
-  //      workers (each index is ticked by exactly one thread; Tick only
-  //      mutates that application's own columns and row).
-  //   3. FinishSweep() — serial again: applications that parked during
-  //      the sweep (committed, aborted, began holding) leave the runnable
-  //      set and enter the wheel.
+  //      applications whose deadline arrived, and returns the rebuilt
+  //      runnable work list (ascending application index).
+  //   2. Tick(i) for every i in that list, in order.
+  //   3. FinishSweep() — applications that parked during the sweep
+  //      (committed, aborted, began holding) leave the runnable set and
+  //      enter the wheel.
 
   const std::vector<uint32_t>& CollectRunnable();
-  const std::vector<uint32_t>& work() const { return work_; }
   void Tick(uint32_t i);
   void FinishSweep();
 
   // Applications per phase, from one sweep of the phase column (one byte
   // per application). The aggregate view diagnostic tools render instead
   // of per-application rows, which at 10^6 applications stalled the tick
-  // watchdog (docs/SCALE.md). Serial contexts only.
+  // watchdog (docs/SCALE.md).
   std::array<int64_t, kNumAppPhases> PhaseCounts() const;
 
  private:
@@ -176,12 +169,9 @@ class AppStore {
   static constexpr int64_t kWheelSlots = 1024;
 
   // Bumps `field` in application `i`'s stats and in the aggregate sink.
-  void Count(uint32_t i, std::atomic<int64_t> ApplicationStats::* field,
-             int64_t n = 1) {
-    (cold_[i].stats.*field).fetch_add(n, std::memory_order_relaxed);
-    if (sink_ != nullptr) {
-      (sink_->*field).fetch_add(n, std::memory_order_relaxed);
-    }
+  void Count(uint32_t i, int64_t ApplicationStats::* field, int64_t n = 1) {
+    cold_[i].stats.*field += n;
+    if (sink_ != nullptr) sink_->*field += n;
   }
 
   void StartTransaction(uint32_t i);
@@ -222,7 +212,7 @@ class AppStore {
   std::vector<uint64_t> runnable_;
   std::vector<uint32_t> work_;
 
-  std::deque<ColdApp> cold_;  // pointer-stable; atomics never move
+  std::deque<ColdApp> cold_;  // pointer-stable: Add never moves a row
 
   std::vector<std::vector<WheelEntry>> wheel_{
       static_cast<size_t>(kWheelSlots)};

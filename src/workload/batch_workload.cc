@@ -29,7 +29,7 @@ TransactionProfile BatchWorkload::NextTransaction(Rng&) {
 RowAccess BatchWorkload::NextAccess(Rng&) {
   RowAccess a;
   a.table = table_;
-  a.row = cursor_.fetch_add(1, std::memory_order_relaxed) % row_count_;
+  a.row = cursor_++ % row_count_;
   a.mode = options_.mode;
   return a;
 }

@@ -5,8 +5,6 @@
 #ifndef LOCKTUNE_WORKLOAD_BATCH_WORKLOAD_H_
 #define LOCKTUNE_WORKLOAD_BATCH_WORKLOAD_H_
 
-#include <atomic>
-
 #include "engine/catalog.h"
 #include "workload/workload.h"
 
@@ -42,7 +40,7 @@ class BatchWorkload : public Workload {
   BatchOptions options_;
   TableId table_;
   int64_t row_count_;
-  std::atomic<int64_t> cursor_{0};  // shared scan position; see dss_workload.h
+  int64_t cursor_ = 0;  // shared scan position; see dss_workload.h
 };
 
 }  // namespace locktune

@@ -26,7 +26,7 @@ TransactionProfile DssWorkload::NextTransaction(Rng&) {
 RowAccess DssWorkload::NextAccess(Rng&) {
   RowAccess a;
   a.table = table_;
-  a.row = cursor_.fetch_add(1, std::memory_order_relaxed) % row_count_;
+  a.row = cursor_++ % row_count_;
   a.mode = LockMode::kS;
   return a;
 }

@@ -7,8 +7,6 @@
 #ifndef LOCKTUNE_WORKLOAD_DSS_WORKLOAD_H_
 #define LOCKTUNE_WORKLOAD_DSS_WORKLOAD_H_
 
-#include <atomic>
-
 #include "engine/catalog.h"
 #include "workload/workload.h"
 
@@ -40,10 +38,9 @@ class DssWorkload : public Workload {
   DssOptions options_;
   TableId table_;
   int64_t row_count_;
-  // Atomic: one DSS workload feeds every client in its group, and parallel
-  // workers call NextAccess concurrently. fetch_add keeps the scan strictly
-  // sequential in single-threaded mode (same values as before).
-  std::atomic<int64_t> cursor_{0};  // sequential scan position
+  // One DSS workload feeds every client in its group, so the scan
+  // position is shared by all of them.
+  int64_t cursor_ = 0;  // sequential scan position
 };
 
 }  // namespace locktune

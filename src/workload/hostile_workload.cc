@@ -83,7 +83,7 @@ TransactionProfile HostileWorkload::NextTransaction(Rng&) {
 RowAccess HostileWorkload::NextAccess(Rng&) {
   RowAccess a;
   a.table = table_;
-  a.row = cursor_.fetch_add(1, std::memory_order_relaxed) % row_count_;
+  a.row = cursor_++ % row_count_;
   a.mode = options_.mode;
   return a;
 }

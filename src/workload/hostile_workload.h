@@ -16,7 +16,6 @@
 #ifndef LOCKTUNE_WORKLOAD_HOSTILE_WORKLOAD_H_
 #define LOCKTUNE_WORKLOAD_HOSTILE_WORKLOAD_H_
 
-#include <atomic>
 #include <string>
 
 #include "engine/catalog.h"
@@ -61,7 +60,7 @@ class HostileWorkload : public Workload {
   HostileOptions options_;
   TableId table_;
   int64_t row_count_;
-  std::atomic<int64_t> cursor_{0};  // shared scan position; see dss_workload.h
+  int64_t cursor_ = 0;  // shared scan position; see dss_workload.h
 };
 
 }  // namespace locktune

@@ -1,8 +1,6 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -12,7 +10,6 @@
 #include "common/check.h"
 #include "common/paranoid.h"
 #include "telemetry/chrome_trace.h"
-#include "telemetry/lock_profiler.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -70,16 +67,13 @@ ScenarioRunner::ScenarioRunner(Database* db, std::vector<ClientTimeline> groups,
       store_(db, options.tick) {
   LOCKTUNE_CHECK(db != nullptr);
   LOCKTUNE_CHECK(options.tick > 0);
-  LOCKTUNE_CHECK(options.threads >= 1);
   LOCKTUNE_CHECK(options.tick_watchdog_ms >= 0);
   // Deliberate-defect plants for oracle self-tests (docs/FUZZING.md). The
   // variable is unset outside tests/fuzz_e2e, so this is a no-op in
   // production runs.
   if (const char* plant = std::getenv("LOCKTUNE_TEST_PLANT");
       plant != nullptr && *plant != '\0') {
-    if (std::strcmp(plant, "thread_skew") == 0) {
-      planted_ = PlantedBug::kThreadSkew;
-    } else if (std::strcmp(plant, "invariant") == 0) {
+    if (std::strcmp(plant, "invariant") == 0) {
       planted_ = PlantedBug::kInvariant;
     } else if (std::strcmp(plant, "livelock") == 0) {
       planted_ = PlantedBug::kLivelock;
@@ -137,11 +131,11 @@ void ScenarioRunner::RegisterMetrics() {
   }
   registry.AddCallbackCounter(
       "locktune_workload_locks_acquired_total", "row/table locks acquired",
-      [this] { return totals_.locks_acquired.load(std::memory_order_relaxed); });
+      [this] { return totals_.locks_acquired; });
   registry.AddCallbackCounter(
       "locktune_workload_table_plan_txns_total",
       "transactions compiled to table locking",
-      [this] { return totals_.table_plan_txns.load(std::memory_order_relaxed); });
+      [this] { return totals_.table_plan_txns; });
   registry.AddCallbackGauge(
       "locktune_workload_clients", "connected applications",
       [this] { return static_cast<double>(db_->connected_applications()); });
@@ -163,10 +157,6 @@ void ScenarioRunner::RegisterMetrics() {
 void ScenarioRunner::Run() { RunUntil(options_.duration); }
 
 void ScenarioRunner::RunUntil(TimeMs until) {
-  if (options_.threads > 1) {
-    RunUntilParallel(until);
-    return;
-  }
   while (db_->clock().now() < until) {
     const TimeMs now = db_->clock().now();
     BeginTick(now);
@@ -177,75 +167,6 @@ void ScenarioRunner::RunUntil(TimeMs until) {
     for (const uint32_t i : store_.CollectRunnable()) store_.Tick(i);
     FinishTick(now);
   }
-}
-
-// Parallel execution: every tick the coordinator collects the runnable
-// work list serially, then fans it out over options_.threads persistent
-// workers as contiguous, near-equal chunks. Chunking the *runnable* list —
-// not striding application indices — is what balances the tick: with a
-// partly-idle population, `i % threads` assigned workers whole swaths of
-// parked applications while one worker inherited every active client of a
-// dense group. Each index is ticked by exactly one worker, and workers
-// join a barrier before the serial phase (scheduler reconciliation, STMM
-// tuning inside db_->Tick, deadlock/timeout detection, sampling) so it
-// observes a consistent epoch snapshot: no application mutates lock state
-// while it runs. Workers' lock calls serialize on the lock manager's mutex
-// (docs/CONCURRENCY.md); this loop only guarantees the tick-grain phasing.
-void ScenarioRunner::RunUntilParallel(TimeMs until) {
-  const int workers = options_.threads;
-  std::atomic<bool> stop{false};
-  // +1: the coordinator (this thread) participates in both barriers.
-  std::barrier start_barrier(workers + 1);
-  std::barrier done_barrier(workers + 1);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([this, w, workers, &stop, &start_barrier,
-                       &done_barrier] {
-      for (;;) {
-        {
-          // Barrier waits are where load imbalance shows up: a worker that
-          // finished early stalls here until the slowest one arrives.
-          ProfileTimer barrier_wait(ProfileSite::kTickBarrier);
-          start_barrier.arrive_and_wait();
-        }
-        if (stop.load(std::memory_order_acquire)) return;
-        ChromeTraceCollector* trace = GlobalTraceCollector();
-        const int64_t t0 = trace != nullptr ? trace->RealNowUs() : 0;
-        // This tick's chunk: the work list was rebuilt by the coordinator
-        // before the start barrier (which orders it before these reads).
-        const std::vector<uint32_t>& work = store_.work();
-        const size_t chunk =
-            (work.size() + static_cast<size_t>(workers) - 1) /
-            static_cast<size_t>(workers);
-        const size_t begin =
-            std::min(static_cast<size_t>(w) * chunk, work.size());
-        const size_t end = std::min(begin + chunk, work.size());
-        for (size_t k = begin; k < end; ++k) store_.Tick(work[k]);
-        if (trace != nullptr) {
-          // Real-clock span on the profiler process: one slice per worker
-          // per tick, so Perfetto shows the actual parallel overlap.
-          trace->Span("worker_tick", kTracePidReal, w, t0,
-                      trace->RealNowUs() - t0);
-        }
-        {
-          ProfileTimer barrier_wait(ProfileSite::kTickBarrier);
-          done_barrier.arrive_and_wait();
-        }
-      }
-    });
-  }
-  while (db_->clock().now() < until) {
-    const TimeMs now = db_->clock().now();
-    BeginTick(now);
-    store_.CollectRunnable();
-    start_barrier.arrive_and_wait();  // release workers into this tick
-    done_barrier.arrive_and_wait();   // epoch barrier: all apps ticked
-    FinishTick(now);
-  }
-  stop.store(true, std::memory_order_release);
-  start_barrier.arrive_and_wait();  // release workers into the stop check
-  for (std::thread& t : pool) t.join();
 }
 
 void ScenarioRunner::BeginTick(TimeMs now) {
@@ -279,7 +200,7 @@ void ScenarioRunner::FinishTick(TimeMs now) {
 
   // Scheduler reconciliation: applications that parked during the sweep
   // (committed, aborted, began holding) leave the runnable set and enter
-  // the deadline wheel. Serial by contract — workers have joined.
+  // the deadline wheel.
   store_.FinishSweep();
 
   // Advance virtual time; due STMM tuning passes run inside.
@@ -390,14 +311,8 @@ void ScenarioRunner::Sample(TimeMs now) {
   series_.Record(kOverflowMb, now,
                  static_cast<double>(db_->memory().overflow_bytes()) /
                      kBytesPerMb);
-  // The thread_skew plant is the canonical thread-count-dependent bug the
-  // differential oracle must catch: the clients series silently gains
-  // (threads - 1) under --threads N.
-  const double skew = planted_ == PlantedBug::kThreadSkew
-                          ? static_cast<double>(options_.threads - 1)
-                          : 0.0;
   series_.Record(kClients, now,
-                 static_cast<double>(db_->connected_applications()) + skew);
+                 static_cast<double>(db_->connected_applications()));
   series_.Record(kBlockedApps, now,
                  static_cast<double>(db_->locks().waiting_app_count()));
 }

@@ -40,15 +40,6 @@ struct ScenarioOptions {
   // is present); it stays off otherwise so fault-free metric exports are
   // byte-identical to earlier versions.
   bool robustness_metrics = false;
-  // Worker threads driving runnable applications each tick. 1 (default)
-  // is the deterministic single-threaded path — the golden contract. With
-  // N > 1, each tick's runnable work list is partitioned into contiguous
-  // chunks across N workers (idle/parked applications never reach a
-  // worker) whose lock calls serialize on the lock manager's mutex, and
-  // each tick ends at a barrier so the serial phase (STMM tuning,
-  // deadlock/timeout checks, sampling) observes a consistent snapshot.
-  // See docs/CONCURRENCY.md and docs/SCALE.md.
-  int threads = 1;
   // Livelock watchdog: wall-clock budget for one simulation tick, in real
   // milliseconds (0 = off). A tick that exceeds it aborts via
   // LOCKTUNE_CHECK, leaving the grep-stable "CHECK failed" marker plus
@@ -92,7 +83,7 @@ class ScenarioRunner {
   const std::vector<Application>& applications() const { return apps_; }
 
   // The SoA store backing the applications — aggregate views (phase
-  // histogram) for diagnostic tools. Serial contexts only.
+  // histogram) for diagnostic tools.
   const AppStore& store() const { return store_; }
 
   // Series names sampled each sample_period.
@@ -109,15 +100,13 @@ class ScenarioRunner {
   static const char kBlockedApps[];
 
  private:
-  // Serial tick phases shared by both execution modes: BeginTick applies
-  // timelines and due connection kills; FinishTick reconciles the
-  // scheduler (FinishSweep), advances virtual time (STMM passes run
-  // inside), and runs the periodic deadlock/timeout checks and sampling.
-  // Between the two, the store's runnable work list is ticked — inline for
-  // threads == 1, contiguous chunks fanned out over workers otherwise.
+  // The phases around each tick's sweep: BeginTick applies timelines and
+  // due connection kills; FinishTick reconciles the scheduler
+  // (FinishSweep), advances virtual time (STMM passes run inside), and
+  // runs the periodic deadlock/timeout checks and sampling. Between the
+  // two, RunUntil ticks the store's runnable work list in index order.
   void BeginTick(TimeMs now);
   void FinishTick(TimeMs now);
-  void RunUntilParallel(TimeMs until);
   void ApplyTimelines(TimeMs now);
   void Sample(TimeMs now);
   // Registers the workload metric family (`locktune_workload_*`) with the
@@ -149,7 +138,7 @@ class ScenarioRunner {
   // LOCKTUNE_TEST_PLANT environment variable (read once at construction;
   // empty — the production state — disables them all). See
   // docs/FUZZING.md.
-  enum class PlantedBug { kNone, kThreadSkew, kInvariant, kLivelock };
+  enum class PlantedBug { kNone, kInvariant, kLivelock };
   PlantedBug planted_ = PlantedBug::kNone;
 };
 

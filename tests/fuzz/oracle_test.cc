@@ -1,16 +1,79 @@
-// Unit tests for the oracle stack's pure parts: run classification
-// precedence and the canonicalization helpers the differential compare is
-// built from. The end-to-end legs (real simulator, planted bugs) live in
-// fuzz_e2e_test.cc.
+// Unit tests for the oracle stack: run classification precedence, the
+// metric lookup, and EvaluateScenario against a stand-in simulator (a
+// shell script that logs each invocation and writes a chosen metrics
+// export), which is how the degradation oracle is shown to fire. The
+// end-to-end legs (real simulator, planted bugs) live in fuzz_e2e_test.cc.
 #include "fuzz/oracle.h"
 
+#include <sys/stat.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace locktune {
 namespace {
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+// A selftuning scenario with deny-heap pressure: the shape the degradation
+// oracle checks.
+constexpr char kDenyHeapScenario[] =
+    "mode selftuning\n"
+    "duration_s 5\n"
+    "[oltp]\n"
+    "clients 0 1\n"
+    "[fault]\n"
+    "deny_heap locklist 0 2\n";
+
+// Stand-in for locktune_sim: appends one line to `<tag>.log` per
+// invocation, copies `metrics_csv` to the --metrics-out path, and exits
+// with `exit_code`. Returns oracle options that run it.
+OracleOptions StandInSimulator(const std::string& tag,
+                               const std::string& metrics_csv,
+                               int exit_code) {
+  const std::string dir = testing::TempDir();
+  const std::string metrics_path = dir + "oracle_" + tag + ".metrics.csv";
+  const std::string script_path = dir + "oracle_" + tag + ".sh";
+  WriteFile(metrics_path, metrics_csv);
+  std::remove((dir + "oracle_" + tag + ".log").c_str());
+  WriteFile(script_path,
+            "#!/bin/sh\n"
+            "echo run >> '" + dir + "oracle_" + tag + ".log'\n"
+            "while [ $# -gt 0 ]; do\n"
+            "  if [ \"$1\" = --metrics-out ]; then cp '" + metrics_path +
+                "' \"$2\"; fi\n"
+            "  shift\n"
+            "done\n"
+            "exit " + std::to_string(exit_code) + "\n");
+  EXPECT_EQ(chmod(script_path.c_str(), 0755), 0);
+  OracleOptions options;
+  options.sim_binary = script_path;
+  options.work_dir = dir + "oracle_" + tag + ".work";
+  mkdir(options.work_dir.c_str(), 0755);
+  return options;
+}
+
+int Invocations(const std::string& tag) {
+  const std::string log =
+      ReadFile(testing::TempDir() + "oracle_" + tag + ".log");
+  int lines = 0;
+  for (const char c : log) lines += c == '\n';
+  return lines;
+}
 
 SimRunResult CleanRun() {
   SimRunResult run;
@@ -90,30 +153,6 @@ TEST(ClassifyRunTest, CleanConfigRejectionIsNotAFailure) {
   EXPECT_FALSE(ClassifyRun(run).failed);
 }
 
-TEST(CsvColumnTest, ExtractsTheRequestedColumnSkippingTheHeader) {
-  const std::string csv =
-      "time_s,a,b\n"
-      "0,1,2\n"
-      "1,3,4\n";
-  EXPECT_EQ(CsvColumn(csv, 0), (std::vector<std::string>{"0", "1"}));
-  EXPECT_EQ(CsvColumn(csv, 2), (std::vector<std::string>{"2", "4"}));
-  EXPECT_TRUE(CsvColumn(csv, 7).empty());  // out of range: no rows
-}
-
-TEST(MetricNamesTest, SortsDeduplicatesAndKeepsQuotedNames) {
-  const std::string csv =
-      "metric,value\n"
-      "zeta,1\n"
-      "alpha,2\n"
-      "\"hist{le=\"\"+Inf\"\"}\",3\n"
-      "zeta,9\n";
-  const std::vector<std::string> names = MetricNames(csv);
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "\"hist{le=\"\"+Inf\"\"}\"");
-  EXPECT_EQ(names[1], "alpha");
-  EXPECT_EQ(names[2], "zeta");
-}
-
 TEST(MetricValueTest, FindsValuesAndFallsBack) {
   const std::string csv =
       "metric,value\n"
@@ -122,17 +161,6 @@ TEST(MetricValueTest, FindsValuesAndFallsBack) {
   EXPECT_EQ(MetricValue(csv, "locktune_fault_absorbed_total", -1), 12);
   EXPECT_EQ(MetricValue(csv, "locktune_workload_oom_aborts_total", -1), 0);
   EXPECT_EQ(MetricValue(csv, "no_such_metric", -1), -1);
-}
-
-TEST(ClientsChangeRecordsTest, FiltersTheTraceToClientTimelineRecords) {
-  const std::string trace =
-      "{\"t_ms\":0,\"kind\":\"tuning_pass\",\"action\":\"grow\"}\n"
-      "{\"t_ms\":70000,\"kind\":\"clients_change\",\"from\":40,\"to\":41}\n"
-      "{\"t_ms\":80000,\"kind\":\"clients_change\",\"from\":41,\"to\":40}\n";
-  const std::vector<std::string> records = ClientsChangeRecords(trace);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_NE(records[0].find("\"from\":40"), std::string::npos);
-  EXPECT_NE(records[1].find("\"to\":40"), std::string::npos);
 }
 
 TEST(EvaluateScenarioTest, UnparseableTextIsNotAFailure) {
@@ -144,6 +172,47 @@ TEST(EvaluateScenarioTest, UnparseableTextIsNotAFailure) {
   const OracleReport report =
       EvaluateScenario("definitely not a scenario\n", options);
   EXPECT_FALSE(report.failed);
+}
+
+TEST(EvaluateScenarioTest, DegradationFiresWhenAbsorbedDenialsStillOom) {
+  const OracleOptions options = StandInSimulator(
+      "degraded",
+      "metric,value\n"
+      "locktune_fault_absorbed_total,3\n"
+      "locktune_workload_oom_aborts_total,2\n",
+      0);
+  const OracleReport report = EvaluateScenario(kDenyHeapScenario, options);
+  EXPECT_TRUE(report.failed);
+  EXPECT_EQ(report.oracle, "degradation");
+  EXPECT_NE(report.detail.find("absorbed 3 denials yet 2 transactions"),
+            std::string::npos)
+      << report.detail;
+  // One simulator run per evaluated scenario.
+  EXPECT_EQ(Invocations("degraded"), 1);
+}
+
+TEST(EvaluateScenarioTest, AbsorbedDenialsWithoutOomPass) {
+  const OracleOptions options = StandInSimulator(
+      "absorbed",
+      "metric,value\n"
+      "locktune_fault_absorbed_total,3\n"
+      "locktune_workload_oom_aborts_total,0\n",
+      0);
+  EXPECT_FALSE(EvaluateScenario(kDenyHeapScenario, options).failed);
+  EXPECT_EQ(Invocations("absorbed"), 1);
+}
+
+TEST(EvaluateScenarioTest, CleanRejectionIsNotADegradation) {
+  // A clean non-zero exit is a config rejection (see ClassifyRun); its
+  // metrics, even failing ones, are not checked.
+  const OracleOptions options = StandInSimulator(
+      "rejected",
+      "metric,value\n"
+      "locktune_fault_absorbed_total,3\n"
+      "locktune_workload_oom_aborts_total,2\n",
+      1);
+  EXPECT_FALSE(EvaluateScenario(kDenyHeapScenario, options).failed);
+  EXPECT_EQ(Invocations("rejected"), 1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Regression corpus replay: every scenario in scenarios/regression/ is a
 // determinism anchor — it must run clean and, where a .golden.csv sibling
-// exists, its single-thread metrics export must match byte-for-byte. New
+// exists, its metrics export must match byte-for-byte. New
 // minimized fuzzer repros dropped into the directory are picked up
 // automatically (the directory is scanned at runtime); each also gets an
 // individual `regression_replay_<name>` ctest through the full oracle
@@ -46,7 +46,7 @@ TEST(RegressionCorpusTest, CorpusHasAtLeastTheSeedAnchors) {
 TEST(RegressionCorpusTest, EveryScenarioRunsCleanUnderParanoid) {
   for (const std::string& conf : CorpusScenarios()) {
     const std::string cmd = "LOCKTUNE_PARANOID=1 " LOCKTUNE_SIM_BINARY " " +
-                            conf + " --threads 1 > /dev/null 2> " +
+                            conf + " > /dev/null 2> " +
                             testing::TempDir() + "corpus.err";
     const int status = std::system(cmd.c_str());
     EXPECT_EQ(WEXITSTATUS(status), 0)
@@ -63,14 +63,14 @@ TEST(RegressionCorpusTest, GoldenMetricsMatchByteForByte) {
     if (!std::filesystem::exists(golden_path)) continue;
     const std::string out_csv = testing::TempDir() + "corpus_metrics.csv";
     const std::string cmd = std::string(LOCKTUNE_SIM_BINARY) + " " + conf +
-                            " --threads 1 --metrics-out " + out_csv +
+                            " --metrics-out " + out_csv +
                             " > /dev/null 2>&1";
     ASSERT_EQ(WEXITSTATUS(std::system(cmd.c_str())), 0) << conf;
     EXPECT_EQ(ReadFile(out_csv), ReadFile(golden_path))
         << "metrics drift for determinism anchor " << conf
         << " — if the simulator's behavior changed intentionally, "
            "regenerate the golden with: locktune_sim "
-        << conf << " --threads 1 --metrics-out " << golden_path;
+        << conf << " --metrics-out " << golden_path;
     ++compared;
   }
   EXPECT_GE(compared, 3) << "seed anchors must carry golden metrics";

@@ -1,8 +1,9 @@
 // Thread-safety stress for LockManager: concurrent clients from real
 // threads, each running acquire/release transactions, with invariants
-// verified afterwards. `locktune_sim --threads N` drives the manager the
-// same way: its worker threads call Lock/AcquireBatch/ReleaseAll
-// concurrently, and every call serializes on the manager's mutex. The
+// verified afterwards. The simulator drives the manager from one thread;
+// this test holds the library to its thread-safety contract for callers
+// that do not: Lock/AcquireBatch/ReleaseAll run concurrently, and every
+// call serializes on the manager's mutex. The
 // `paranoid_lock_table_concurrency` ctest entry reruns this file with
 // LOCKTUNE_PARANOID=1 (runtime lock-rank checks on every acquisition); the
 // TSan CI leg runs it for data races.

@@ -82,7 +82,7 @@ TEST(WritePrometheusTest, HistogramExpandsToCumulativeBuckets) {
 TEST(WritePrometheusTest, LabeledHistogramSplicesLeIntoLabels) {
   MetricsRegistry reg;
   HistogramMetric* h = reg.AddHistogram(
-      "locktune_profile_wait_ms{site=\"shard\"}", "wait", {1.0, 10.0});
+      "locktune_test_wait_ms{site=\"shard\"}", "wait", {1.0, 10.0});
   h->Observe(0.5);
   h->Observe(5.0);
   h->Observe(50.0);  // overflow
@@ -91,27 +91,27 @@ TEST(WritePrometheusTest, LabeledHistogramSplicesLeIntoLabels) {
   const std::string text = os.str();
   // The family header names the bare family; every series keeps the
   // existing label set, with `le` appended on bucket lines.
-  EXPECT_NE(text.find("# TYPE locktune_profile_wait_ms histogram"),
+  EXPECT_NE(text.find("# TYPE locktune_test_wait_ms histogram"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find(
-                "locktune_profile_wait_ms_bucket{site=\"shard\",le=\"1\"} 1"),
+                "locktune_test_wait_ms_bucket{site=\"shard\",le=\"1\"} 1"),
             std::string::npos)
       << text;
   EXPECT_NE(
       text.find(
-          "locktune_profile_wait_ms_bucket{site=\"shard\",le=\"10\"} 2"),
+          "locktune_test_wait_ms_bucket{site=\"shard\",le=\"10\"} 2"),
       std::string::npos)
       << text;
   EXPECT_NE(
       text.find(
-          "locktune_profile_wait_ms_bucket{site=\"shard\",le=\"+Inf\"} 3"),
+          "locktune_test_wait_ms_bucket{site=\"shard\",le=\"+Inf\"} 3"),
       std::string::npos)
       << text;
-  EXPECT_NE(text.find("locktune_profile_wait_ms_sum{site=\"shard\"} 55.5"),
+  EXPECT_NE(text.find("locktune_test_wait_ms_sum{site=\"shard\"} 55.5"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("locktune_profile_wait_ms_count{site=\"shard\"} 3"),
+  EXPECT_NE(text.find("locktune_test_wait_ms_count{site=\"shard\"} 3"),
             std::string::npos)
       << text;
   // No malformed double-brace series anywhere.
@@ -121,17 +121,17 @@ TEST(WritePrometheusTest, LabeledHistogramSplicesLeIntoLabels) {
 
 TEST(WritePrometheusTest, LabeledHistogramVariantsShareOneFamilyHeader) {
   MetricsRegistry reg;
-  reg.AddHistogram("locktune_profile_wait_ms{site=\"alloc\"}", "wait",
+  reg.AddHistogram("locktune_test_wait_ms{site=\"alloc\"}", "wait",
                    {1.0})
       ->Observe(0.5);
-  reg.AddHistogram("locktune_profile_wait_ms{site=\"shard\"}", "wait",
+  reg.AddHistogram("locktune_test_wait_ms{site=\"shard\"}", "wait",
                    {1.0})
       ->Observe(0.5);
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::string text = os.str();
   const size_t first =
-      text.find("# TYPE locktune_profile_wait_ms histogram");
+      text.find("# TYPE locktune_test_wait_ms histogram");
   ASSERT_NE(first, std::string::npos) << text;
   EXPECT_EQ(text.find("# TYPE", first + 1), std::string::npos) << text;
   EXPECT_NE(text.find("{site=\"alloc\",le=\"1\"} 1"), std::string::npos)

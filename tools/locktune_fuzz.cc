@@ -4,8 +4,6 @@
 //   locktune_fuzz [--seed S] [--count N]
 //     [--sim PATH]             locktune_sim binary (default: next to this
 //                              binary)
-//     [--threads N]            the N of the t1-vs-tN differential oracle
-//                              (default 4)
 //     [--out DIR]              working directory for scenario/artifact
 //                              files (default .locktune_fuzz)
 //     [--budget-ms N]          wall-clock kill budget per simulator run
@@ -73,7 +71,7 @@ std::string ReadFileOrEmpty(const std::string& path) {
 }
 
 constexpr char kUsage[] =
-    "usage: locktune_fuzz [--seed S] [--count N] [--sim PATH] [--threads N] "
+    "usage: locktune_fuzz [--seed S] [--count N] [--sim PATH] "
     "[--out DIR] [--budget-ms N] [--tick-watchdog-ms N] "
     "[--regression-dir DIR] [--plant NAME] [--no-minimize] [--emit-only] "
     "[--replay FILE]";
@@ -83,7 +81,6 @@ constexpr char kUsage[] =
 int main(int argc, char** argv) {
   uint64_t seed = 1;
   int64_t count = 20;
-  int64_t threads = 4;
   int64_t budget_ms = 30'000;
   int64_t tick_watchdog_ms = 2'000;
   std::string sim_binary;
@@ -102,11 +99,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
       if (!ParseInt(argv[++i], &iv) || iv < 1) return Fail(kUsage);
       count = iv;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!ParseInt(argv[++i], &iv) || iv < 2) {
-        return Fail("--threads must be >= 2 (it is the differential N)");
-      }
-      threads = iv;
     } else if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc) {
       if (!ParseInt(argv[++i], &iv) || iv < 1) return Fail(kUsage);
       budget_ms = iv;
@@ -149,7 +141,6 @@ int main(int argc, char** argv) {
   OracleOptions oracle;
   oracle.sim_binary = sim_binary;
   oracle.work_dir = out_dir;
-  oracle.threads = static_cast<int>(threads);
   oracle.timeout_ms = budget_ms;
   oracle.tick_watchdog_ms = tick_watchdog_ms;
   if (!plant.empty()) {

@@ -3,10 +3,6 @@
 // Usage:
 //   locktune_sim <scenario-file>
 //     [--series name,name,...] [--stride N]
-//     [--threads N]            worker threads driving applications; 1
-//                              (default) is the deterministic golden path,
-//                              N > 1 ticks applications on N workers whose
-//                              lock calls serialize on the lock manager
 //     [--metrics-out PATH|-]   Prometheus text dump of the telemetry
 //                              registry after the run (.csv extension
 //                              switches to metric,value CSV)
@@ -19,9 +15,7 @@
 //                              metrics registry + lock event ring buffer
 //     [--trace-profile PATH]   Chrome trace-event JSON (load in
 //                              ui.perfetto.dev): tick/STMM/escalation spans
-//                              on virtual time, worker spans on real time
-//     [--profile-metrics]      add locktune_profile_* contention metrics to
-//                              the registry export (implied by --inspect)
+//                              on virtual time
 //     [--flight-dump]          dump the flight-recorder rings at end of run
 //                              and arm the dump-on-deadlock-victim path
 //     [--tick-watchdog-ms N]   abort (with flight-recorder dump) if one
@@ -50,7 +44,6 @@
 #include "telemetry/crash_handler.h"
 #include "telemetry/exporters.h"
 #include "telemetry/flight_recorder.h"
-#include "telemetry/lock_profiler.h"
 #include "telemetry/trace.h"
 #include "workload/scenario_config.h"
 
@@ -122,10 +115,9 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 constexpr char kUsage[] =
     "usage: locktune_sim <scenario-file> [--series a,b,...] [--stride N] "
-    "[--threads N] [--metrics-out PATH|-] [--trace-out PATH|-] "
+    "[--metrics-out PATH|-] [--trace-out PATH|-] "
     "[--log-level LEVEL] [--stmm-report] [--snapshot] [--inspect] "
-    "[--trace-profile PATH] [--profile-metrics] [--flight-dump] "
-    "[--tick-watchdog-ms N]";
+    "[--trace-profile PATH] [--flight-dump] [--tick-watchdog-ms N]";
 
 }  // namespace
 
@@ -138,12 +130,10 @@ int main(int argc, char** argv) {
       ScenarioRunner::kLockAllocatedMb, ScenarioRunner::kLockUsedMb,
       ScenarioRunner::kThroughputTps, ScenarioRunner::kEscalations};
   size_t stride = 10;
-  int64_t threads = 1;
   int64_t tick_watchdog_ms = 0;
   bool stmm_report = false;
   bool snapshot = false;
   bool inspect = false;
-  bool profile_metrics = false;
   bool flight_dump = false;
   std::string metrics_out;
   std::string trace_out;
@@ -159,12 +149,6 @@ int main(int argc, char** argv) {
                     argv[i] + "\"\n" + kUsage);
       }
       stride = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!ParsePositiveInt(argv[++i], &threads)) {
-        return Fail(std::string("--threads requires a positive integer, got "
-                                "\"") +
-                    argv[i] + "\"\n" + kUsage);
-      }
     } else if (std::strcmp(argv[i], "--tick-watchdog-ms") == 0 &&
                i + 1 < argc) {
       if (!ParsePositiveInt(argv[++i], &tick_watchdog_ms)) {
@@ -178,8 +162,6 @@ int main(int argc, char** argv) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-profile") == 0 && i + 1 < argc) {
       trace_profile_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile-metrics") == 0) {
-      profile_metrics = true;
     } else if (std::strcmp(argv[i], "--flight-dump") == 0) {
       flight_dump = true;
     } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
@@ -203,7 +185,6 @@ int main(int argc, char** argv) {
 
   Result<ScenarioSpec> spec = LoadScenarioFile(argv[1]);
   if (!spec.ok()) return Fail(spec.status().ToString());
-  spec.value().runner.threads = static_cast<int>(threads);
   spec.value().runner.tick_watchdog_ms = tick_watchdog_ms;
 
   // The inspector keeps a lock event flight recorder alongside whatever
@@ -223,12 +204,6 @@ int main(int argc, char** argv) {
   if (inspect) {
     scenario.database().locks().RegisterInternalMetrics(
         &scenario.database().metrics());
-  }
-  // Same opt-in contract for the contention profiler's metrics: the
-  // profiler always accumulates, but only surfaces in the registry when
-  // asked (its values are host timings, not simulated behavior).
-  if (profile_metrics || inspect) {
-    RegisterProfileMetrics(&scenario.database().metrics());
   }
   // Paranoid runs arm the victim dump too: a deadlock victim under paranoid
   // scrutiny is exactly when the recent event history matters. stderr only,

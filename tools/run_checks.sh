@@ -39,8 +39,8 @@ run cmp "$GRAPH_TMP" tests/golden/lock_order_graph.dot
 
 # 2. Default build + the full test suite (includes locklint_repo, the
 #    golden determinism suite, paranoid_golden_run, and the `threads`
-#    label — the deadline-bounded multi-threaded runs the TSan CI leg
-#    selects with `ctest -L threads`).
+#    label — the deadline-bounded lock-manager stress tests the TSan CI
+#    leg selects with `ctest -L threads`).
 run cmake -B build -S . -DLOCKTUNE_WERROR=ON
 run cmake --build build -j
 run ctest --test-dir build --output-on-failure -j 4
