@@ -85,12 +85,12 @@ ViewResult RunWithView(bool stable_view) {
   so.duration = 8 * kMinute;
   ScenarioRunner runner(db.get(), {scan_tl, writer_tl}, so);
   // The compiler applies to the scan client (application index 0).
-  runner.applications()[0].set_compiler(&compiler);
+  runner.store().set_compiler(0, &compiler);
   runner.Run();
 
   int64_t writer_commits = 0;
-  for (size_t i = 1; i < runner.applications().size(); ++i) {
-    writer_commits += runner.applications()[i].stats().commits;
+  for (uint32_t i = 1; i < runner.store().size(); ++i) {
+    writer_commits += runner.store().stats(i).commits;
   }
   return {compiler.table_lock_plans(), writer_commits,
           runner.series().Get(ScenarioRunner::kLockAllocatedMb).MaxValue()};

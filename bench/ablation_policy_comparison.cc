@@ -94,8 +94,8 @@ PolicyResult RunMode(const char* name, TuningMode mode) {
   ScenarioRunner runner(db.get(), {oltp_tl, dss_tl, writer_tl}, so);
   runner.Run();
   int64_t writer_commits = 0;
-  for (size_t i = 61; i < runner.applications().size(); ++i) {
-    writer_commits += runner.applications()[i].stats().commits;
+  for (uint32_t i = 61; i < runner.store().size(); ++i) {
+    writer_commits += runner.store().stats(i).commits;
   }
   return {name,
           runner.total_commits(),

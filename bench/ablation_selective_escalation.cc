@@ -43,7 +43,7 @@ Run RunBatch(bool preferred) {
   ScenarioOptions so;
   so.duration = 8 * kMinute;
   ScenarioRunner runner(db.get(), {oltp_tl, batch_tl}, so);
-  const AppId batch_app = runner.applications()[40].id();
+  const AppId batch_app = runner.store().id(40);
   if (preferred) db->locks().SetEscalationPreferred(batch_app, true);
   runner.Run();
 
@@ -52,10 +52,10 @@ Run RunBatch(bool preferred) {
       runner.series().Get(ScenarioRunner::kLockAllocatedMb).MaxValue();
   r.final_bp_mb = static_cast<double>(db->buffer_pool_heap()->size()) /
                   (1024.0 * 1024.0);
-  r.batch_commits = runner.applications()[40].stats().commits;
+  r.batch_commits = runner.store().stats(40).commits;
   int64_t oltp_commits = 0;
-  for (size_t i = 0; i < 40; ++i) {
-    oltp_commits += runner.applications()[i].stats().commits;
+  for (uint32_t i = 0; i < 40; ++i) {
+    oltp_commits += runner.store().stats(i).commits;
   }
   r.oltp_commits = oltp_commits;
   r.preferred_escalations = db->locks().stats().preferred_escalations;

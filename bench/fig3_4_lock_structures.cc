@@ -5,7 +5,8 @@
 // share-mode readers join the granted group, an exclusive writer chains
 // behind them, a fourth share request queues behind the writer (no
 // overtaking) — and the chain drains in FIFO "post" order as holders
-// release. The trace below comes from the lock event monitor.
+// release. The trace below is the lock manager's `lock_event` records, as
+// a trace sink (telemetry/trace.h) receives them.
 //
 // Figure 4 (Oracle page memory, §2.3): the on-page layout of the ITL
 // model — lock bytes referencing ITL slots, slots added on demand and
@@ -15,8 +16,8 @@
 #include "baseline/oracle_itl.h"
 #include "bench/bench_util.h"
 #include "common/units.h"
-#include "lock/lock_event_monitor.h"
 #include "lock/lock_manager.h"
+#include "telemetry/trace.h"
 
 using namespace locktune;
 
@@ -43,14 +44,14 @@ int main() {
   // ---- Figure 3 ----
   std::printf("Figure 3 — lock queuing on row_x:\n");
   FixedMaxlocksPolicy policy(90.0);
-  RingBufferEventMonitor events(64);
   LockManagerOptions opts;
   opts.initial_blocks = 4;
   opts.max_lock_memory = 8 * kMiB;
   opts.database_memory = 64 * kMiB;
   opts.policy = &policy;
-  opts.monitor = &events;
   LockManager lm(std::move(opts));
+  MemoryTraceSink events;
+  lm.set_trace_sink(&events);
   const ResourceId row_x = RowResource(1, 42);
 
   struct Step {
@@ -81,9 +82,9 @@ int main() {
   std::printf("  app_3 releases:\n    app_4 blocked=%d, holds %s\n",
               lm.IsBlocked(4),
               std::string(ModeName(lm.HeldMode(4, row_x))).c_str());
-  std::printf("\n  event-monitor trace:\n");
-  for (const LockEvent& e : events.Events()) {
-    std::printf("    %s\n", e.ToString().c_str());
+  std::printf("\n  lock-event trace:\n");
+  for (const TraceRecord& rec : events.records()) {
+    std::printf("    %s\n", rec.ToJson().c_str());
   }
 
   // ---- Figure 4 ----

@@ -54,9 +54,9 @@ void InvokeCheckFailureHooks();
   } while (0)
 
 // Hot-path tier: same behavior as LOCKTUNE_CHECK while NDEBUG is off
-// (the default in every project build type). A paranoid build keeps them
-// on even under NDEBUG.
-#if defined(NDEBUG) && !defined(LOCKTUNE_PARANOID)
+// (the default in every project build type: the root CMakeLists strips
+// -DNDEBUG).
+#ifdef NDEBUG
 #define LOCKTUNE_DCHECK(cond) \
   do {                        \
   } while (0)

@@ -12,7 +12,7 @@
 // cannot see.
 //
 // Cost model: the checks are dead weight unless paranoid mode is on
-// (LOCKTUNE_PARANOID env / build flag / SetParanoidForTesting — see
+// (LOCKTUNE_PARANOID env / SetParanoidForTesting — see
 // common/paranoid.h). Disabled, an acquisition pays one predictable
 // branch; never benchmark with it enabled (docs/PERFORMANCE.md).
 #ifndef LOCKTUNE_COMMON_LOCK_RANK_H_

@@ -17,21 +17,9 @@ bool EnvDefault() {
   // magic-static in ParanoidEnabled() serializes the one read anyway.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* env = std::getenv("LOCKTUNE_PARANOID");
-  if (env != nullptr) {
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-        std::strcmp(env, "ON") == 0) {
-      return true;
-    }
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "OFF") == 0) {
-      return false;
-    }
-  }
-#ifdef LOCKTUNE_PARANOID
-  return true;
-#else
-  return false;
-#endif
+  return env != nullptr &&
+         (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
+          std::strcmp(env, "ON") == 0);
 }
 
 }  // namespace

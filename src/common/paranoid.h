@@ -1,10 +1,8 @@
 // Paranoid mode: full-structure invariant validation every simulation tick.
 //
-// Three ways to turn it on, strongest first:
-//   * build with -DLOCKTUNE_PARANOID=ON (cmake option; defines the
-//     LOCKTUNE_PARANOID macro so the default below is true);
+// Two ways to turn it on:
 //   * set LOCKTUNE_PARANOID=1 (or "on") in the environment — works in any
-//     build, which is how the paranoid ctest runs against the stock binary;
+//     build, which is how the paranoid ctests run against the stock binary;
 //   * SetParanoidForTesting(true) from a test.
 //
 // Paranoid validation is read-only and must never change observable output:
@@ -17,8 +15,8 @@ namespace locktune {
 // True when every-tick validators (Database::ValidateInvariants) should run.
 bool ParanoidEnabled();
 
-// Test override; passing the compiled/environment default back is not
-// possible — tests should restore the previous value themselves.
+// Test override; passing the environment default back is not possible —
+// tests should restore the previous value themselves.
 void SetParanoidForTesting(bool on);
 
 }  // namespace locktune

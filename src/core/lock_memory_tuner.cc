@@ -85,11 +85,11 @@ std::string ExplainDecision(const LockTunerInputs& inputs,
 }
 
 LockMemoryTuner::LockMemoryTuner(const TuningParams& params)
-    : params_(params), previous_target_(params.InitialLockMemory()) {
+    : params_(params) {
   LOCKTUNE_CHECK(params.Validate().ok());
 }
 
-LockTunerDecision LockMemoryTuner::Tune(const LockTunerInputs& inputs) {
+LockTunerDecision LockMemoryTuner::Tune(const LockTunerInputs& inputs) const {
   const Bytes allocated = std::max<Bytes>(inputs.allocated, kLockBlockSize);
   const Bytes used = std::clamp<Bytes>(inputs.used, 0, allocated);
   const double free_frac =
@@ -121,9 +121,8 @@ LockTunerDecision LockMemoryTuner::Tune(const LockTunerInputs& inputs) {
     decision.action = LockTunerAction::kShrink;
   } else {
     // Dead band: "no change will be made in the lock memory allocation
-    // levels" (§3.3). The current allocation becomes the target — NOT the
-    // remembered previous target, which can be stale when synchronous
-    // growth expanded the allocation between tuning passes.
+    // levels" (§3.3). The current allocation becomes the target, including
+    // any synchronous growth since the last pass.
     decision.target = allocated;
     decision.action = LockTunerAction::kNone;
   }
@@ -139,7 +138,6 @@ LockTunerDecision LockMemoryTuner::Tune(const LockTunerInputs& inputs) {
     decision.action = LockTunerAction::kNone;
   }
 
-  previous_target_ = decision.target;
   return decision;
 }
 

@@ -12,7 +12,7 @@
 //  * free fraction above maxFreeLockMemory (60 %) → shrink by δ_reduce
 //    (5 % of current size, block-rounded) per interval, but never past the
 //    size at which maxFree would be free;
-//  * otherwise → keep the previous target (the dead band that avoids
+//  * otherwise → keep the current allocation (the dead band that avoids
 //    constant resizing).
 //
 // Every decision is clamped to [minLockMemory(num_applications),
@@ -67,14 +67,8 @@ class LockMemoryTuner {
  public:
   explicit LockMemoryTuner(const TuningParams& params);
 
-  // Computes the new target; also updates the remembered previous target
-  // (the paper's LMOC follows it).
-  LockTunerDecision Tune(const LockTunerInputs& inputs);
-
-  // The remembered target from the last Tune() (initially the configured
-  // initial LOCKLIST).
-  Bytes previous_target() const { return previous_target_; }
-  void set_previous_target(Bytes target) { previous_target_ = target; }
+  // Computes the new target from the current state alone.
+  LockTunerDecision Tune(const LockTunerInputs& inputs) const;
 
   const TuningParams& params() const { return params_; }
 
@@ -82,7 +76,6 @@ class LockMemoryTuner {
   Bytes Clamp(Bytes target, int num_applications, bool* clamped) const;
 
   TuningParams params_;
-  Bytes previous_target_;
 };
 
 }  // namespace locktune

@@ -30,7 +30,6 @@ StmmController::StmmController(const TuningParams& params,
       timer_(clock, params.tuning_interval),
       lmoc_(params.InitialLockMemory()) {
   LOCKTUNE_CHECK(params.Validate().ok());
-  tuner_.set_previous_target(lock_heap_->size());
   lmoc_ = lock_heap_->size();
 }
 

@@ -121,7 +121,6 @@ Status Database::Init() {
   lmo.policy = policy_.get();
   lmo.clock = &clock_;
   lmo.lock_timeout = options_.lock_timeout;
-  lmo.monitor = options_.lock_monitor;
   switch (options_.mode) {
     case TuningMode::kSelfTuning:
       // Synchronous growth lands in the STMM controller (overflow memory,

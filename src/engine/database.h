@@ -1,6 +1,5 @@
 // The database facade: wires the shared memory set, the lock manager, the
 // escalation policy, and (when self-tuning is on) the STMM controller. The
-// user's lock event monitor goes straight to the lock manager, and the
 // structured trace sink is forwarded to every producer of trace records.
 //
 // Three configurations are supported, matching the paper's comparisons:
@@ -46,9 +45,6 @@ struct DatabaseOptions {
 
   // DB2 LOCKTIMEOUT: negative waits forever (the product default).
   DurationMs lock_timeout = -1;
-
-  // Optional lock event monitor (borrowed; must outlive the database).
-  LockEventMonitor* lock_monitor = nullptr;
 
   // Catalog scale factor (row-count ranges).
   double catalog_scale = 1.0;

@@ -5,6 +5,7 @@
 
 #include "core/stmm_report.h"
 #include "telemetry/exporters.h"
+#include "telemetry/flight_recorder.h"
 
 namespace locktune {
 
@@ -112,9 +113,7 @@ std::string RenderSnapshot(const DatabaseSnapshot& s) {
   return out;
 }
 
-std::string RenderInspector(Database& db, int max_app_id,
-                            const RingBufferEventMonitor* ring,
-                            size_t ring_tail) {
+std::string RenderInspector(Database& db, int max_app_id, size_t tail) {
   std::string out = RenderSnapshot(CaptureSnapshot(db, max_app_id));
   out += "\n";
   out += RenderRegistryTable(db.metrics());
@@ -123,17 +122,16 @@ std::string RenderInspector(Database& db, int max_app_id,
     out += RenderHistoryTable(db.stmm()->history(), 10);
     out += RenderSummary(Summarize(db.stmm()->history()));
   }
-  if (ring != nullptr) {
-    const std::vector<LockEvent> events = ring->Events();
-    const size_t shown = std::min(ring_tail, events.size());
-    char line[120];
-    std::snprintf(line, sizeof(line),
-                  "\nlock event ring buffer (%lld total, last %zu):\n",
-                  static_cast<long long>(ring->total_events()), shown);
-    out += line;
-    for (size_t i = events.size() - shown; i < events.size(); ++i) {
-      out += "  " + events[i].ToString() + "\n";
-    }
+  const std::vector<FlightEvent> events = RecentFlightEvents();
+  const size_t shown = std::min(tail, events.size());
+  char line[120];
+  std::snprintf(line, sizeof(line),
+                "\nflight recorder (%llu events, last %zu):\n",
+                static_cast<unsigned long long>(FlightEventsRecorded()),
+                shown);
+  out += line;
+  for (size_t i = events.size() - shown; i < events.size(); ++i) {
+    out += "  " + events[i].ToString() + "\n";
   }
   return out;
 }

@@ -56,11 +56,10 @@ DatabaseSnapshot CaptureSnapshot(Database& db, int max_app_id,
 std::string RenderSnapshot(const DatabaseSnapshot& snapshot);
 
 // The `locktune_pd` full inspection: the snapshot above, the telemetry
-// registry table, the last STMM tuning passes, and (when a flight recorder
-// is attached) the tail of the lock event ring buffer.
-std::string RenderInspector(Database& db, int max_app_id,
-                            const RingBufferEventMonitor* ring = nullptr,
-                            size_t ring_tail = 20);
+// registry table, the last STMM tuning passes, and the last `tail` events
+// of the calling thread's flight-recorder ring (lock events, tuner passes
+// and faults), one FlightEvent::ToString() line each.
+std::string RenderInspector(Database& db, int max_app_id, size_t tail = 20);
 
 }  // namespace locktune
 

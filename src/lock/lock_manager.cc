@@ -1,6 +1,7 @@
 #include "lock/lock_manager.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -10,6 +11,26 @@
 #include "telemetry/trace.h"
 
 namespace locktune {
+
+std::string_view LockEventKindName(LockEventKind kind) {
+  switch (kind) {
+    case LockEventKind::kWaitBegin:
+      return "WAIT_BEGIN";
+    case LockEventKind::kWaitEnd:
+      return "WAIT_END";
+    case LockEventKind::kEscalation:
+      return "ESCALATION";
+    case LockEventKind::kTimeout:
+      return "TIMEOUT";
+    case LockEventKind::kDeadlockVictim:
+      return "DEADLOCK_VICTIM";
+    case LockEventKind::kOutOfLockMemory:
+      return "OUT_OF_LOCK_MEMORY";
+    case LockEventKind::kSynchronousGrowth:
+      return "SYNC_GROWTH";
+  }
+  return "?";
+}
 
 LockManager::LockManager(LockManagerOptions options)
     : options_(std::move(options)),
@@ -393,7 +414,6 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
   // Escalate to X when any row lock is U or X, otherwise S.
   LockMode target = LockMode::kS;
   for (const HeldSlot& slot : state.held) {
-    if (!slot.live) continue;
     const ResourceId& res = slot.res;
     if (res.kind != ResourceKind::kRow || res.table != victim_table) continue;
     const LockHead* h = slot.head;
@@ -444,10 +464,15 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
 
 void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
   AppState& state = GetApp(app);
-  for (HeldSlot& slot : state.held) {
-    if (!slot.live) continue;
+  // One stable pass: release the table's row locks and shift every other
+  // entry down over the gaps, so the survivors keep grant order.
+  size_t kept = 0;
+  for (const HeldSlot& slot : state.held) {
     const ResourceId& res = slot.res;
-    if (res.kind != ResourceKind::kRow || res.table != table) continue;
+    if (res.kind != ResourceKind::kRow || res.table != table) {
+      state.held[kept++] = slot;
+      continue;
+    }
     LockHead* head = slot.head;
     LOCKTUNE_DCHECK(head != nullptr);
     LockBlock* block = head->RemoveHolder(app);
@@ -459,16 +484,14 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
     } else {
       work_list_.push_back(res);
     }
-    slot.live = false;
-    ++state.held_dead;
   }
+  state.held.resize(kept);
   const auto it = state.row_locks_per_table.find(table);
   if (it != state.row_locks_per_table.end()) {
     state.total_row_locks -= it->second;
     state.row_locks_per_table.erase(it);
     state.row_cache_count = nullptr;
   }
-  CompactHeld(state);
 }
 
 void LockManager::ReleaseAll(AppId app) {
@@ -498,7 +521,6 @@ void LockManager::ReleaseAll(AppId app) {
   state.continuation.reset();
 
   for (const HeldSlot& slot : state.held) {
-    if (!slot.live) continue;
     LockHead* head = slot.head;
     LOCKTUNE_DCHECK(head != nullptr);
     LockBlock* block = head->RemoveHolder(app);
@@ -517,7 +539,6 @@ void LockManager::ReleaseAll(AppId app) {
     }
   }
   state.held.clear();  // keeps capacity for the next transaction
-  state.held_dead = 0;
   state.row_locks_per_table.clear();
   state.total_row_locks = 0;
   state.table_cache_valid = false;
@@ -961,13 +982,8 @@ Status LockManager::CheckConsistency() const {
   for (const auto& [app, state] : apps_) {
     slots += state.held_structures;
     if (state.waiting) ++blocked;
-    int64_t dead = 0;
-    int64_t live_rows = 0;
+    int64_t held_rows = 0;
     for (const HeldSlot& slot : state.held) {
-      if (!slot.live) {
-        ++dead;
-        continue;
-      }
       const LockHead* head = FindHead(slot.res);
       const LockRequest* holder =
           head == nullptr ? nullptr : head->FindHolder(app);
@@ -977,24 +993,20 @@ Status LockManager::CheckConsistency() const {
       if (slot.head != head) {
         return Status::Internal("held slot head pointer is stale");
       }
-      if (slot.res.kind == ResourceKind::kRow) ++live_rows;
+      if (slot.res.kind == ResourceKind::kRow) ++held_rows;
     }
-    if (dead != state.held_dead) {
-      return Status::Internal("held_dead does not match tombstone count");
-    }
-    // Each live entry is one granted structure and a waiting new request
+    // Each held entry is one granted structure and a waiting new request
     // owns one more, so a duplicate or missing held entry breaks this.
     const int64_t waiting_new =
         state.waiting && !state.wait_is_conversion ? 1 : 0;
-    if (static_cast<int64_t>(state.held.size()) - dead + waiting_new !=
+    if (static_cast<int64_t>(state.held.size()) + waiting_new !=
         state.held_structures) {
-      return Status::Internal(
-          "live held entries do not match held_structures");
+      return Status::Internal("held entries do not match held_structures");
     }
     int64_t per_table = 0;
     // locklint: ordered-ok(validation only; commutative sum, no output)
     for (const auto& [tbl, n] : state.row_locks_per_table) per_table += n;
-    if (live_rows != state.total_row_locks ||
+    if (held_rows != state.total_row_locks ||
         per_table != state.total_row_locks) {
       return Status::Internal("row-lock counters do not match held rows");
     }
@@ -1207,8 +1219,8 @@ void LockManager::Emit(LockEventKind kind, AppId app,
                        const ResourceId& resource, LockMode mode,
                        int64_t value) {
   const int64_t now = options_.clock != nullptr ? options_.clock->now() : 0;
-  // The flight recorder and trace collector see events even when no monitor
-  // or trace sink is installed (benches, runs without a sampler).
+  // The flight recorder and trace collector see events even when no trace
+  // sink is installed (benches, runs without a sampler).
   FlightRecord(ToFlightKind(kind), now, app, resource.table, value);
   if (IsColdLockEvent(kind)) {
     if (ChromeTraceCollector* trace = GlobalTraceCollector()) {
@@ -1218,16 +1230,6 @@ void LockManager::Emit(LockEventKind kind, AppId app,
                          ",\"table\":" + std::to_string(resource.table) +
                          ",\"value\":" + std::to_string(value) + "}");
     }
-  }
-  if (options_.monitor != nullptr) {
-    LockEvent event;
-    event.kind = kind;
-    event.time = now;
-    event.app = app;
-    event.resource = resource;
-    event.mode = mode;
-    event.value = value;
-    options_.monitor->OnLockEvent(event);
   }
   if (trace_sink_ == nullptr) return;
   TraceRecord rec(now, "lock_event");
@@ -1312,35 +1314,16 @@ void LockManager::DrainWorkList() {
 
 void LockManager::AddHeldEntry(AppState& state, const ResourceId& resource,
                                LockHead* head) {
-  state.held.push_back(HeldSlot{resource, head, true});
+  state.held.push_back(HeldSlot{resource, head});
 }
 
 void LockManager::EraseHeldEntry(AppState& state, const ResourceId& resource) {
   for (auto it = state.held.rbegin(); it != state.held.rend(); ++it) {
-    if (it->live && it->res == resource) {
-      it->live = false;
-      ++state.held_dead;
-      CompactHeld(state);
+    if (it->res == resource) {
+      state.held.erase(std::next(it).base());
       return;
     }
   }
-}
-
-void LockManager::CompactHeld(AppState& state) {
-  // Compact only when tombstones dominate, so the amortized cost per erase
-  // stays O(1) and surviving entries keep their relative (grant) order.
-  if (state.held_dead < 16 ||
-      2 * static_cast<size_t>(state.held_dead) < state.held.size()) {
-    return;
-  }
-  size_t out = 0;
-  for (size_t i = 0; i < state.held.size(); ++i) {
-    if (!state.held[i].live) continue;
-    if (out != i) state.held[out] = state.held[i];
-    ++out;
-  }
-  state.held.resize(out);
-  state.held_dead = 0;
 }
 
 void LockManager::RegisterMetrics(MetricsRegistry* registry) {

@@ -17,9 +17,9 @@
 // Thread safety: every public member function holds the manager's one
 // mutex, `mu_`, for its whole duration, so calls from several threads
 // (library callers; docs/CONCURRENCY.md) are serialized and each runs
-// exactly the code a single-threaded caller would. The grow callback, the event
-// monitor and the trace sink run under `mu_`; the mutex is not re-entrant,
-// so they must not call back into the manager.
+// exactly the code a single-threaded caller would. The grow callback and
+// the trace sink run under `mu_`; the mutex is not re-entrant, so they must
+// not call back into the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_MANAGER_H_
 #define LOCKTUNE_LOCK_LOCK_MANAGER_H_
 
@@ -27,6 +27,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -40,7 +41,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "lock/escalation_policy.h"
-#include "lock/lock_event_monitor.h"
 #include "lock/lock_head.h"
 #include "lock/lock_mode.h"
 #include "lock/lock_table.h"
@@ -97,6 +97,23 @@ struct BatchResult {
   bool escalated = false;
 };
 
+// The lock manager's observable transitions. Each one goes to the flight
+// recorder, to the armed Chrome trace (all kinds but the wait pair) and, when
+// installed, to the trace sink as one `lock_event` record.
+enum class LockEventKind : uint8_t {
+  kWaitBegin = 0,      // a request queued behind incompatible holders
+  kWaitEnd,            // a queued request was granted
+  kEscalation,         // row locks collapsed into a table lock
+  kTimeout,            // a waiter exceeded LOCKTIMEOUT
+  kDeadlockVictim,     // chosen to break a cycle
+  kOutOfLockMemory,    // no structure available and nothing to escalate
+  kSynchronousGrowth,  // a block was added on the request path
+};
+
+// Stable upper-case name ("WAIT_BEGIN", ...): the `event` field of a
+// `lock_event` record and the Chrome-trace instant name.
+std::string_view LockEventKindName(LockEventKind kind);
+
 // One application's lock footprint, as reported by TopLockHolders.
 struct AppLockUsage {
   AppId app = 0;
@@ -142,10 +159,6 @@ struct LockManagerOptions {
   // DB2 LOCKTIMEOUT: how long a request may wait before the caller is told
   // to roll back. Negative = wait forever (the DB2 default).
   DurationMs lock_timeout = -1;
-  // Optional lock event monitor (waits, escalations, timeouts, ...).
-  // Borrowed; invoked under the manager's mutex — must be fast and must
-  // not call back into the manager.
-  LockEventMonitor* monitor = nullptr;
 };
 
 class LockManager {
@@ -208,8 +221,8 @@ class LockManager {
   bool IsEscalationPreferred(AppId app) const;
 
   // Installs the structured trace sink: every lock event is also appended
-  // to it as one `kind:"lock_event"` record (telemetry/trace.h), after the
-  // monitor sees it. Borrowed; null disables. Append runs under `mu_`.
+  // to it as one `kind:"lock_event"` record (telemetry/trace.h). Borrowed;
+  // null disables. Append runs under `mu_`.
   void set_trace_sink(TraceSink* sink);
 
   // --- tuning interface (used by the STMM lock memory tuner) ---
@@ -288,10 +301,10 @@ class LockManager {
 
   // One granted resource in an application's held list. The list has no
   // index: commit (ReleaseAll) and escalation (ReleaseRowLocksOnTable) walk
-  // it whole, and the test-only Release scans it. Erasing tombstones the
-  // slot instead of shifting the vector; grant order — which drives
-  // commit-time release order and therefore the grant cascade — is
-  // preserved for the surviving entries.
+  // it whole, and the test-only Release scans it. Erasing closes the gap in
+  // the same pass, so the list holds no dead entries, and the surviving
+  // entries keep grant order — which drives commit-time release order and
+  // therefore the grant cascade.
   //
   // `head` back-references the resource's lock head (DB2 chains lock
   // requests to their lock block the same way): pooled head nodes are
@@ -300,13 +313,11 @@ class LockManager {
   struct HeldSlot {
     ResourceId res;
     LockHead* head = nullptr;
-    bool live = true;
   };
 
   struct AppState {
     std::vector<HeldSlot> held;  // granted resources in grant order, unique
-    int32_t held_dead = 0;       // tombstoned entries in held
-    // Granted + waiting slots: the live held entries, plus one while the
+    // Granted + waiting slots: the held entries, plus one while the
     // application waits on a new (non-conversion) request.
     int64_t held_structures = 0;
     int64_t total_row_locks = 0;  // sum over row_locks_per_table
@@ -401,7 +412,8 @@ class LockManager {
                              bool silent_probe = false)
       LT_REQUIRES(mu_);
 
-  // Releases all of `app`'s row locks on `table` (escalation completion).
+  // Releases all of `app`'s row locks on `table` (escalation completion),
+  // dropping their held entries in the same stable pass.
   void ReleaseRowLocksOnTable(AppId app, TableId table) LT_REQUIRES(mu_);
 
   // Grants eligible waiters on `resource` (and on any resources unlocked as
@@ -416,11 +428,9 @@ class LockManager {
   void AddHeldEntry(AppState& state, const ResourceId& resource,
                     LockHead* head) LT_REQUIRES(mu_);
 
-  // Tombstones `resource`'s live entry in the held list, found by a scan
-  // from the newest entry, compacting when tombstones dominate.
+  // Erases `resource`'s entry from the held list, found by a scan from the
+  // newest entry.
   void EraseHeldEntry(AppState& state, const ResourceId& resource);
-
-  void CompactHeld(AppState& state);
 
   AppState& GetApp(AppId app) LT_REQUIRES(mu_);
 
@@ -466,7 +476,7 @@ class LockManager {
   LockManagerOptions options_;
   Bytes max_lock_memory_;
 
-  // Stamps wait-state entry, records it with the monitor.
+  // Stamps wait-state entry, queues its timeout and emits WAIT_BEGIN.
   void MarkWaitStart(AppId app, AppState& state) LT_REQUIRES(mu_);
 
   // Ends `state`'s wait for timeout-queue purposes: bumps wait_epoch so any
@@ -478,8 +488,8 @@ class LockManager {
   void MaybeCompactTimeouts() LT_REQUIRES(mu_);
 
   // Records an event in the flight recorder (and, for the rare structural
-  // kinds, the armed Chrome trace), then delivers it to the monitor and
-  // the trace sink, each when installed.
+  // kinds, the armed Chrome trace), then appends it to the trace sink when
+  // one is installed.
   void Emit(LockEventKind kind, AppId app, const ResourceId& resource,
             LockMode mode, int64_t value) LT_REQUIRES(mu_);
 

@@ -140,7 +140,7 @@ bool TakeVictimDumpBudget() {
   return !g_victim_dump_spent.exchange(true, std::memory_order_relaxed);
 }
 
-std::vector<FlightEvent> FlightEventsForTesting() {
+std::vector<FlightEvent> RecentFlightEvents() {
   FlightRing& ring = Ring();
   const uint64_t next = ring.next.load(std::memory_order_relaxed);
   const uint64_t count =
@@ -153,7 +153,7 @@ std::vector<FlightEvent> FlightEventsForTesting() {
   return out;
 }
 
-uint64_t FlightTotalForTesting() {
+uint64_t FlightEventsRecorded() {
   return Ring().next.load(std::memory_order_relaxed);
 }
 

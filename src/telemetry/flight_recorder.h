@@ -2,9 +2,8 @@
 // tuner, and fault events, dumped post-mortem when an invariant trips.
 //
 // Every recording thread owns a 256-event ring (registered on first use);
-// a Record() is two index ops and a 40-byte
-// struct store, cheap enough to leave on in every build. Rings are dumped
-// to stderr:
+// a Record() is two index ops and a 32-byte struct store, cheap enough to
+// leave on in every build. Rings are dumped to stderr:
 //
 //   * automatically on any LOCKTUNE_CHECK / LOCKTUNE_CHECK_OK failure
 //     (including paranoid-mode invariant violations), via the check-failure
@@ -14,6 +13,9 @@
 //     (--flight-dump or runtime paranoid mode) — victims are routine in
 //     contention scenarios, so unarmed runs stay quiet;
 //   * on demand at end of run via locktune_sim --flight-dump.
+//
+// locktune_sim --inspect also renders the tail of the main thread's ring
+// (RecentFlightEvents).
 //
 // Times are virtual (SimClock ms): the recorder explains simulated
 // behavior, so it speaks the simulation's clock. The dump path reads other
@@ -74,10 +76,13 @@ bool FlightDumpOnVictimArmed();
 // this when it selects victims; a true return means "dump now".
 bool TakeVictimDumpBudget();
 
-// Test hooks: the calling thread's surviving events in record order, and
-// the total ever recorded by that thread (wraparound checks).
-std::vector<FlightEvent> FlightEventsForTesting();
-uint64_t FlightTotalForTesting();
+// The calling thread's surviving events in record order, oldest first,
+// and the total it ever recorded (more than the ring holds once it wraps).
+// Same-thread reads, so safe at any time.
+std::vector<FlightEvent> RecentFlightEvents();
+uint64_t FlightEventsRecorded();
+
+// Test hook: empties every ring and refills the victim-dump budget.
 void ResetFlightRecorderForTesting();
 
 }  // namespace locktune

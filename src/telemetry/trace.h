@@ -43,7 +43,7 @@ class TraceRecord {
   const std::string& kind() const { return kind_; }
 
   // Rendered JSON value of `key` (e.g. `"GROW"` or `42`), or nullptr when
-  // absent. Intended for tests and the inspector.
+  // absent. Intended for tests.
   const std::string* Find(std::string_view key) const;
 
   // `{"t_ms":1234,"kind":"tuning_pass",...}`.
@@ -85,14 +85,14 @@ class JsonlTraceWriter : public TraceSink {
   }
 
  private:
-  // Leaf rank: Append runs from under the lock manager's mutex (the trace
-  // bridge) and must take nothing underneath.
+  // Leaf rank: Append runs from under the lock manager's mutex
+  // (LockManager::Emit) and must take nothing underneath.
   Mutex mu_{kLockRankLeaf, "JsonlTraceWriter::mu_"};
   std::ostream* os_ LT_PT_GUARDED_BY(mu_);
   std::atomic<int64_t> records_{0};
 };
 
-// Buffers records in memory (tests, inspector).
+// Buffers records in memory (tests, bench/fig3_4_lock_structures).
 class MemoryTraceSink : public TraceSink {
  public:
   void Append(const TraceRecord& record) override {

@@ -89,14 +89,12 @@ ScenarioRunner::ScenarioRunner(Database* db, std::vector<ClientTimeline> groups,
   Rng seeder(options_.seed);
   for (const ClientTimeline& g : groups_) {
     LOCKTUNE_CHECK(g.workload != nullptr);
-    group_start_.push_back(apps_.size());
+    group_start_.push_back(store_.size());
     for (int i = 0; i < g.MaxClients(); ++i) {
-      const uint32_t index =
-          store_.Add(next_id++, g.workload, seeder.Next());
-      apps_.emplace_back(&store_, index);
+      store_.Add(next_id++, g.workload, seeder.Next());
     }
   }
-  group_start_.push_back(apps_.size());
+  group_start_.push_back(store_.size());
   RegisterMetrics();
 }
 
@@ -182,7 +180,7 @@ void ScenarioRunner::BeginTick(TimeMs now) {
       // Kill targets are 1-based application indices, like deadlock
       // victims below.
       const size_t idx = static_cast<size_t>(victim - 1);
-      LOCKTUNE_CHECK(idx < apps_.size());
+      LOCKTUNE_CHECK(idx < store_.size());
       store_.KillConnection(static_cast<uint32_t>(idx));
     }
   }
@@ -211,12 +209,12 @@ void ScenarioRunner::FinishTick(TimeMs now) {
     for (AppId victim : db_->locks().DetectDeadlocks()) {
       // Victim AppIds are 1-based application indices by construction.
       const size_t idx = static_cast<size_t>(victim - 1);
-      LOCKTUNE_CHECK(idx < apps_.size());
+      LOCKTUNE_CHECK(idx < store_.size());
       store_.AbortForDeadlock(static_cast<uint32_t>(idx));
     }
     for (AppId victim : db_->locks().ExpireTimedOutWaiters()) {
       const size_t idx = static_cast<size_t>(victim - 1);
-      LOCKTUNE_CHECK(idx < apps_.size());
+      LOCKTUNE_CHECK(idx < store_.size());
       store_.AbortForTimeout(static_cast<uint32_t>(idx));
     }
   }

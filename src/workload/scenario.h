@@ -14,7 +14,7 @@
 
 #include "common/time_series.h"
 #include "engine/database.h"
-#include "workload/application.h"
+#include "workload/app_store.h"
 #include "workload/workload.h"
 
 namespace locktune {
@@ -80,11 +80,12 @@ class ScenarioRunner {
   int64_t total_user_aborts() const { return totals_.user_aborts; }
   int64_t total_kill_aborts() const { return totals_.kill_aborts; }
 
-  const std::vector<Application>& applications() const { return apps_; }
-
-  // The SoA store backing the applications — aggregate views (phase
-  // histogram) for diagnostic tools.
+  // The SoA store holding every application: slot i is application id
+  // i + 1. Per-application reads (`id(i)`, `connected(i)`, `stats(i)`),
+  // the aggregate phase histogram, and `set_compiler(i, ...)` before the
+  // run.
   const AppStore& store() const { return store_; }
+  AppStore& store() { return store_; }
 
   // Series names sampled each sample_period.
   static const char kLockAllocatedMb[];
@@ -117,10 +118,9 @@ class ScenarioRunner {
   Database* db_;
   std::vector<ClientTimeline> groups_;
   ScenarioOptions options_;
-  // SoA state + event-driven scheduler for every application; apps_ holds
-  // one view handle per store slot (slot i is application id i + 1).
+  // SoA state + event-driven scheduler for every application (slot i is
+  // application id i + 1).
   AppStore store_;
-  std::vector<Application> apps_;
   // store index range [group_start_[g], group_start_[g+1]) belongs to
   // group g.
   std::vector<size_t> group_start_;

@@ -2,8 +2,8 @@
 //
 // A Workload produces transaction profiles (how many row locks, how fast,
 // how long the result is held) and row accesses (which table/row/mode).
-// The Application state machine in application.h turns these into lock
-// manager traffic.
+// AppStore's per-application state machine (app_store.h) turns these into
+// lock manager traffic.
 #ifndef LOCKTUNE_WORKLOAD_WORKLOAD_H_
 #define LOCKTUNE_WORKLOAD_WORKLOAD_H_
 

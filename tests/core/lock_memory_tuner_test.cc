@@ -33,15 +33,13 @@ TEST(LockMemoryTunerTest, GrowRestoresMinFreeObjective) {
 
 TEST(LockMemoryTunerTest, DeadBandKeepsCurrentAllocation) {
   LockMemoryTuner tuner(BigParams());
-  // A stale remembered target must NOT pull the allocation back: §3.3's
-  // dead band means "no change", even after synchronous growth moved the
-  // allocation past the previous target.
-  tuner.set_previous_target(64 * kMiB);
+  // §3.3's dead band means "no change": the target is the current
+  // allocation, even after synchronous growth moved it past the last
+  // pass's target.
   // 55 % free: inside the [50 %, 60 %] band.
   const LockTunerDecision d = tuner.Tune(In(100 * kMiB, 45 * kMiB));
   EXPECT_EQ(d.action, LockTunerAction::kNone);
   EXPECT_EQ(d.target, 100 * kMiB);
-  EXPECT_EQ(tuner.previous_target(), 100 * kMiB);
 }
 
 TEST(LockMemoryTunerTest, ShrinkByDeltaReduce) {
@@ -55,7 +53,6 @@ TEST(LockMemoryTunerTest, ShrinkByDeltaReduce) {
 
 TEST(LockMemoryTunerTest, ShrinkStopsAtMaxFreeFloor) {
   LockMemoryTuner tuner(BigParams());
-  tuner.set_previous_target(100 * kMiB);
   // 100 MB allocated, 41 MB used: 59 % free is inside the band → none.
   EXPECT_EQ(tuner.Tune(In(100 * kMiB, 41 * kMiB)).action,
             LockTunerAction::kNone);
@@ -146,19 +143,6 @@ TEST(LockMemoryTunerTest, TargetsAreBlockMultiples) {
     const LockTunerDecision d = tuner.Tune(In(64 * kMiB, used));
     EXPECT_EQ(d.target % kLockBlockSize, 0) << used;
   }
-}
-
-TEST(LockMemoryTunerTest, PreviousTargetFollowsDecisions) {
-  LockMemoryTuner tuner(BigParams());
-  const LockTunerDecision d = tuner.Tune(In(100 * kMiB, 80 * kMiB));
-  EXPECT_EQ(tuner.previous_target(), d.target);
-}
-
-TEST(LockMemoryTunerTest, InitialPreviousTargetIsInitialLockList) {
-  TuningParams p = BigParams();
-  p.initial_locklist_pages = 256;  // 1 MiB
-  LockMemoryTuner tuner(p);
-  EXPECT_EQ(tuner.previous_target(), kMiB);
 }
 
 TEST(LockMemoryTunerTest, ZeroAllocationTreatedAsOneBlock) {

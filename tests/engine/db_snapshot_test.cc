@@ -1,10 +1,12 @@
 #include "engine/db_snapshot.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "lock/lock_event_monitor.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/trace.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
@@ -104,10 +106,9 @@ TEST_F(DbSnapshotTest, StaticModeSnapshotHasNoLmo) {
 }
 
 TEST_F(DbSnapshotTest, InspectorRendersRegistryHistoryAndRing) {
-  RingBufferEventMonitor ring(32);
+  ResetFlightRecorderForTesting();
   DatabaseOptions o;
   o.params.database_memory = 256 * kMiB;
-  o.lock_monitor = &ring;
   std::unique_ptr<Database> db = Database::Open(o).value();
   OltpWorkload oltp(db->catalog(), OltpOptions{});
   ClientTimeline tl;
@@ -117,7 +118,7 @@ TEST_F(DbSnapshotTest, InspectorRendersRegistryHistoryAndRing) {
   so.duration = 90 * kSecond;  // long enough for tuning passes and waits
   ScenarioRunner runner(db.get(), {tl}, so);
   runner.Run();
-  const std::string text = RenderInspector(*db, /*max_app_id=*/20, &ring);
+  const std::string text = RenderInspector(*db, /*max_app_id=*/20);
   // Snapshot section.
   EXPECT_NE(text.find("database snapshot"), std::string::npos);
   // Registry section with all four metric families.
@@ -128,10 +129,16 @@ TEST_F(DbSnapshotTest, InspectorRendersRegistryHistoryAndRing) {
   EXPECT_NE(text.find("locktune_workload_commits_total"), std::string::npos);
   // STMM history section.
   EXPECT_NE(text.find("STMM"), std::string::npos);
-  // Ring-buffer tail. The header prints even for an empty ring, so the
-  // ring must also have received the run's events.
-  EXPECT_NE(text.find("lock event ring buffer"), std::string::npos);
-  EXPECT_GT(ring.total_events(), 0);
+  // Flight-recorder tail: the header counts this thread's recorded events
+  // (the run's lock events and tuner passes), and the tail lines are
+  // FlightEvent::ToString() renderings.
+  const uint64_t recorded = FlightEventsRecorded();
+  EXPECT_GT(recorded, 0u);
+  const size_t shown = std::min<size_t>(20, RecentFlightEvents().size());
+  EXPECT_NE(text.find("flight recorder (" + std::to_string(recorded) +
+                      " events, last " + std::to_string(shown) + "):"),
+            std::string::npos);
+  EXPECT_NE(text.find(" tuner_pass "), std::string::npos);
 }
 
 TEST_F(DbSnapshotTest, DatabaseTraceSinkSeesLockAndTuningRecords) {

@@ -47,7 +47,7 @@ TEST(QueryCompilerTest, ViewIsReevaluatedPerStatement) {
   EXPECT_EQ(compiler.ChooseGranularity(20'000), LockGranularity::kRow);
 }
 
-// --- integration with Application ---
+// --- integration with the application state machine (AppStore) ---
 
 // A 50 000-row scan: needs 3.2 MB of lock structures — more than the
 // initial 0.5 MB LOCKLIST, far less than the stable 25.6 MB compiler view.

@@ -329,7 +329,7 @@ TEST_F(FaultSiteStmmTest, RepeatedDenialsEscalateTheHoldoff) {
 }
 
 // ---------------------------------------------------------------------------
-// Site 3: Application::KillConnection — mid-transaction connection kill.
+// Site 3: AppStore::KillConnection — mid-transaction connection kill.
 // ---------------------------------------------------------------------------
 
 // Scripted workload with fixed profile and sequential private rows.

@@ -11,7 +11,8 @@
 //
 // Every run below executes with LOCKTUNE_PARANOID semantics forced on, so
 // full lock-table and memory-accounting invariants are validated every
-// simulated tick of every chaos scenario.
+// simulated tick of every chaos scenario. Each case is its own ctest entry
+// (tests/CMakeLists.txt), so `ctest -j` runs them side by side.
 #include <memory>
 #include <sstream>
 #include <string>
@@ -149,31 +150,41 @@ TEST_F(ChaosTest, KillRecoveryReturnsToSteadyState) {
 }
 
 // The chaos runs themselves are byte-deterministic: identical spec →
-// identical sampled series, metric export, and ledger counts.
-TEST_F(ChaosTest, ChaosRunsAreByteDeterministic) {
-  const auto fingerprint = [](const std::string& conf) {
-    std::unique_ptr<LoadedScenario> s = LoadChaos(conf);
-    if (s == nullptr) return std::string();
-    s->runner().Run();
-    std::ostringstream os;
-    s->runner().series().WriteCsv(
-        os, {ScenarioRunner::kLockAllocatedMb, ScenarioRunner::kLockUsedMb,
-             ScenarioRunner::kThroughputTps, ScenarioRunner::kEscalations,
-             ScenarioRunner::kClients});
-    WritePrometheus(s->database().metrics(), os);
-    const DegradationLedger* ledger = s->database().degradation_ledger();
-    os << "injections " << ledger->injections() << " absorbed "
-       << ledger->absorbed() << " recoveries " << ledger->recoveries()
-       << "\n";
-    return os.str();
-  };
-  for (const char* conf :
-       {"chaos_lockdeny.conf", "chaos_kill_recovery.conf"}) {
-    const std::string first = fingerprint(conf);
-    ASSERT_FALSE(first.empty());
-    EXPECT_EQ(first, fingerprint(conf)) << conf;
-  }
+// identical sampled series, metric export, and ledger counts. One instance
+// per scenario file (the instance name is the file's stem).
+class ChaosDeterminismTest : public ChaosTest,
+                             public ::testing::WithParamInterface<const char*> {
+};
+
+std::string Fingerprint(const std::string& conf) {
+  std::unique_ptr<LoadedScenario> s = LoadChaos(conf);
+  if (s == nullptr) return std::string();
+  s->runner().Run();
+  std::ostringstream os;
+  s->runner().series().WriteCsv(
+      os, {ScenarioRunner::kLockAllocatedMb, ScenarioRunner::kLockUsedMb,
+           ScenarioRunner::kThroughputTps, ScenarioRunner::kEscalations,
+           ScenarioRunner::kClients});
+  WritePrometheus(s->database().metrics(), os);
+  const DegradationLedger* ledger = s->database().degradation_ledger();
+  os << "injections " << ledger->injections() << " absorbed "
+     << ledger->absorbed() << " recoveries " << ledger->recoveries() << "\n";
+  return os.str();
 }
+
+TEST_P(ChaosDeterminismTest, ChaosRunsAreByteDeterministic) {
+  const std::string first = Fingerprint(GetParam());
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, Fingerprint(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChaosConfs, ChaosDeterminismTest,
+    ::testing::Values("chaos_lockdeny.conf", "chaos_kill_recovery.conf"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      const std::string conf = info.param;
+      return conf.substr(0, conf.find('.'));
+    });
 
 }  // namespace
 }  // namespace locktune

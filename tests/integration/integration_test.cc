@@ -2,10 +2,12 @@
 // §5 experiments at reduced scale (full-scale series are regenerated by the
 // bench/ binaries).
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "telemetry/trace.h"
 #include "workload/dss_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
@@ -254,15 +256,11 @@ TEST(IntegrationTest, LockTimeoutsRollBackStalledWriters) {
   EXPECT_GT(db->locks().wait_time_histogram().total_count(), 0);
 }
 
-// The lock event monitor observes a whole scenario.
-TEST(IntegrationTest, EventMonitorSeesScenarioEvents) {
-  CountingEventMonitor counter;
-  DatabaseOptions o;
-  o.params.database_memory = kDbMem;
-  o.mode = TuningMode::kStatic;
-  o.static_locklist_pages = 100;
-  o.lock_monitor = &counter;
-  std::unique_ptr<Database> db = Database::Open(o).value();
+// A trace sink sees a whole scenario's lock events.
+TEST(IntegrationTest, TraceSinkSeesScenarioLockEvents) {
+  std::unique_ptr<Database> db = OpenDb(TuningMode::kStatic, 100);
+  MemoryTraceSink sink;
+  db->set_trace_sink(&sink);
   OltpWorkload oltp(db->catalog(), OltpOptions{});
   ClientTimeline tl;
   tl.workload = &oltp;
@@ -272,11 +270,20 @@ TEST(IntegrationTest, EventMonitorSeesScenarioEvents) {
   ScenarioRunner runner(db.get(), {tl}, so);
   runner.Run();
 
-  // The undersized static config produces the full diagnostic story.
-  EXPECT_GT(counter.count(LockEventKind::kWaitBegin), 0);
-  EXPECT_GT(counter.count(LockEventKind::kEscalation), 0);
-  EXPECT_EQ(counter.count(LockEventKind::kEscalation),
-            db->locks().stats().escalations);
+  int64_t wait_begins = 0;
+  int64_t escalations = 0;
+  for (const TraceRecord& rec : sink.records()) {
+    if (rec.kind() != "lock_event") continue;
+    const std::string& event = *rec.Find("event");
+    if (event == "\"WAIT_BEGIN\"") ++wait_begins;
+    if (event == "\"ESCALATION\"") ++escalations;
+  }
+  // The undersized static config produces the full diagnostic story, one
+  // record per counted wait and escalation.
+  EXPECT_GT(wait_begins, 0);
+  EXPECT_GT(escalations, 0);
+  EXPECT_EQ(wait_begins, db->locks().stats().lock_waits);
+  EXPECT_EQ(escalations, db->locks().stats().escalations);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "telemetry/trace.h"
 
 namespace locktune {
 namespace {
@@ -275,6 +276,42 @@ TEST_F(LockManagerTest, EscalationPicksMostLockedTable) {
   EXPECT_EQ(lm_->HeldMode(1, RowResource(kStock, 0)), LockMode::kNone);
   // kOrders row locks survive.
   EXPECT_EQ(lm_->HeldMode(1, RowResource(kOrders, 0)), LockMode::kS);
+}
+
+TEST_F(LockManagerTest, EscalationKeepsSurvivingLocksInGrantOrder) {
+  Make(1, 10.0, false);
+  // Grant order: a kStock row, kOrders row 0, more kStock rows, kOrders
+  // row 1, then kStock rows until kStock escalates. The two kOrders rows
+  // survive, and must stay in grant order: commit releases in that order,
+  // so it decides which waiter behind them is granted first.
+  ASSERT_EQ(lm_->Lock(1, RowResource(kStock, 0), LockMode::kS).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(1, RowResource(kOrders, 0), LockMode::kS).outcome,
+            LockOutcome::kGranted);
+  for (int64_t r = 1; r < 50; ++r) {
+    ASSERT_EQ(lm_->Lock(1, RowResource(kStock, r), LockMode::kS).outcome,
+              LockOutcome::kGranted);
+  }
+  ASSERT_EQ(lm_->Lock(1, RowResource(kOrders, 1), LockMode::kS).outcome,
+            LockOutcome::kGranted);
+  LockResult last;
+  for (int64_t r = 50; r < 300 && !last.escalated; ++r) {
+    last = lm_->Lock(1, RowResource(kStock, r), LockMode::kS);
+    ASSERT_EQ(last.outcome, LockOutcome::kGranted);
+  }
+  ASSERT_TRUE(last.escalated);
+  ASSERT_EQ(lm_->HeldMode(1, TableResource(kStock)), LockMode::kS);
+  ASSERT_EQ(lm_->Lock(2, RowResource(kOrders, 0), LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->Lock(3, RowResource(kOrders, 1), LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  MemoryTraceSink sink;
+  lm_->set_trace_sink(&sink);
+  lm_->ReleaseAll(1);
+  ASSERT_EQ(sink.records().size(), 2u);  // the two WAIT_ENDs
+  EXPECT_EQ(*sink.records()[0].Find("app"), "2");
+  EXPECT_EQ(*sink.records()[1].Find("app"), "3");
+  EXPECT_TRUE(lm_->CheckConsistency().ok());
 }
 
 TEST_F(LockManagerTest, EscalationConversionWaitsForConflicts) {

@@ -25,7 +25,7 @@ TEST(FlightRecorderTest, RecordsInOrder) {
   FlightRecord(FlightEventKind::kEscalation, 10, 1, 7, 0);
   FlightRecord(FlightEventKind::kTimeout, 20, 2, 8, 1);
   FlightRecord(FlightEventKind::kTunerPass, 30, 0, 2, 4096);
-  const std::vector<FlightEvent> events = FlightEventsForTesting();
+  const std::vector<FlightEvent> events = RecentFlightEvents();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, FlightEventKind::kEscalation);
   EXPECT_EQ(events[0].time_ms, 10);
@@ -33,7 +33,7 @@ TEST(FlightRecorderTest, RecordsInOrder) {
   EXPECT_EQ(events[1].kind, FlightEventKind::kTimeout);
   EXPECT_EQ(events[2].kind, FlightEventKind::kTunerPass);
   EXPECT_EQ(events[2].b, 4096);
-  EXPECT_EQ(FlightTotalForTesting(), 3u);
+  EXPECT_EQ(FlightEventsRecorded(), 3u);
 }
 
 TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
@@ -42,7 +42,7 @@ TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
   for (int i = 0; i < kRecorded; ++i) {
     FlightRecord(FlightEventKind::kWaitBegin, i, i, 0, 0);
   }
-  const std::vector<FlightEvent> events = FlightEventsForTesting();
+  const std::vector<FlightEvent> events = RecentFlightEvents();
   ASSERT_EQ(events.size(), static_cast<size_t>(kFlightRingCapacity));
   // Events 44..299 survive, oldest first, with no gaps.
   EXPECT_EQ(events.front().time_ms, kRecorded - kFlightRingCapacity);
@@ -51,7 +51,7 @@ TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
     EXPECT_EQ(events[i].time_ms, events[i - 1].time_ms + 1);
   }
   // The total keeps counting past the ring capacity.
-  EXPECT_EQ(FlightTotalForTesting(), static_cast<uint64_t>(kRecorded));
+  EXPECT_EQ(FlightEventsRecorded(), static_cast<uint64_t>(kRecorded));
 }
 
 TEST(FlightRecorderTest, EventToStringNamesTheKind) {

@@ -97,8 +97,8 @@ TEST_F(ScenarioTest, ClientReductionDisconnects) {
   ScenarioRunner runner(db_.get(), {tl}, so);
   runner.Run();
   int connected = 0;
-  for (const auto& app : runner.applications()) {
-    if (app.connected()) ++connected;
+  for (uint32_t i = 0; i < runner.store().size(); ++i) {
+    if (runner.store().connected(i)) ++connected;
   }
   EXPECT_EQ(connected, 1);
 }
@@ -112,9 +112,11 @@ TEST_F(ScenarioTest, MultipleGroupsGetDistinctAppIds) {
   ScenarioOptions so;
   so.duration = kSecond;
   ScenarioRunner runner(db_.get(), {a, b}, so);
-  EXPECT_EQ(runner.applications().size(), 5u);
+  EXPECT_EQ(runner.store().size(), 5u);
   std::set<AppId> ids;
-  for (const auto& app : runner.applications()) ids.insert(app.id());
+  for (uint32_t i = 0; i < runner.store().size(); ++i) {
+    ids.insert(runner.store().id(i));
+  }
   EXPECT_EQ(ids.size(), 5u);
   runner.Run();
   EXPECT_EQ(db_->connected_applications(), 5);

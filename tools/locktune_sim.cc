@@ -7,12 +7,12 @@
 //                              registry after the run (.csv extension
 //                              switches to metric,value CSV)
 //     [--trace-out PATH|-]     JSONL decision trace: one record per STMM
-//                              tuning pass plus bridged lock events
+//                              tuning pass and one per lock event
 //     [--log-level LEVEL]      trace|debug|info|warning|error
 //     [--stmm-report]          db2pd -stmm style tuning history table
 //     [--snapshot]             end-of-run state snapshot
 //     [--inspect]              locktune_pd full inspection: snapshot +
-//                              metrics registry + lock event ring buffer
+//                              metrics registry + flight-recorder tail
 //     [--trace-profile PATH]   Chrome trace-event JSON (load in
 //                              ui.perfetto.dev): tick/STMM/escalation spans
 //                              on virtual time
@@ -187,11 +187,6 @@ int main(int argc, char** argv) {
   if (!spec.ok()) return Fail(spec.status().ToString());
   spec.value().runner.tick_watchdog_ms = tick_watchdog_ms;
 
-  // The inspector keeps a lock event flight recorder alongside whatever
-  // monitor the scenario configured (the database tees them).
-  RingBufferEventMonitor ring;
-  if (inspect) spec.value().database.lock_monitor = &ring;
-
   Result<std::unique_ptr<LoadedScenario>> loaded =
       LoadedScenario::Create(spec.value());
   if (!loaded.ok()) return Fail(loaded.status().ToString());
@@ -318,8 +313,7 @@ int main(int argc, char** argv) {
                  RenderHistoryTable(history, 40).c_str(),
                  RenderSummary(Summarize(history)).c_str());
   }
-  const int apps =
-      static_cast<int>(scenario.runner().applications().size());
+  const int apps = static_cast<int>(scenario.runner().store().size());
   if (snapshot && !inspect) {
     std::fprintf(stderr, "\n%s",
                  RenderSnapshot(
@@ -327,7 +321,7 @@ int main(int argc, char** argv) {
   }
   if (inspect) {
     std::fprintf(stderr, "\n%s",
-                 RenderInspector(scenario.database(), apps, &ring).c_str());
+                 RenderInspector(scenario.database(), apps).c_str());
     // Aggregate phase histogram from the store's SoA phase column; the
     // per-application row walk it replaces stalled the tick watchdog at
     // 10^6 applications (the snapshot's top-holder table above stays the

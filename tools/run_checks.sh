@@ -5,7 +5,7 @@
 # clean CI run minus the compiler matrix.
 #
 #   tools/run_checks.sh              # lint, build, ctest, output check
-#   tools/run_checks.sh --paranoid   # also build/test -DLOCKTUNE_PARANOID=ON
+#   tools/run_checks.sh --paranoid   # also rerun ctest with LOCKTUNE_PARANOID=1
 #   tools/run_checks.sh --asan       # also build/test the asan preset
 set -euo pipefail
 
@@ -59,8 +59,6 @@ fi
 
 # 5. Optional heavier configurations.
 if [ "$PARANOID" = 1 ]; then
-  run cmake --preset paranoid
-  run cmake --build --preset paranoid -j
   run ctest --preset paranoid -j 4
 fi
 if [ "$ASAN" = 1 ]; then
