@@ -13,6 +13,10 @@ Result<TableId> Catalog::AddTable(const std::string& name,
   if (FindByName(name) != nullptr) {
     return Status::AlreadyExists("table " + name + " already exists");
   }
+  // Lock resources pack the table id into 24 bits (lock/resource.h).
+  if (static_cast<int64_t>(tables_.size()) >= kMaxPackedTables) {
+    return Status::InvalidArgument("table ids must stay below 2^24");
+  }
   const TableId id = static_cast<TableId>(tables_.size());
   tables_.push_back({id, name, row_count});
   return id;

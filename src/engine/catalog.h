@@ -22,7 +22,8 @@ struct TableInfo {
 
 class Catalog {
  public:
-  // Registers a table; names must be unique. Returns its TableId.
+  // Registers a table; names must be unique. Returns its TableId, or
+  // INVALID_ARGUMENT once ids would reach kMaxPackedTables (2^24).
   [[nodiscard]] Result<TableId> AddTable(const std::string& name,
                                          int64_t row_count);
 

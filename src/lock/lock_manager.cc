@@ -47,6 +47,10 @@ LockResult LockManager::Lock(AppId app, const ResourceId& resource,
 
 LockResult LockManager::RequestLocked(AppId app, const ResourceId& resource,
                                       LockMode mode) {
+  // Lock() and every AcquireBatch item come through here, before the
+  // resource is packed into a lock-table or held-list key word.
+  LOCKTUNE_CHECK(FitsPackedKey(resource) &&
+                 "lock resource outside the packed key's ranges");
   ++stats_.lock_requests;
   options_.policy->OnLockRequest();
   AppState& state = GetApp(app);
@@ -414,8 +418,10 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
   // Escalate to X when any row lock is U or X, otherwise S.
   LockMode target = LockMode::kS;
   for (const HeldSlot& slot : state.held) {
-    const ResourceId& res = slot.res;
-    if (res.kind != ResourceKind::kRow || res.table != victim_table) continue;
+    if (PackedKind(slot.key) != ResourceKind::kRow ||
+        PackedTable(slot.key) != victim_table) {
+      continue;
+    }
     const LockHead* h = slot.head;
     LOCKTUNE_DCHECK(h != nullptr);
     const LockRequest* r = h->FindHolder(app);
@@ -468,8 +474,8 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
   // entry down over the gaps, so the survivors keep grant order.
   size_t kept = 0;
   for (const HeldSlot& slot : state.held) {
-    const ResourceId& res = slot.res;
-    if (res.kind != ResourceKind::kRow || res.table != table) {
+    if (PackedKind(slot.key) != ResourceKind::kRow ||
+        PackedTable(slot.key) != table) {
       state.held[kept++] = slot;
       continue;
     }
@@ -479,6 +485,7 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
     LOCKTUNE_DCHECK(block != nullptr);
     blocks_.FreeSlot(block);
     --state.held_structures;
+    const ResourceId res = UnpackResource(slot.key);
     if (head->waiters().empty()) {
       if (!head->HasHolders()) table_.EraseIfEmpty(res);
     } else {
@@ -530,12 +537,11 @@ void LockManager::ReleaseAll(AppId app) {
     // Queue the resource only when waiters can actually be granted;
     // ProcessQueue on a waiterless head would only re-probe and erase, so
     // do the erase here and skip the work-list round trip.
+    const ResourceId res = UnpackResource(slot.key);
     if (head->waiters().empty()) {
-      if (!head->HasHolders()) {
-        table_.EraseIfEmpty(slot.res, ResourceIdHash{}(slot.res));
-      }
+      if (!head->HasHolders()) table_.EraseIfEmpty(res);
     } else {
-      work_list_.push_back(slot.res);
+      work_list_.push_back(res);
     }
   }
   state.held.clear();  // keeps capacity for the next transaction
@@ -549,6 +555,8 @@ void LockManager::ReleaseAll(AppId app) {
 }
 
 Status LockManager::Release(AppId app, const ResourceId& resource) {
+  LOCKTUNE_CHECK(FitsPackedKey(resource) &&
+                 "lock resource outside the packed key's ranges");
   MutexLock guard(mu_);
   AppState& state = GetApp(app);
   const uint64_t hash = ResourceIdHash{}(resource);
@@ -963,6 +971,8 @@ std::vector<AppLockUsage> LockManager::TopLockHolders(int max_app_id,
 }
 
 LockMode LockManager::HeldMode(AppId app, const ResourceId& resource) const {
+  LOCKTUNE_CHECK(FitsPackedKey(resource) &&
+                 "lock resource outside the packed key's ranges");
   MutexLock guard(mu_);
   return HeldModeLockedInternal(app, resource);
 }
@@ -984,7 +994,8 @@ Status LockManager::CheckConsistency() const {
     if (state.waiting) ++blocked;
     int64_t held_rows = 0;
     for (const HeldSlot& slot : state.held) {
-      const LockHead* head = FindHead(slot.res);
+      const ResourceId res = UnpackResource(slot.key);
+      const LockHead* head = FindHead(res);
       const LockRequest* holder =
           head == nullptr ? nullptr : head->FindHolder(app);
       if (holder == nullptr) {
@@ -993,7 +1004,7 @@ Status LockManager::CheckConsistency() const {
       if (slot.head != head) {
         return Status::Internal("held slot head pointer is stale");
       }
-      if (slot.res.kind == ResourceKind::kRow) ++held_rows;
+      if (res.kind == ResourceKind::kRow) ++held_rows;
     }
     // Each held entry is one granted structure and a waiting new request
     // owns one more, so a duplicate or missing held entry breaks this.
@@ -1314,12 +1325,13 @@ void LockManager::DrainWorkList() {
 
 void LockManager::AddHeldEntry(AppState& state, const ResourceId& resource,
                                LockHead* head) {
-  state.held.push_back(HeldSlot{resource, head});
+  state.held.push_back(HeldSlot{PackResource(resource), head});
 }
 
 void LockManager::EraseHeldEntry(AppState& state, const ResourceId& resource) {
+  const uint64_t key = PackResource(resource);
   for (auto it = state.held.rbegin(); it != state.held.rend(); ++it) {
-    if (it->res == resource) {
+    if (it->key == key) {
       state.held.erase(std::next(it).base());
       return;
     }
@@ -1413,6 +1425,11 @@ int64_t LockManager::lock_table_size() const {
   return table_.size();
 }
 
+int64_t LockManager::lock_table_directory_slots() const {
+  MutexLock guard(mu_);
+  return table_.directory_slots();
+}
+
 int64_t LockManager::head_pool_free_nodes() const {
   MutexLock guard(mu_);
   return table_.pool_free_nodes();
@@ -1427,6 +1444,10 @@ void LockManager::RegisterInternalMetrics(MetricsRegistry* registry) {
   registry->AddCallbackGauge(
       "locktune_lock_table_heads", "lock heads resident in the lock table",
       [this] { return static_cast<double>(lock_table_size()); });
+  registry->AddCallbackGauge(
+      "locktune_lock_table_directory_slots",
+      "lock-table directory slots (8 bytes each)",
+      [this] { return static_cast<double>(lock_table_directory_slots()); });
   registry->AddCallbackGauge(
       "locktune_lock_head_pool_free", "recycled lock-head nodes available",
       [this] { return static_cast<double>(head_pool_free_nodes()); });

@@ -171,6 +171,8 @@ class LockManager {
   // Requests `mode` on `resource` for `app`. Row requests implicitly take
   // the intent table lock first. Re-requests by a holder are no-ops or
   // conversions. An application must not issue requests while blocked.
+  // `resource` must satisfy FitsPackedKey (CHECKed here, in every
+  // AcquireBatch item, and in Release and HeldMode).
   LockResult Lock(AppId app, const ResourceId& resource, LockMode mode);
 
   // Requests every item `source` yields for `app`, in order, with the
@@ -281,8 +283,9 @@ class LockManager {
   void RegisterMetrics(MetricsRegistry* registry);
 
   // Registers the hot-path structure gauges (`locktune_lock_table_heads`,
-  // `locktune_lock_head_pool_*`, `locktune_lock_blocked_apps`): resident
-  // heads, head-pool slab/free counts, and the blocked-application count.
+  // `locktune_lock_table_directory_slots`, `locktune_lock_head_pool_*`,
+  // `locktune_lock_blocked_apps`): resident heads, directory slots (8 bytes
+  // each), head-pool slab/free counts, and the blocked-application count.
   // Kept separate from RegisterMetrics so default runs keep the
   // pre-existing metric set (and byte-identical exports); the inspector
   // (`locktune_sim --inspect`) opts in.
@@ -290,6 +293,7 @@ class LockManager {
 
   // --- introspection into the table/pool (tests and gauges) ---
   int64_t lock_table_size() const;
+  int64_t lock_table_directory_slots() const;
   int64_t head_pool_free_nodes() const;
   int64_t head_pool_slab_count() const;
 
@@ -306,14 +310,17 @@ class LockManager {
   // entries keep grant order — which drives commit-time release order and
   // therefore the grant cascade.
   //
-  // `head` back-references the resource's lock head (DB2 chains lock
-  // requests to their lock block the same way): pooled head nodes are
-  // pointer-stable and a head cannot be erased while this application still
-  // holds it, so release and escalation sweeps skip the table probe.
+  // `key` is the resource packed as the lock table packs it, so the sweeps
+  // read its table and kind without touching the head. `head`
+  // back-references the resource's lock head (DB2 chains lock requests to
+  // their lock block the same way): pooled head nodes are pointer-stable
+  // and a head cannot be erased while this application still holds it, so
+  // release and escalation sweeps skip the table probe.
   struct HeldSlot {
-    ResourceId res;
+    uint64_t key = 0;
     LockHead* head = nullptr;
   };
+  static_assert(sizeof(HeldSlot) == 16, "a held entry is two words");
 
   struct AppState {
     std::vector<HeldSlot> held;  // granted resources in grant order, unique

@@ -3,23 +3,32 @@
 // Structural decisions that keep the grant/release hot path off the heap
 // and in cache:
 //
-//  * One directory: a ResourceHashMap from resource to pooled node, probed
-//    with the caller's precomputed ResourceIdHash. Erasure shifts the probe
-//    run back (no tombstones), so a miss stops at the first empty slot.
+//  * One directory of 8-byte slots, probed linearly from the resource's
+//    precomputed ResourceIdHash. A slot holds a 32-bit tag, the low 32 bits
+//    of that hash, and the 32-bit index of the resource's pooled node;
+//    index 0 marks an empty slot. A probe compares tags and reads a node
+//    only on a tag match, so a miss — and most finds are misses — touches
+//    only the directory. Erasure shifts the probe run back instead of
+//    leaving a tombstone, taking each entry's home slot from its tag, so a
+//    miss stops at the first empty slot and nothing is rehashed. The
+//    directory grows to its high-water mark and is then reused.
 //
 //  * Pooling: LockHead nodes live in slab-allocated arrays and are recycled
-//    through a free list. A node is one 64-byte cache line — a head with
-//    its first holder inline plus the free-list link — and a recycled head
-//    keeps its extension (later holders, waiters, index) and that
-//    extension's capacity, so steady-state lock/unlock traffic allocates
-//    nothing. Node addresses are stable for the node's lifetime, which the
-//    lock manager relies on while draining grant cascades.
+//    through a free list. A node is one 64-byte cache line: a head with its
+//    first holder inline, plus one key word that holds the resource packed
+//    (PackResource) while the node is live and the next free node's index
+//    while it is free. A recycled head keeps its extension (later holders,
+//    waiters, index) and that extension's capacity, so steady-state
+//    lock/unlock traffic allocates nothing. Node addresses are stable for
+//    the node's lifetime, which the lock manager relies on while draining
+//    grant cascades.
 //
 // Thread safety: none of its own. The owning LockManager serializes every
 // call under its mutex.
 #ifndef LOCKTUNE_LOCK_LOCK_TABLE_H_
 #define LOCKTUNE_LOCK_LOCK_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,10 +36,10 @@
 #include "common/status.h"
 #include "lock/lock_head.h"
 #include "lock/resource.h"
-#include "lock/resource_map.h"
 
 namespace locktune {
 
+// Every resource passed in must satisfy FitsPackedKey.
 class LockTable {
  public:
   LockTable() = default;
@@ -71,40 +80,80 @@ class LockTable {
   bool EraseIfEmpty(const ResourceId& resource, uint64_t hash);
 
   // Calls fn(const ResourceId&, const LockHead&) for every head. Iteration
-  // order is unspecified (slot order).
+  // order is unspecified (slot order); only validators iterate.
   template <typename Fn>
   void ForEach(Fn fn) const {
-    dir_.ForEach([&fn](const ResourceId& key, const Node* node) {
-      fn(key, node->head);
-    });
+    for (const Slot& slot : slots_) {
+      if (slot.node == 0) continue;
+      const Node& node = NodeAt(slot.node);
+      fn(UnpackResource(node.key), node.head);
+    }
   }
 
-  // Full-structure validation (paranoid mode / tests): every directory
-  // entry is found by its own probe, every live head's aggregates match a
+  // Full-structure validation (paranoid mode / tests): the directory's
+  // size and occupancy bound hold, every slot's tag is its node's key
+  // hash and its own probe finds it, every live head's aggregates match a
   // recomputation, and every pooled node is either live or on the free
-  // list (slab/pool conservation). O(total heads); returns OK or INTERNAL
-  // naming the violated invariant.
+  // list (slab/pool conservation). O(slots + total nodes); returns OK or
+  // INTERNAL naming the violated invariant.
   [[nodiscard]] Status CheckConsistency() const;
 
-  // --- introspection (pool gauges) ---
-  int64_t size() const { return dir_.size(); }
+  // --- introspection (pool and directory gauges) ---
+  int64_t size() const { return size_; }
+  int64_t directory_slots() const {
+    return static_cast<int64_t>(slots_.size());
+  }
   int64_t pool_free_nodes() const { return pool_free_; }
   int64_t pool_total_nodes() const { return slab_count() * kSlabNodes; }
   int64_t slab_count() const { return static_cast<int64_t>(slabs_.size()); }
 
  private:
+  // A directory slot: the low 32 bits of the resource's hash, and the
+  // 1-based index of its node (0 = empty slot).
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t node = 0;
+  };
+  static_assert(sizeof(Slot) == 8, "a directory slot is 8 bytes");
+
   struct Node {
     LockHead head;
-    Node* next_free = nullptr;
+    // Live: the resource, PackResource-packed. Free: the next free node's
+    // index (0 ends the free list).
+    uint64_t key = 0;
   };
   static_assert(sizeof(Node) <= 64, "a lock-table node is one cache line");
 
-  Node* AllocateNode();
-  void RecycleNode(Node* node);
+  static constexpr size_t kNpos = ~size_t{0};
 
-  ResourceHashMap<Node*> dir_;  // live heads
+  Node& NodeAt(uint32_t index) {
+    return slabs_[(index - 1) / kSlabNodes][(index - 1) % kSlabNodes];
+  }
+  const Node& NodeAt(uint32_t index) const {
+    return slabs_[(index - 1) / kSlabNodes][(index - 1) % kSlabNodes];
+  }
+
+  // Slot index of the live node whose key word is `key`, or kNpos. `hash`
+  // must be the key's ResourceIdHash.
+  size_t FindSlot(uint64_t key, uint64_t hash) const;
+
+  // Empties the full slot at `index` without a tombstone: walking the rest
+  // of the probe run, each entry whose home slot (its tag's low bits) lies
+  // cyclically outside (hole, entry's slot] moves back into the hole and
+  // leaves its old slot as the new hole; the last hole is emptied.
+  void EraseSlot(size_t index);
+
+  // Doubles the directory (16 slots at first) and re-places every slot
+  // from its tag.
+  void Grow();
+
+  uint32_t AllocateNode();
+  void RecycleNode(uint32_t index);
+
+  std::vector<Slot> slots_;  // power-of-two size, at most 3/4 full
+  int64_t size_ = 0;         // full slots = live heads
   std::vector<std::unique_ptr<Node[]>> slabs_;
-  Node* free_list_ = nullptr;
+  uint32_t free_head_ = 0;  // first free node's index, 0 when none
   int64_t pool_free_ = 0;
 };
 

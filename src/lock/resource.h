@@ -53,6 +53,41 @@ struct ResourceIdHash {
   }
 };
 
+// The lock table's nodes and the per-application held lists store a
+// resource as one key word: 24 table bits, then the kind bit, then 39 row
+// bits. Catalog::AddTable keeps table ids below kMaxPackedTables, and the
+// lock manager's entry points check every resource with FitsPackedKey
+// before it is packed.
+inline constexpr int kPackedRowBits = 39;
+inline constexpr int64_t kMaxPackedTables = int64_t{1} << 24;
+inline constexpr int64_t kMaxPackedRows = int64_t{1} << kPackedRowBits;
+
+// True when 0 <= table < 2^24 and 0 <= row < 2^39.
+inline bool FitsPackedKey(const ResourceId& r) {
+  return static_cast<uint32_t>(r.table) < kMaxPackedTables &&
+         static_cast<uint64_t>(r.row) < kMaxPackedRows;
+}
+
+// `r` as a key word. Precondition: FitsPackedKey(r).
+inline uint64_t PackResource(const ResourceId& r) {
+  return (static_cast<uint64_t>(r.table) << (kPackedRowBits + 1)) |
+         (static_cast<uint64_t>(r.kind) << kPackedRowBits) |
+         static_cast<uint64_t>(r.row);
+}
+
+inline TableId PackedTable(uint64_t key) {
+  return static_cast<TableId>(key >> (kPackedRowBits + 1));
+}
+
+inline ResourceKind PackedKind(uint64_t key) {
+  return static_cast<ResourceKind>((key >> kPackedRowBits) & 1);
+}
+
+inline ResourceId UnpackResource(uint64_t key) {
+  return ResourceId{PackedKind(key), PackedTable(key),
+                    static_cast<int64_t>(key & (kMaxPackedRows - 1))};
+}
+
 }  // namespace locktune
 
 #endif  // LOCKTUNE_LOCK_RESOURCE_H_

@@ -1,10 +1,14 @@
 #include "lock/lock_manager.h"
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace locktune {
@@ -456,6 +460,53 @@ TEST_F(LockManagerTest, SetMaxLockMemory) {
   EXPECT_EQ(lm_->MemoryState().max_lock_memory, 128 * kMiB);
 }
 
+// The largest table id and row number the packed key holds are ordinary
+// resources: they lock, report their mode and release like any other.
+TEST_F(LockManagerTest, PackedKeyExtremesLockAndRelease) {
+  Make(4, 90.0, false);
+  const TableId max_table = static_cast<TableId>(kMaxPackedTables - 1);
+  const ResourceId far_row = RowResource(max_table, kMaxPackedRows - 1);
+  ASSERT_EQ(lm_->Lock(1, far_row, LockMode::kX).outcome,
+            LockOutcome::kGranted);
+  ASSERT_EQ(lm_->Lock(1, RowResource(max_table, 0), LockMode::kS).outcome,
+            LockOutcome::kGranted);
+  EXPECT_EQ(lm_->HeldMode(1, far_row), LockMode::kX);
+  EXPECT_EQ(lm_->HeldMode(1, TableResource(max_table)), LockMode::kIX);
+  EXPECT_EQ(lm_->CheckConsistency(), Status::Ok());
+  ASSERT_TRUE(lm_->Release(1, far_row).ok());
+  EXPECT_EQ(lm_->HeldMode(1, far_row), LockMode::kNone);
+  lm_->ReleaseAll(1);
+  EXPECT_EQ(lm_->lock_table_size(), 0);
+}
+
+// The inspector-only directory gauge reports the lock table's slot count:
+// 16 slots once the first head exists, doubling past 3/4 occupancy.
+TEST_F(LockManagerTest, DirectorySlotsGaugeTracksTheDirectory) {
+  Make(4, 90.0, false);
+  MetricsRegistry registry;
+  lm_->RegisterInternalMetrics(&registry);
+  const auto directory_slots = [&registry]() -> std::optional<double> {
+    for (const MetricSample& sample : registry.Collect()) {
+      if (sample.name == "locktune_lock_table_directory_slots") {
+        return sample.value;
+      }
+    }
+    return std::nullopt;
+  };
+  ASSERT_EQ(directory_slots(), 0.0);
+  ASSERT_EQ(lm_->Lock(1, RowResource(kOrders, 1), LockMode::kS).outcome,
+            LockOutcome::kGranted);
+  EXPECT_EQ(directory_slots(), 16.0);
+  for (int64_t r = 2; r <= 12; ++r) {
+    ASSERT_EQ(lm_->Lock(1, RowResource(kOrders, r), LockMode::kS).outcome,
+              LockOutcome::kGranted);
+  }
+  // 12 rows + 1 intent head pass 3/4 of 16 slots.
+  EXPECT_EQ(lm_->lock_table_size(), 13);
+  EXPECT_EQ(directory_slots(), 32.0);
+  EXPECT_EQ(lm_->lock_table_directory_slots(), 32);
+}
+
 TEST_F(LockManagerTest, StatsCountRequestsAndGrants) {
   Make(4, 90.0, false);
   ASSERT_EQ(lm_->Lock(1, RowResource(kOrders, 1), LockMode::kS).outcome,
@@ -465,6 +516,49 @@ TEST_F(LockManagerTest, StatsCountRequestsAndGrants) {
   EXPECT_EQ(lm_->stats().lock_requests, 2);
   // Grants include the implicit intent lock: 1 intent + 2 rows.
   EXPECT_EQ(lm_->stats().grants, 3);
+}
+
+// A resource reaches the lock table as one packed key word (24 table bits,
+// 1 kind bit, 39 row bits), so every entry point CHECKs the ranges before
+// packing: an out-of-range id would otherwise alias another resource.
+TEST(LockManagerDeathTest, OutOfRangeResourcesAreRejectedBeforePacking) {
+  FixedMaxlocksPolicy policy(90.0);
+  LockManagerOptions opts;
+  opts.initial_blocks = 1;
+  opts.max_lock_memory = 64 * kMiB;
+  opts.policy = &policy;
+  LockManager lm(std::move(opts));
+  const TableId too_many = static_cast<TableId>(kMaxPackedTables);
+  const char* kMessage = "CHECK failed: FitsPackedKey";
+  EXPECT_DEATH(lm.Lock(1, TableResource(too_many), LockMode::kS), kMessage);
+  EXPECT_DEATH(lm.Lock(1, TableResource(-1), LockMode::kS), kMessage);
+  EXPECT_DEATH(lm.Lock(1, RowResource(1, kMaxPackedRows), LockMode::kS),
+               kMessage);
+  EXPECT_DEATH(lm.Lock(1, RowResource(1, -1), LockMode::kS), kMessage);
+  EXPECT_DEATH((void)lm.Release(1, RowResource(1, kMaxPackedRows)), kMessage);
+  EXPECT_DEATH((void)lm.HeldMode(1, TableResource(too_many)), kMessage);
+
+  // Each batch item is checked as it is drawn: the first item is granted,
+  // the second dies.
+  class TwoItems final : public LockRequestSource {
+   public:
+    std::optional<BatchItem> Next() override {
+      if (drawn_ == 2) return std::nullopt;
+      return BatchItem{RowResource(1, drawn_++ == 0 ? 7 : kMaxPackedRows),
+                       LockMode::kS};
+    }
+
+   private:
+    int drawn_ = 0;
+  };
+  EXPECT_DEATH(
+      {
+        TwoItems source;
+        (void)lm.AcquireBatch(1, source);
+      },
+      kMessage);
+  // Nothing leaked into the parent's manager.
+  EXPECT_EQ(lm.lock_table_size(), 0);
 }
 
 }  // namespace

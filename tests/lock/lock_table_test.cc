@@ -1,9 +1,12 @@
 // LockTable unit tests: pooled node recycling, pointer stability, the
-// precomputed-hash fast paths the lock manager relies on, and the
-// ResourceHashMap the directory uses (backward-shift erase, self-check).
+// precomputed-hash fast paths the lock manager relies on, the packed key
+// word, and the directory of tagged 8-byte slots (backward-shift erase,
+// tag collisions, self-check).
 #include "lock/lock_table.h"
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,7 +15,6 @@
 #include "lock/escalation_policy.h"
 #include "lock/lock_manager.h"
 #include "lock/resource.h"
-#include "lock/resource_map.h"
 
 namespace locktune {
 namespace {
@@ -195,42 +197,64 @@ TEST(LockTableTest, SlabCountStabilizesAcrossEscalationBursts) {
   EXPECT_EQ(lm.CheckConsistency(), Status::Ok());
 }
 
-// The directory's own recount: the size (which decides when Insert grows
-// the slot array) must match the slots, and every entry must stay
-// reachable from its home slot, after every insert, backward-shift erase
-// and growth. A sliding window of keys keeps erasing ahead of
-// inserts, so probe runs are both shifted back and refilled; the check
-// runs after each step because growth re-inserts everything and would
-// hide drift.
-TEST(ResourceHashMapTest, SelfCheckHoldsAfterEveryStep) {
-  ResourceHashMap<int> map;
+// The packed key word round-trips every resource in range, including
+// the extremes of each field, and keeps row and table resources apart.
+TEST(LockTableTest, PackedKeyRoundTripsTheRanges) {
+  const TableId max_table = static_cast<TableId>(kMaxPackedTables - 1);
+  const int64_t max_row = kMaxPackedRows - 1;
+  for (const ResourceId& r :
+       {TableResource(0), RowResource(0, 0), TableResource(max_table),
+        RowResource(max_table, max_row), RowResource(99'999, 999'999),
+        RowResource(3, 6'000'000'000)}) {
+    ASSERT_TRUE(FitsPackedKey(r)) << r.ToString();
+    EXPECT_EQ(UnpackResource(PackResource(r)), r) << r.ToString();
+    EXPECT_EQ(PackedTable(PackResource(r)), r.table);
+    EXPECT_EQ(PackedKind(PackResource(r)), r.kind);
+  }
+  EXPECT_NE(PackResource(TableResource(5)), PackResource(RowResource(5, 0)));
+  EXPECT_FALSE(FitsPackedKey(TableResource(max_table + 1)));
+  EXPECT_FALSE(FitsPackedKey(TableResource(-1)));
+  EXPECT_FALSE(FitsPackedKey(RowResource(1, max_row + 1)));
+  EXPECT_FALSE(FitsPackedKey(RowResource(1, -1)));
+}
+
+// The directory's own recount: the size (which decides when Create grows
+// the directory) must match the full slots, every tag must be its node's
+// key hash, and every entry must stay reachable from its home slot, after
+// every insert, backward-shift erase and growth. A sliding window of keys
+// keeps erasing ahead of inserts, so probe runs are both shifted back and
+// refilled; the check runs after each step because growth re-places
+// everything and would hide drift.
+TEST(LockTableDirectoryTest, SelfCheckHoldsAfterEveryStep) {
+  LockTable table;
   const auto key = [](int i) { return RowResource(1, i); };
-  const auto hash = [&](int i) { return ResourceIdHash{}(key(i)); };
-  ASSERT_EQ(map.CheckConsistency(), Status::Ok());
+  ASSERT_EQ(table.CheckConsistency(), Status::Ok());
   constexpr int kWindow = 300;
   for (int i = 0; i < kWindow; ++i) {
-    map.Insert(key(i), hash(i), i);
-    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "insert " << i;
+    table.GetOrCreate(key(i));
+    ASSERT_EQ(table.CheckConsistency(), Status::Ok()) << "insert " << i;
   }
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(map.Erase(key(i), hash(i)));
-    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "erase " << i;
-    map.Insert(key(kWindow + i), hash(kWindow + i), i);
-    ASSERT_EQ(map.CheckConsistency(), Status::Ok()) << "insert " << i;
+    ASSERT_TRUE(table.EraseIfEmpty(key(i)));
+    ASSERT_EQ(table.CheckConsistency(), Status::Ok()) << "erase " << i;
+    table.GetOrCreate(key(kWindow + i));
+    ASSERT_EQ(table.CheckConsistency(), Status::Ok()) << "insert " << i;
   }
-  EXPECT_EQ(map.size(), kWindow);
-  EXPECT_FALSE(map.Erase(key(0), hash(0)));
-  ASSERT_NE(map.Find(key(1299), hash(1299)), nullptr);
+  EXPECT_EQ(table.size(), kWindow);
+  EXPECT_FALSE(table.EraseIfEmpty(key(0)));
+  EXPECT_EQ(table.Find(key(0)), nullptr);
+  ASSERT_NE(table.Find(key(1299)), nullptr);
 }
 
 // Backward-shift erase inside a probe run that wraps past the end of the
-// slot array. Keys are picked by home slot (the low hash bits, as the map
-// probes them) so that a run starts in the last slots and continues from
-// slot 0: three keys homed at slot 14, two at 15, two at 0, one at 1
+// directory. Keys are picked by home slot (the tag's low bits, as the
+// table probes them) so that a run starts in the last slots and continues
+// from slot 0: three keys homed at slot 14, two at 15, two at 0, one at 1
 // occupy slots 14, 15, 0, ..., 5. Erasing any one of them, from before,
-// at, or after the wrap, must leave every other key findable.
-TEST(ResourceHashMapTest, EraseInsideAWrappingProbeRun) {
-  constexpr size_t kCapacity = 16;  // the map's first slot array
+// at, or after the wrap, must leave every other key findable at its old
+// head.
+TEST(LockTableDirectoryTest, EraseInsideAWrappingProbeRun) {
+  constexpr size_t kCapacity = 16;  // the table's first directory
   const auto hash = [](const ResourceId& key) { return ResourceIdHash{}(key); };
   std::vector<ResourceId> keys;
   for (const auto& [home, count] :
@@ -248,41 +272,91 @@ TEST(ResourceHashMapTest, EraseInsideAWrappingProbeRun) {
   }
   ASSERT_EQ(keys.size(), 8u);
   for (size_t victim = 0; victim < keys.size(); ++victim) {
-    ResourceHashMap<int> map;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      map.Insert(keys[i], hash(keys[i]), static_cast<int>(i));
+    LockTable table;
+    std::vector<const LockHead*> heads;
+    for (const ResourceId& key : keys) {
+      heads.push_back(&table.Create(key, hash(key)));
     }
-    ASSERT_EQ(map.capacity(), static_cast<int64_t>(kCapacity));
-    ASSERT_TRUE(map.Erase(keys[victim], hash(keys[victim])));
-    EXPECT_EQ(map.CheckConsistency(), Status::Ok()) << "erase " << victim;
-    EXPECT_EQ(map.size(), static_cast<int64_t>(keys.size()) - 1);
-    EXPECT_EQ(map.Find(keys[victim], hash(keys[victim])), nullptr);
+    ASSERT_EQ(table.directory_slots(), static_cast<int64_t>(kCapacity));
+    ASSERT_TRUE(table.EraseIfEmpty(keys[victim], hash(keys[victim])));
+    EXPECT_EQ(table.CheckConsistency(), Status::Ok()) << "erase " << victim;
+    EXPECT_EQ(table.size(), static_cast<int64_t>(keys.size()) - 1);
+    EXPECT_EQ(table.Find(keys[victim]), nullptr);
     for (size_t i = 0; i < keys.size(); ++i) {
       if (i == victim) continue;
-      const int* value = map.Find(keys[i], hash(keys[i]));
-      ASSERT_NE(value, nullptr) << "erase " << victim << " lost key " << i;
-      EXPECT_EQ(*value, static_cast<int>(i));
+      EXPECT_EQ(table.Find(keys[i]), heads[i])
+          << "erase " << victim << " lost key " << i;
     }
   }
 }
 
 // With no tombstones, erase/insert churn at a constant size never fills
-// the slot array, so it never grows (or re-hashes) past its high-water
-// mark.
-TEST(ResourceHashMapTest, ChurnAtConstantSizeKeepsCapacity) {
-  ResourceHashMap<int> map;
+// the directory, so it never grows past its high-water mark.
+TEST(LockTableDirectoryTest, ChurnAtConstantSizeKeepsCapacity) {
+  LockTable table;
   const auto key = [](int i) { return RowResource(2, i); };
-  const auto hash = [&](int i) { return ResourceIdHash{}(key(i)); };
   constexpr int kLive = 100;
-  for (int i = 0; i < kLive; ++i) map.Insert(key(i), hash(i), i);
-  const int64_t capacity = map.capacity();
+  for (int i = 0; i < kLive; ++i) table.GetOrCreate(key(i));
+  const int64_t capacity = table.directory_slots();
   for (int i = 0; i < 20 * static_cast<int>(capacity); ++i) {
-    ASSERT_TRUE(map.Erase(key(i), hash(i)));
-    map.Insert(key(kLive + i), hash(kLive + i), i);
-    ASSERT_EQ(map.capacity(), capacity) << "step " << i;
+    ASSERT_TRUE(table.EraseIfEmpty(key(i)));
+    table.GetOrCreate(key(kLive + i));
+    ASSERT_EQ(table.directory_slots(), capacity) << "step " << i;
   }
-  EXPECT_EQ(map.size(), kLive);
-  EXPECT_EQ(map.CheckConsistency(), Status::Ok());
+  EXPECT_EQ(table.size(), kLive);
+  EXPECT_EQ(table.CheckConsistency(), Status::Ok());
+}
+
+// Two resources whose hashes share their low 32 bits have equal tags and,
+// at any directory size up to 2^32, the same home slot: the directory
+// cannot tell them apart, so the node's key word must. Both must be found
+// at their own heads, and each must erase cleanly in either order.
+TEST(LockTableDirectoryTest, TagCollisionsAreResolvedByTheNodeKey) {
+  std::unordered_map<uint32_t, int64_t> row_of_tag;
+  ResourceId first;
+  ResourceId second;
+  for (int64_t row = 0;; ++row) {
+    ASSERT_LT(row, 4'000'000) << "no 32-bit tag collision found";
+    const ResourceId res = RowResource(4, row);
+    const auto tag = static_cast<uint32_t>(ResourceIdHash{}(res));
+    const auto [it, fresh] = row_of_tag.emplace(tag, row);
+    if (!fresh) {
+      first = RowResource(4, it->second);
+      second = res;
+      break;
+    }
+  }
+  const uint64_t first_hash = ResourceIdHash{}(first);
+  const uint64_t second_hash = ResourceIdHash{}(second);
+  ASSERT_NE(first_hash, second_hash);
+  ASSERT_EQ(static_cast<uint32_t>(first_hash),
+            static_cast<uint32_t>(second_hash));
+
+  for (const bool first_goes_first : {true, false}) {
+    LockTable table;
+    // Neighbours in the same run, so the colliding pair is probed past
+    // other entries and shifted back over them.
+    for (int i = 0; i < 8; ++i) table.GetOrCreate(RowResource(5, i));
+    LockHead* a = &table.GetOrCreate(first);
+    LockHead* b = &table.GetOrCreate(second);
+    ASSERT_NE(a, b);
+    EXPECT_EQ(table.Find(first), a);
+    EXPECT_EQ(table.Find(second), b);
+    ASSERT_EQ(table.CheckConsistency(), Status::Ok());
+
+    const ResourceId& gone = first_goes_first ? first : second;
+    const ResourceId& kept = first_goes_first ? second : first;
+    LockHead* kept_head = first_goes_first ? b : a;
+    ASSERT_TRUE(table.EraseIfEmpty(gone));
+    EXPECT_EQ(table.Find(gone), nullptr);
+    EXPECT_EQ(table.Find(kept), kept_head);
+    ASSERT_EQ(table.CheckConsistency(), Status::Ok());
+    EXPECT_FALSE(table.EraseIfEmpty(gone));
+    ASSERT_TRUE(table.EraseIfEmpty(kept));
+    EXPECT_EQ(table.Find(kept), nullptr);
+    EXPECT_EQ(table.size(), 8);
+    EXPECT_EQ(table.CheckConsistency(), Status::Ok());
+  }
 }
 
 }  // namespace

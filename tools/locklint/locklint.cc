@@ -156,9 +156,9 @@ constexpr RuleInfo kRules[] = {
 
 // Basenames of files where integral accounting is mandatory (LL003).
 const std::set<std::string> kAccountingFiles = {
-    "block_list.h",  "block_list.cc",  "lock_block.h",  "lock_block.cc",
-    "memory_heap.h", "lock_table.h",   "lock_table.cc", "resource_map.h",
-    "lock_head.h",   "lock_head.cc",   "units.h",
+    "block_list.h", "block_list.cc", "lock_block.h", "lock_block.cc",
+    "memory_heap.h", "lock_table.h", "lock_table.cc", "lock_head.h",
+    "lock_head.cc", "units.h",
 };
 
 // Spellings a declaration's rank argument may use; resolved against the
