@@ -3,17 +3,20 @@
 // The paper's synchronous growth and the MAXLOCKS refresh period (0x80)
 // both exist because lock-request-path work must stay cheap; these
 // benchmarks quantify the primitives: grant/release cycles, block list
-// alloc/free, curve evaluation, tuner decisions, escalation, and deadlock
-// detection.
+// alloc/free, curve evaluation, tuner decisions, escalation, deadlock
+// detection, and the OLTP workload's row draws and construction.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "common/random.h"
 #include "core/lock_memory_tuner.h"
+#include "engine/catalog.h"
 #include "lock/lock_manager.h"
 #include "lock/maxlocks_curve.h"
 #include "memory/block_list.h"
+#include "workload/oltp_workload.h"
 
 namespace locktune {
 namespace {
@@ -176,6 +179,35 @@ void BM_DeadlockDetectionCyclic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeadlockDetectionCyclic)->Arg(10)->Arg(100);
+
+void BM_OltpNextAccess(benchmark::State& state) {
+  // One row draw of the default OLTP workload: the table pick, the Zipf
+  // rank and the S/X choice. Every lock request of the figure scenarios
+  // starts with one.
+  const Catalog catalog = Catalog::TpccTpch();
+  OltpWorkload workload(catalog, OltpOptions{});
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload.NextAccess(rng));
+  }
+}
+BENCHMARK(BM_OltpNextAccess);
+
+void BM_OltpWorkloadConstruct(benchmark::State& state) {
+  // Building the OLTP workload over the tpcc tables at catalog scale
+  // range(0): the ζ sums of every table's Zipf generator dominate. Scale 100
+  // puts five tables past the 2^24-term exact prefix.
+  const Catalog catalog =
+      Catalog::TpccTpch(static_cast<double>(state.range(0)));
+  for (auto _ : state) {
+    OltpWorkload workload(catalog, OltpOptions{});
+    benchmark::DoNotOptimize(&workload);
+  }
+}
+BENCHMARK(BM_OltpWorkloadConstruct)
+    ->Arg(1)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace locktune

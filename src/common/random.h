@@ -33,6 +33,23 @@ class Rng {
   uint64_t state_[4];
 };
 
+// Uniform integers in [0, bound) for a bound fixed in advance: the same draws
+// as Rng::NextBelow(bound), with the rejection threshold computed once
+// instead of on every draw.
+class UniformBelow {
+ public:
+  // `bound` must be positive.
+  explicit UniformBelow(uint64_t bound);
+
+  uint64_t bound() const { return bound_; }
+
+  uint64_t Next(Rng& rng) const;
+
+ private:
+  uint64_t bound_;
+  uint64_t threshold_;
+};
+
 // Zipf-distributed integers over [0, n). Skew `theta` in [0, 1); theta = 0 is
 // uniform, larger values concentrate probability on small ranks. Uses the
 // standard Gray/Jim CLH rejection-free inversion approximation, the same
@@ -41,19 +58,29 @@ class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);
 
-  uint64_t n() const { return n_; }
+  // One generator per entry of `domains` (any order, duplicates allowed),
+  // each identical to ZipfGenerator(domains[k], theta), from a single
+  // ascending ζ pass: every domain's exact ζ sum is a prefix of the largest
+  // one's, so the pass costs the largest domain's terms (at most 2^24), not
+  // the sum of every domain's.
+  static std::vector<ZipfGenerator> ForDomains(
+      const std::vector<uint64_t>& domains, double theta);
+
+  uint64_t n() const { return uniform_.bound(); }
   double theta() const { return theta_; }
 
   // Draws one rank in [0, n).
   uint64_t Next(Rng& rng) const;
 
  private:
-  uint64_t n_;
+  ZipfGenerator(uint64_t n, double theta, double zetan, double zeta2);
+
+  UniformBelow uniform_;  // the draw when theta = 0; its bound is n
   double theta_;
   double alpha_;
   double zetan_;
   double eta_;
-  double zeta2_;
+  double rank1_limit_;  // 1 + 0.5^θ: u·ζ(n) in [1, this) draws rank 1
 };
 
 }  // namespace locktune

@@ -11,14 +11,16 @@ OltpWorkload::OltpWorkload(const Catalog& catalog, const OltpOptions& options)
   LOCKTUNE_CHECK(options.write_fraction >= 0.0 && options.write_fraction <= 1.0);
   tables_ = catalog.TablesWithPrefix("tpcc_");
   LOCKTUNE_CHECK(!tables_.empty());
+  std::vector<uint64_t> rows;
+  int64_t total_rows = 0;
   for (TableId t : tables_) {
-    const int64_t rows = catalog.Get(t).row_count;
-    row_counts_.push_back(rows);
-    row_pickers_.emplace_back(static_cast<uint64_t>(rows),
-                              options.row_zipf_theta);
-    total_rows_ += rows;
-    cumulative_rows_.push_back(total_rows_);
+    const int64_t n = catalog.Get(t).row_count;
+    rows.push_back(static_cast<uint64_t>(n));
+    total_rows += n;
+    cumulative_rows_.push_back(total_rows);
   }
+  row_pickers_ = ZipfGenerator::ForDomains(rows, options.row_zipf_theta);
+  table_pick_ = UniformBelow(static_cast<uint64_t>(total_rows));
 }
 
 TransactionProfile OltpWorkload::NextTransaction(Rng& rng) {
@@ -32,11 +34,12 @@ TransactionProfile OltpWorkload::NextTransaction(Rng& rng) {
 }
 
 RowAccess OltpWorkload::NextAccess(Rng& rng) {
-  // Weighted by table size: most row locks land on the big tables.
-  const int64_t pick =
-      rng.NextInRange(0, total_rows_ - 1);
+  // Weighted by table size: most row locks land on the big tables. The
+  // cumulative counts are sorted, so the number of them at or below the pick
+  // is the index of the first one above it.
+  const int64_t pick = static_cast<int64_t>(table_pick_.Next(rng));
   size_t i = 0;
-  while (cumulative_rows_[i] <= pick) ++i;
+  for (const int64_t bound : cumulative_rows_) i += bound <= pick;
   RowAccess a;
   a.table = tables_[i];
   a.row = static_cast<int64_t>(row_pickers_[i].Next(rng));

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/random.h"
 #include "engine/catalog.h"
 #include "workload/workload.h"
 
@@ -40,12 +41,13 @@ class OltpWorkload : public Workload {
  private:
   OltpOptions options_;
   std::vector<TableId> tables_;
-  std::vector<int64_t> row_counts_;
   std::vector<ZipfGenerator> row_pickers_;
   // Row-count-weighted table selection (an order-entry transaction touches
-  // mostly order-line and stock rows, rarely the 100-row warehouse table).
+  // mostly order-line and stock rows, rarely the 100-row warehouse table):
+  // a pick uniform below the total row count lands in the first table whose
+  // cumulative row count exceeds it.
   std::vector<int64_t> cumulative_rows_;
-  int64_t total_rows_ = 0;
+  UniformBelow table_pick_{1};  // the constructor sets the total row count
 };
 
 }  // namespace locktune

@@ -125,6 +125,26 @@ TEST(ZipfTest, SingleElementDomain) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Next(rng), 0u);
 }
 
+TEST(ZipfTest, SharedPassMatchesOneDomainGenerators) {
+  // Unsorted, with a duplicate (tpcc has three 300k-row tables), 1- and
+  // 2-row domains, and one past the 2^24-term exact prefix: each generator
+  // of the shared pass draws exactly what a generator of its own draws.
+  const std::vector<uint64_t> domains = {300'000, 2,          1'000, 300'000,
+                                         1,       20'000'000, 100};
+  const std::vector<ZipfGenerator> shared =
+      ZipfGenerator::ForDomains(domains, 0.5);
+  ASSERT_EQ(shared.size(), domains.size());
+  for (size_t k = 0; k < domains.size(); ++k) {
+    const ZipfGenerator alone(domains[k], 0.5);
+    EXPECT_EQ(shared[k].n(), domains[k]);
+    Rng rng_shared(71 + k), rng_alone(71 + k);
+    for (int i = 0; i < 10'000; ++i) {
+      ASSERT_EQ(shared[k].Next(rng_shared), alone.Next(rng_alone))
+          << "domain " << domains[k] << ", draw " << i;
+    }
+  }
+}
+
 TEST(ZipfTest, BillionRowDomainIsCheapAndConsistent) {
   // Above 2^24 ranks the zeta normalizer switches from exact summation to
   // a midpoint-integral tail (population-scaled catalogs in scale_sweep

@@ -1,7 +1,8 @@
 // End-to-end smoke test for the locktune_sim binary: runs the Figure 9 ramp
 // scenario with --metrics-out / --trace-out and checks both outputs parse
 // (strict JSONL validation, Prometheus line shape), that the decision trace
-// matches the run summary, and that bad flags are rejected.
+// matches the run summary, and that bad flags are rejected. The cases that
+// check only the `-` and `.csv` output formats run the ramp's first 40 s.
 //
 // The binary path comes from the LOCKTUNE_SIM_BINARY compile definition
 // (see tests/CMakeLists.txt).
@@ -205,11 +206,32 @@ int64_t PromValue(const std::string& prom, const std::string& name) {
   return -1;
 }
 
-int RunSim(const std::string& args, const std::string& stdout_path,
-           const std::string& stderr_path) {
-  const std::string cmd = std::string(LOCKTUNE_SIM_BINARY) + " " +
-                          LOCKTUNE_SOURCE_DIR "/scenarios/fig9_ramp.conf " +
-                          args + " > " + stdout_path + " 2> " + stderr_path;
+const std::string kFig9Conf = LOCKTUNE_SOURCE_DIR "/scenarios/fig9_ramp.conf";
+
+// Writes the first 40 virtual seconds of fig9_ramp.conf (one tuning pass,
+// at most 20 clients) to a temp file named after `name` and returns its
+// path: enough for the cases that check only an output format, in a fraction
+// of the full run's time. Each case passes its own name, so cases running in
+// parallel never share the file.
+std::string ShortRampConf(const std::string& name) {
+  const std::string path = TempPath(name + "_ramp.conf");
+  std::ofstream os(path);
+  os << "database_memory_mb 512\n"
+        "mode selftuning\n"
+        "initial_locklist_pages 96\n"
+        "duration_s 40\n"
+        "\n"
+        "[oltp]\n"
+        "clients 0 1\n"
+        "clients 20 20\n";
+  return path;
+}
+
+int RunSim(const std::string& scenario, const std::string& args,
+           const std::string& stdout_path, const std::string& stderr_path) {
+  const std::string cmd = std::string(LOCKTUNE_SIM_BINARY) + " " + scenario +
+                          " " + args + " > " + stdout_path + " 2> " +
+                          stderr_path;
   const int status = std::system(cmd.c_str());
   return status < 0 ? status : WEXITSTATUS(status);
 }
@@ -217,7 +239,8 @@ int RunSim(const std::string& args, const std::string& stdout_path,
 TEST(SimSmokeTest, MetricsAndTraceFilesParse) {
   const std::string trace_path = TempPath("trace.jsonl");
   const std::string prom_path = TempPath("metrics.prom");
-  ASSERT_EQ(RunSim("--trace-out " + trace_path + " --metrics-out " +
+  ASSERT_EQ(RunSim(kFig9Conf,
+                   "--trace-out " + trace_path + " --metrics-out " +
                        prom_path + " --stmm-report",
                    TempPath("out.txt"), TempPath("err.txt")),
             0);
@@ -291,8 +314,8 @@ TEST(SimSmokeTest, MetricsAndTraceFilesParse) {
 
 TEST(SimSmokeTest, DashWritesBothStreamsToStdout) {
   const std::string out_path = TempPath("dash_out.txt");
-  ASSERT_EQ(RunSim("--metrics-out - --trace-out -", out_path,
-                   TempPath("dash_err.txt")),
+  ASSERT_EQ(RunSim(ShortRampConf("dash"), "--metrics-out - --trace-out -",
+                   out_path, TempPath("dash_err.txt")),
             0);
   const std::string out = ReadFile(out_path);
   EXPECT_NE(out.find("\"kind\":\"tuning_pass\""), std::string::npos);
@@ -302,8 +325,8 @@ TEST(SimSmokeTest, DashWritesBothStreamsToStdout) {
 
 TEST(SimSmokeTest, CsvExtensionSelectsCsvExporter) {
   const std::string csv_path = TempPath("metrics.csv");
-  ASSERT_EQ(RunSim("--metrics-out " + csv_path, TempPath("csv_out.txt"),
-                   TempPath("csv_err.txt")),
+  ASSERT_EQ(RunSim(ShortRampConf("csv"), "--metrics-out " + csv_path,
+                   TempPath("csv_out.txt"), TempPath("csv_err.txt")),
             0);
   const std::vector<std::string> lines = Lines(ReadFile(csv_path));
   ASSERT_GT(lines.size(), 1u);
@@ -314,15 +337,15 @@ TEST(SimSmokeTest, CsvExtensionSelectsCsvExporter) {
 }
 
 TEST(SimSmokeTest, RejectsNonPositiveOrGarbageStride) {
-  EXPECT_NE(RunSim("--stride 0", TempPath("s0_out.txt"),
+  EXPECT_NE(RunSim(kFig9Conf, "--stride 0", TempPath("s0_out.txt"),
                    TempPath("s0_err.txt")),
             0);
   EXPECT_NE(ReadFile(TempPath("s0_err.txt")).find("positive integer"),
             std::string::npos);
-  EXPECT_NE(RunSim("--stride banana", TempPath("sb_out.txt"),
+  EXPECT_NE(RunSim(kFig9Conf, "--stride banana", TempPath("sb_out.txt"),
                    TempPath("sb_err.txt")),
             0);
-  EXPECT_NE(RunSim("--stride 15x", TempPath("sx_out.txt"),
+  EXPECT_NE(RunSim(kFig9Conf, "--stride 15x", TempPath("sx_out.txt"),
                    TempPath("sx_err.txt")),
             0);
 }
@@ -334,13 +357,13 @@ TEST(SimSmokeTest, RejectsRemovedFlags) {
   // removed flags finds no live use.
   const std::string threads_flag = std::string("--") + "threads";
   const std::string profile_flag = std::string("--") + "profile-" + "metrics";
-  EXPECT_NE(RunSim(threads_flag + " 4", TempPath("threads_out.txt"),
-                   TempPath("threads_err.txt")),
+  EXPECT_NE(RunSim(kFig9Conf, threads_flag + " 4",
+                   TempPath("threads_out.txt"), TempPath("threads_err.txt")),
             0);
   EXPECT_NE(ReadFile(TempPath("threads_err.txt"))
                 .find("unknown argument " + threads_flag),
             std::string::npos);
-  EXPECT_NE(RunSim(profile_flag, TempPath("profile_out.txt"),
+  EXPECT_NE(RunSim(kFig9Conf, profile_flag, TempPath("profile_out.txt"),
                    TempPath("profile_err.txt")),
             0);
   EXPECT_NE(ReadFile(TempPath("profile_err.txt"))

@@ -1,7 +1,9 @@
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "engine/catalog.h"
 #include "workload/batch_workload.h"
 #include "workload/dss_workload.h"
@@ -84,6 +86,53 @@ TEST_F(WorkloadsTest, OltpDeterministicPerSeed) {
     EXPECT_EQ(x.row, y.row);
     EXPECT_EQ(x.mode, y.mode);
   }
+}
+
+// FNV-1a over the eight bytes of `v`, chained through `h`.
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// Digest of the first 100k accesses of an OLTP workload over the tpcc tables
+// at catalog `scale`, drawn from seed 42.
+uint64_t AccessDigest(double scale, double theta) {
+  const Catalog catalog = Catalog::TpccTpch(scale);
+  OltpOptions opts;
+  opts.row_zipf_theta = theta;
+  OltpWorkload w(catalog, opts);
+  Rng rng(42);
+  uint64_t h = kFnvBasis;
+  for (int i = 0; i < 100'000; ++i) {
+    const RowAccess a = w.NextAccess(rng);
+    h = Fnv1a(h, static_cast<uint64_t>(a.table));
+    h = Fnv1a(h, static_cast<uint64_t>(a.row));
+    h = Fnv1a(h, a.mode == LockMode::kX ? 1 : 0);
+  }
+  return h;
+}
+
+TEST(OltpWorkloadTest, DrawDigestMatchesParent) {
+  // The digests were recorded by this test body at commit b7cb527, where
+  // every ZipfGenerator summed its own ζ and each draw recomputed its
+  // constants. Every draw feeds the goldens, so sharing the ζ pass and
+  // hoisting the constants must not move one bit. Scale 1 sums every table
+  // exactly; at scale 100 five tables pass 2^24 rows and take the tail.
+  EXPECT_EQ(AccessDigest(1.0, 0.0), 0xc79e4c5314061840ULL);
+  EXPECT_EQ(AccessDigest(1.0, 0.2), 0x21865de09cd04942ULL);
+  EXPECT_EQ(AccessDigest(100.0, 0.0), 0x80eb2b2f8ace28acULL);
+  EXPECT_EQ(AccessDigest(100.0, 0.2), 0x5498901b07619352ULL);
+
+  const ZipfGenerator zipf(3'000'000'000ull, 0.2);
+  Rng rng(42);
+  uint64_t h = kFnvBasis;
+  for (int i = 0; i < 100'000; ++i) h = Fnv1a(h, zipf.Next(rng));
+  EXPECT_EQ(h, 0x14fe55e85d3f6a1dULL);
 }
 
 TEST_F(WorkloadsTest, DssProfileIsOneBigHeldScan) {
