@@ -1,39 +1,31 @@
 #include "common/check.h"
 
-#include <atomic>
-
 namespace locktune {
 
 namespace {
 
-// Fixed-capacity lock-free hook table. Registration is rare (once per
-// subsystem per process); invocation happens on the abort path, where
-// taking a mutex could deadlock against whatever the failing thread holds.
+// Fixed-capacity hook table: registration is rare (once per subsystem per
+// process).
 constexpr int kMaxHooks = 8;
-std::atomic<CheckFailureHook> g_hooks[kMaxHooks];
-std::atomic<int> g_hook_count{0};
-std::atomic<bool> g_invoking{false};
+CheckFailureHook g_hooks[kMaxHooks] = {};
+int g_hook_count = 0;
+bool g_invoking = false;
 
 }  // namespace
 
 void AddCheckFailureHook(CheckFailureHook hook) {
-  if (hook == nullptr) return;
-  const int slot = g_hook_count.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= kMaxHooks) return;  // silently drop past capacity
-  g_hooks[slot].store(hook, std::memory_order_release);
+  // Hooks past capacity are silently dropped.
+  if (hook == nullptr || g_hook_count >= kMaxHooks) return;
+  g_hooks[g_hook_count++] = hook;
 }
 
 void InvokeCheckFailureHooks() {
   // A hook that itself fails a CHECK must not recurse forever; the second
   // entry falls through to abort with whatever was already printed.
-  if (g_invoking.exchange(true, std::memory_order_acq_rel)) return;
-  const int count = g_hook_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < count && i < kMaxHooks; ++i) {
-    if (CheckFailureHook hook = g_hooks[i].load(std::memory_order_acquire)) {
-      hook();
-    }
-  }
-  g_invoking.store(false, std::memory_order_release);
+  if (g_invoking) return;
+  g_invoking = true;
+  for (int i = 0; i < g_hook_count; ++i) g_hooks[i]();
+  g_invoking = false;
 }
 
 }  // namespace locktune

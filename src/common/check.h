@@ -34,9 +34,9 @@ namespace locktune {
 // Post-mortem hooks, run after a CHECK prints its message and before the
 // process aborts. The flight recorder (telemetry/flight_recorder.h)
 // registers one so every CHECK failure comes with the recent lock/tuner
-// event history. Hooks must be async-signal-tolerant in spirit: no locks
-// that the failing thread might already hold, no allocation-heavy work.
-// Re-entrant failures (a hook tripping a CHECK) skip straight to abort.
+// event history. Hooks must be async-signal-tolerant in spirit: no
+// allocation-heavy work. Re-entrant failures (a hook tripping a CHECK) skip
+// straight to abort.
 using CheckFailureHook = void (*)();
 void AddCheckFailureHook(CheckFailureHook hook);
 void InvokeCheckFailureHooks();

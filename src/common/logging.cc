@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 #include "common/sim_clock.h"
@@ -9,8 +8,8 @@ namespace locktune {
 
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
-std::atomic<const SimClock*> g_clock{nullptr};
+LogLevel g_level = LogLevel::kWarning;
+const SimClock* g_clock = nullptr;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -39,21 +38,13 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
+LogLevel GetLogLevel() { return g_level; }
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+void SetLogLevel(LogLevel level) { g_level = level; }
 
-void SetLogClock(const SimClock* clock) {
-  g_clock.store(clock, std::memory_order_relaxed);
-}
+void SetLogClock(const SimClock* clock) { g_clock = clock; }
 
-const SimClock* GetLogClock() {
-  return g_clock.load(std::memory_order_relaxed);
-}
+const SimClock* GetLogClock() { return g_clock; }
 
 namespace internal_logging {
 

@@ -8,6 +8,10 @@
 //    no growth — the Figure 7/8 baseline);
 //  * SQL Server 2005-style (grow-only lock memory up to 60 % of engine
 //    memory, escalation at 40 % used or 5000 locks per application).
+//
+// Threads: one thread drives a Database, as the paper's tuner treats the
+// lock list as one serialized structure. A caller who shares one between
+// threads wraps it in their own mutex.
 #ifndef LOCKTUNE_ENGINE_DATABASE_H_
 #define LOCKTUNE_ENGINE_DATABASE_H_
 

@@ -57,8 +57,8 @@ std::string RenderSnapshot(const DatabaseSnapshot& snapshot);
 
 // The `locktune_pd` full inspection: the snapshot above, the telemetry
 // registry table, the last STMM tuning passes, and the last `tail` events
-// of the calling thread's flight-recorder ring (lock events, tuner passes
-// and faults), one FlightEvent::ToString() line each.
+// of the flight-recorder ring (lock events, tuner passes and faults), one
+// FlightEvent::ToString() line each.
 std::string RenderInspector(Database& db, int max_app_id, size_t tail = 20);
 
 }  // namespace locktune

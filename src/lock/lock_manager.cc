@@ -41,14 +41,7 @@ LockManager::LockManager(LockManagerOptions options)
 
 LockResult LockManager::Lock(AppId app, const ResourceId& resource,
                              LockMode mode) {
-  MutexLock guard(mu_);
-  return RequestLocked(app, resource, mode);
-}
-
-LockResult LockManager::RequestLocked(AppId app, const ResourceId& resource,
-                                      LockMode mode) {
-  // Lock() and every AcquireBatch item come through here, before the
-  // resource is packed into a lock-table or held-list key word.
+  // Before the resource is packed into a lock-table or held-list key word.
   LOCKTUNE_CHECK(FitsPackedKey(resource) &&
                  "lock resource outside the packed key's ranges");
   ++stats_.lock_requests;
@@ -75,22 +68,6 @@ LockResult LockManager::RequestLocked(AppId app, const ResourceId& resource,
       ++stats_.out_of_memory_failures;
       Emit(LockEventKind::kOutOfLockMemory, app, resource, mode, 0);
       break;
-  }
-  return result;
-}
-
-BatchResult LockManager::AcquireBatch(AppId app, LockRequestSource& source) {
-  // Each item runs the identical path a Lock() call would, in the identical
-  // order (the source draws lazily), so a batch is observationally the
-  // per-item loop with one mutex acquisition instead of one per item.
-  MutexLock guard(mu_);
-  BatchResult result;
-  while (std::optional<BatchItem> item = source.Next()) {
-    const LockResult r = RequestLocked(app, item->resource, item->mode);
-    result.escalated |= r.escalated;
-    result.outcome = r.outcome;
-    if (r.outcome != LockOutcome::kGranted) return result;
-    ++result.granted;
   }
   return result;
 }
@@ -185,7 +162,7 @@ LockManager::AcquireOutcome LockManager::AcquireOne(AppId app,
   // lock structure (paper §3.5). Escalation replaces row locks with one
   // table lock; afterwards the request proceeds.
   bool table_stable = true;  // `found` still valid / absence still holds
-  const LockMemoryState mem = MemoryStateLocked();
+  const LockMemoryState mem = MemoryState();
   const int64_t limit = options_.policy->MaxStructuresPerApp(mem);
   const bool over_quota = state.held_structures + 1 > limit;
   const bool memory_forced = options_.policy->ForcesMemoryEscalation(mem);
@@ -502,7 +479,6 @@ void LockManager::ReleaseRowLocksOnTable(AppId app, TableId table) {
 }
 
 void LockManager::ReleaseAll(AppId app) {
-  MutexLock guard(mu_);
   AppState& state = GetApp(app);
 
   if (state.waiting) {
@@ -557,7 +533,6 @@ void LockManager::ReleaseAll(AppId app) {
 Status LockManager::Release(AppId app, const ResourceId& resource) {
   LOCKTUNE_CHECK(FitsPackedKey(resource) &&
                  "lock resource outside the packed key's ranges");
-  MutexLock guard(mu_);
   AppState& state = GetApp(app);
   const uint64_t hash = ResourceIdHash{}(resource);
   LockHead* head = table_.Find(resource, hash);
@@ -591,7 +566,6 @@ Status LockManager::Release(AppId app, const ResourceId& resource) {
 }
 
 bool LockManager::IsBlocked(AppId app) const {
-  MutexLock guard(mu_);
   const auto it = apps_.find(app);
   return it != apps_.end() && it->second.waiting;
 }
@@ -735,7 +709,6 @@ class DenseIdTable {
 }  // namespace
 
 std::vector<AppId> LockManager::DetectDeadlocks() {
-  MutexLock guard(mu_);
   // Nothing waits, so no edge exists: the common idle tick costs one
   // counter read instead of an O(apps) scan.
   if (blocked_count_ == 0) return {};
@@ -877,67 +850,51 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
 }
 
 void LockManager::AddBlocks(int64_t count) {
-  MutexLock guard(mu_);
   for (int64_t i = 0; i < count; ++i) blocks_.AddBlock();
   if (count > 0) options_.policy->OnResize();
 }
 
 Status LockManager::TryRemoveBlocks(int64_t count) {
-  MutexLock guard(mu_);
   Status s = blocks_.TryRemoveBlocks(count);
   if (s.ok() && count > 0) options_.policy->OnResize();
   return s;
 }
 
 void LockManager::set_max_lock_memory(Bytes bytes) {
-  MutexLock guard(mu_);
   max_lock_memory_ = bytes;
   options_.policy->OnResize();
 }
 
-LockMemoryState LockManager::MemoryState() const {
-  MutexLock guard(mu_);
-  return MemoryStateLocked();
-}
-
 LockManagerStats LockManager::stats() const {
-  MutexLock guard(mu_);
   return stats_;
 }
 
 Bytes LockManager::allocated_bytes() const {
-  MutexLock guard(mu_);
   return blocks_.allocated_bytes();
 }
 
 Bytes LockManager::used_bytes() const {
-  MutexLock guard(mu_);
   return blocks_.used_bytes();
 }
 
 int64_t LockManager::block_count() const {
-  MutexLock guard(mu_);
   return blocks_.block_count();
 }
 
 int64_t LockManager::entirely_free_blocks() const {
-  MutexLock guard(mu_);
   return blocks_.entirely_free_blocks();
 }
 
 double LockManager::CurrentMaxlocksPercent() const {
-  MutexLock guard(mu_);
-  return options_.policy->CurrentPercent(MemoryStateLocked());
+  return options_.policy->CurrentPercent(MemoryState());
 }
 
 int64_t LockManager::HeldStructures(AppId app) const {
-  MutexLock guard(mu_);
   const auto it = apps_.find(app);
   return it == apps_.end() ? 0 : it->second.held_structures;
 }
 
 int64_t LockManager::MaxHeldStructures() const {
-  MutexLock guard(mu_);
   int64_t max_held = 0;
   // locklint: ordered-ok(max over a commutative scan, no output)
   for (const auto& [app, state] : apps_) {
@@ -948,7 +905,6 @@ int64_t LockManager::MaxHeldStructures() const {
 
 std::vector<AppLockUsage> LockManager::TopLockHolders(int max_app_id,
                                                       int top_n) const {
-  MutexLock guard(mu_);
   std::vector<AppLockUsage> holders;
   // locklint: ordered-ok(collected unordered, deterministically sorted below)
   for (const auto& [app, state] : apps_) {
@@ -970,22 +926,14 @@ std::vector<AppLockUsage> LockManager::TopLockHolders(int max_app_id,
   return holders;
 }
 
-LockMode LockManager::HeldMode(AppId app, const ResourceId& resource) const {
-  LOCKTUNE_CHECK(FitsPackedKey(resource) &&
-                 "lock resource outside the packed key's ranges");
-  MutexLock guard(mu_);
-  return HeldModeLockedInternal(app, resource);
-}
-
 int64_t LockManager::waiting_app_count() const {
-  MutexLock guard(mu_);
   return blocked_count_;
 }
 
 Status LockManager::CheckConsistency() const {
-  MutexLock guard(mu_);
   if (Status s = blocks_.CheckConsistency(); !s.ok()) return s;
-  if (Status s = table_.CheckConsistency(); !s.ok()) return s;
+  int64_t empty_heads = 0;
+  if (Status s = table_.CheckConsistency(&empty_heads); !s.ok()) return s;
   int64_t slots = 0;
   int64_t blocked = 0;
   // locklint: ordered-ok(validation only; commutative sums, no output)
@@ -993,7 +941,16 @@ Status LockManager::CheckConsistency() const {
     slots += state.held_structures;
     if (state.waiting) ++blocked;
     int64_t held_rows = 0;
-    for (const HeldSlot& slot : state.held) {
+    const std::vector<HeldSlot>& held = state.held;
+    for (size_t k = 0; k < held.size(); ++k) {
+      // Grant order is random table order: fetch the directory slot and
+      // the head a few entries ahead, as the table's own check does.
+      if (k + kCheckPrefetchEntries < held.size()) {
+        const HeldSlot& ahead = held[k + kCheckPrefetchEntries];
+        table_.PrefetchHome(ahead.key);
+        __builtin_prefetch(ahead.head);
+      }
+      const HeldSlot& slot = held[k];
       const ResourceId res = UnpackResource(slot.key);
       const LockHead* head = FindHead(res);
       const LockRequest* holder =
@@ -1023,7 +980,7 @@ Status LockManager::CheckConsistency() const {
     }
     if (state.table_cache_valid &&
         state.cached_table_mode !=
-            HeldModeLockedInternal(app, TableResource(state.cached_table))) {
+            HeldMode(app, TableResource(state.cached_table))) {
       return Status::Internal("table-mode cache is stale");
     }
     if (state.row_cache_count != nullptr) {
@@ -1083,16 +1040,11 @@ Status LockManager::CheckConsistency() const {
       }
     }
   }
-  Status head_status = Status::Ok();
-  table_.ForEach([&head_status](const ResourceId& res, const LockHead& head) {
-    (void)res;
-    if (head.empty()) head_status = Status::Internal("empty lock head retained");
-  });
-  return head_status;
+  if (empty_heads != 0) return Status::Internal("empty lock head retained");
+  return Status::Ok();
 }
 
 std::vector<AppId> LockManager::ExpireTimedOutWaiters() {
-  MutexLock guard(mu_);
   std::vector<AppId> expired;
   if (options_.clock == nullptr || options_.lock_timeout < 0) return expired;
   if (blocked_count_ == 0) {
@@ -1137,7 +1089,6 @@ std::vector<AppId> LockManager::ExpireTimedOutWaiters() {
 }
 
 void LockManager::SetEscalationPreferred(AppId app, bool preferred) {
-  MutexLock guard(mu_);
   if (preferred) {
     escalation_preferred_.insert(app);
   } else {
@@ -1146,7 +1097,6 @@ void LockManager::SetEscalationPreferred(AppId app, bool preferred) {
 }
 
 bool LockManager::IsEscalationPreferred(AppId app) const {
-  MutexLock guard(mu_);
   return escalation_preferred_.count(app) > 0;
 }
 
@@ -1259,16 +1209,10 @@ void LockManager::Emit(LockEventKind kind, AppId app,
       if (value != 0) rec.Int("value", value);
       break;
   }
-  // The sink's Append takes its own leaf lock under mu_. The virtual call
-  // is opaque to locklint's call resolution, so both sink edges are
-  // declared here.
-  // locklint: lock-edge(LockManager::mu_ -> JsonlTraceWriter::mu_)
-  // locklint: lock-edge(LockManager::mu_ -> MemoryTraceSink::mu_)
   trace_sink_->Append(rec);
 }
 
 void LockManager::set_trace_sink(TraceSink* sink) {
-  MutexLock guard(mu_);
   trace_sink_ = sink;
 }
 
@@ -1282,9 +1226,9 @@ const LockHead* LockManager::FindHead(const ResourceId& resource) const {
   return table_.Find(resource);
 }
 
-LockMode LockManager::HeldModeLockedInternal(AppId app,
-                                             const ResourceId& resource)
-    const {
+LockMode LockManager::HeldMode(AppId app, const ResourceId& resource) const {
+  LOCKTUNE_CHECK(FitsPackedKey(resource) &&
+                 "lock resource outside the packed key's ranges");
   const LockHead* head = FindHead(resource);
   if (head == nullptr) return LockMode::kNone;
   const LockRequest* r = head->FindHolder(app);
@@ -1296,12 +1240,12 @@ LockMode LockManager::CachedTableMode(AppId app, AppState& state,
   if (state.table_cache_valid && state.cached_table == table) {
     return state.cached_table_mode;
   }
-  const LockMode mode = HeldModeLockedInternal(app, TableResource(table));
+  const LockMode mode = HeldMode(app, TableResource(table));
   NoteTableMode(state, table, mode);
   return mode;
 }
 
-LockMemoryState LockManager::MemoryStateLocked() const {
+LockMemoryState LockManager::MemoryState() const {
   LockMemoryState s;
   s.allocated = blocks_.allocated_bytes();
   s.used = blocks_.used_bytes();
@@ -1373,16 +1317,10 @@ void LockManager::RegisterMetrics(MetricsRegistry* registry) {
           [this] { return stats().sync_growth_blocks; });
   counter("locktune_lock_blocks_added_total",
           "lock memory blocks ever added",
-          [this] {
-            MutexLock guard(mu_);
-            return blocks_.blocks_added();
-          });
+          [this] { return blocks_.blocks_added(); });
   counter("locktune_lock_blocks_removed_total",
           "lock memory blocks ever removed (shrink)",
-          [this] {
-            MutexLock guard(mu_);
-            return blocks_.blocks_removed();
-          });
+          [this] { return blocks_.blocks_removed(); });
 
   registry->AddCallbackGauge(
       "locktune_lock_memory_allocated_bytes", "lock memory owned",
@@ -1407,36 +1345,24 @@ void LockManager::RegisterMetrics(MetricsRegistry* registry) {
       "current lockPercentPerApplication",
       [this] { return CurrentMaxlocksPercent(); });
 
-  // MetricsRegistry::Collect() evaluates every callback registered here
-  // while holding the registry lock, and the callbacks take the manager
-  // mutex — the edge that forces the registry lock to be OUTERMOST
-  // (rank 0). std::function is opaque to locklint, so it is declared:
-  // locklint: lock-edge(MetricsRegistry::mu_ -> LockManager::mu_)
   registry->AddCallbackHistogram(
       "locktune_lock_wait_time_ms", "completed lock-wait durations",
-      [this] {
-        MutexLock lock(mu_);
-        return SnapshotOf(wait_times_);
-      });
+      [this] { return SnapshotOf(wait_times_); });
 }
 
 int64_t LockManager::lock_table_size() const {
-  MutexLock guard(mu_);
   return table_.size();
 }
 
 int64_t LockManager::lock_table_directory_slots() const {
-  MutexLock guard(mu_);
   return table_.directory_slots();
 }
 
 int64_t LockManager::head_pool_free_nodes() const {
-  MutexLock guard(mu_);
   return table_.pool_free_nodes();
 }
 
 int64_t LockManager::head_pool_slab_count() const {
-  MutexLock guard(mu_);
   return table_.slab_count();
 }
 

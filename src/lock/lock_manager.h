@@ -14,12 +14,10 @@
 //  * maintain a FIFO "post" wait discipline (Figure 3) and detect deadlocks
 //    through the waits-for graph.
 //
-// Thread safety: every public member function holds the manager's one
-// mutex, `mu_`, for its whole duration, so calls from several threads
-// (library callers; docs/CONCURRENCY.md) are serialized and each runs
-// exactly the code a single-threaded caller would. The grow callback and
-// the trace sink run under `mu_`; the mutex is not re-entrant, so they must
-// not call back into the manager.
+// Threads: one thread drives a LockManager (and the Database that owns
+// it); a caller who shares one between threads wraps it in their own mutex.
+// The grow callback and the trace sink run in the middle of a request, so
+// they must not call back into the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_MANAGER_H_
 #define LOCKTUNE_LOCK_LOCK_MANAGER_H_
 
@@ -28,14 +26,11 @@
 #include <functional>
 #include <optional>
 #include <string_view>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/sim_clock.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -63,37 +58,6 @@ struct LockResult {
   LockOutcome outcome = LockOutcome::kGranted;
   // True when this request triggered a lock escalation (completed or
   // initiated) somewhere in the system.
-  bool escalated = false;
-};
-
-// One request in a batch (AcquireBatch).
-// locklint: hot-column
-struct BatchItem {
-  ResourceId resource;
-  LockMode mode = LockMode::kS;
-};
-static_assert(std::is_trivially_copyable_v<BatchItem>,
-              "hot-column rows must stay trivially copyable");
-
-// Pull-source of a batch's lock requests. AcquireBatch consumes it lazily:
-// Next() is called only after every previous item was granted, so a source
-// backed by a workload RNG draws exactly the requests the equivalent
-// one-Lock()-per-request loop would have drawn — a blocked or failed item
-// ends the batch with no further draws.
-class LockRequestSource {
- public:
-  virtual ~LockRequestSource() = default;
-  // The next request, or nullopt when the batch is exhausted.
-  virtual std::optional<BatchItem> Next() = 0;
-};
-
-// Outcome of an AcquireBatch call. `outcome` describes the last item
-// attempted: kGranted means the source was exhausted with every item
-// granted; kWaiting/kOutOfMemory mean that item blocked/failed and the
-// batch stopped there (`granted` counts the items granted before it).
-struct BatchResult {
-  int64_t granted = 0;
-  LockOutcome outcome = LockOutcome::kGranted;
   bool escalated = false;
 };
 
@@ -171,14 +135,9 @@ class LockManager {
   // Requests `mode` on `resource` for `app`. Row requests implicitly take
   // the intent table lock first. Re-requests by a holder are no-ops or
   // conversions. An application must not issue requests while blocked.
-  // `resource` must satisfy FitsPackedKey (CHECKed here, in every
-  // AcquireBatch item, and in Release and HeldMode).
+  // `resource` must satisfy FitsPackedKey (CHECKed here and in Release and
+  // HeldMode).
   LockResult Lock(AppId app, const ResourceId& resource, LockMode mode);
-
-  // Requests every item `source` yields for `app`, in order, with the
-  // per-item semantics of Lock() but one hold of the manager mutex for the
-  // whole batch.
-  BatchResult AcquireBatch(AppId app, LockRequestSource& source);
 
   // Releases everything `app` holds or waits for (commit/abort under strict
   // two-phase locking), granting unblocked waiters.
@@ -224,7 +183,7 @@ class LockManager {
 
   // Installs the structured trace sink: every lock event is also appended
   // to it as one `kind:"lock_event"` record (telemetry/trace.h). Borrowed;
-  // null disables. Append runs under `mu_`.
+  // null disables.
   void set_trace_sink(TraceSink* sink);
 
   // --- tuning interface (used by the STMM lock memory tuner) ---
@@ -253,33 +212,27 @@ class LockManager {
   double CurrentMaxlocksPercent() const;
   // Lock structures held (granted + waiting) by `app`.
   int64_t HeldStructures(AppId app) const;
-  // Most lock structures held by any one application, in one pass under
-  // one guard (metric exports used to call HeldStructures per client,
-  // which re-locked the manager once per application).
+  // Most lock structures held by any one application, in one pass over the
+  // applications.
   int64_t MaxHeldStructures() const;
   // The `top_n` applications in [1, max_app_id] holding the most lock
   // structures (ties broken by ascending app id), including blocked
-  // zero-holders. One pass under one guard: the snapshot probe used to
-  // call HeldStructures + IsBlocked per client, which re-locked the
-  // manager two to three times per application — a full stall at 10^6
-  // connected applications (docs/SCALE.md).
+  // zero-holders. One pass over the applications, so the snapshot probe
+  // costs O(apps) at 10^6 connected applications (docs/SCALE.md).
   std::vector<AppLockUsage> TopLockHolders(int max_app_id, int top_n) const;
   // Granted mode of `app` on `resource` (kNone when not held).
   LockMode HeldMode(AppId app, const ResourceId& resource) const;
   int64_t waiting_app_count() const;
   // Distribution of completed lock-wait durations (ms). Only populated
-  // when a clock was supplied. Unsynchronized view for serial regions
-  // (tests, end-of-run reporting), hence outside the capability analysis.
-  const Histogram& wait_time_histogram() const LT_NO_THREAD_SAFETY_ANALYSIS {
-    return wait_times_;
-  }
+  // when a clock was supplied.
+  const Histogram& wait_time_histogram() const { return wait_times_; }
   // Verifies block list and per-app accounting invariants (for tests).
   [[nodiscard]] Status CheckConsistency() const;
 
   // Registers the lock metric family (`locktune_lock_*`): request/grant/
   // wait/escalation counters, memory and block-churn gauges, and the
   // wait-time histogram. Callback-based — the hot path is untouched; values
-  // are read (under the manager mutex where needed) at Collect() time.
+  // are read at Collect() time.
   void RegisterMetrics(MetricsRegistry* registry);
 
   // Registers the hot-path structure gauges (`locktune_lock_table_heads`,
@@ -380,29 +333,23 @@ class LockManager {
     bool table_may_have_changed = false;
   };
 
-  // One Lock() request, counted and run to completion; the caller holds
-  // mu_ (Lock takes it per request, AcquireBatch once per batch).
-  LockResult RequestLocked(AppId app, const ResourceId& resource,
-                           LockMode mode) LT_REQUIRES(mu_);
-
   // Full acquisition chain for one request; may recurse for intent locks
   // and set wait state. `state` is GetApp(app); `escalated` reports any
   // escalation triggered.
   AcquireOutcome TryAcquire(AppId app, AppState& state,
                             const ResourceId& resource, LockMode mode,
-                            bool* escalated) LT_REQUIRES(mu_);
+                            bool* escalated);
 
   // Acquires `mode` on a single resource (no intent-chain handling).
   AcquireOutcome AcquireOne(AppId app, AppState& state,
                             const ResourceId& resource, LockMode mode,
-                            bool* escalated) LT_REQUIRES(mu_);
+                            bool* escalated);
 
   // Allocates one lock structure: from the block list, else by synchronous
   // growth, else by escalating the heaviest row-lock holders (immediately
   // when possible, otherwise by blocking the requester on its own
   // escalation).
-  AllocResult AllocateStructure(AppId requester, bool* escalated)
-      LT_REQUIRES(mu_);
+  AllocResult AllocateStructure(AppId requester, bool* escalated);
 
   // Escalates `app`: converts its intent lock on the most row-locked table
   // to S or X and releases those row locks (a waiting app's wait table is
@@ -416,44 +363,36 @@ class LockManager {
   // hopeless probe would swamp `escalation_attempts` with retries of a
   // case the scan already knows is contended.
   AcquireOutcome EscalateApp(AppId app, bool only_if_immediate = false,
-                             bool silent_probe = false)
-      LT_REQUIRES(mu_);
+                             bool silent_probe = false);
 
   // Releases all of `app`'s row locks on `table` (escalation completion),
   // dropping their held entries in the same stable pass.
-  void ReleaseRowLocksOnTable(AppId app, TableId table) LT_REQUIRES(mu_);
+  void ReleaseRowLocksOnTable(AppId app, TableId table);
 
   // Grants eligible waiters on `resource` (and on any resources unlocked as
   // a consequence), processing the cascade to fixpoint.
-  void ProcessQueue(const ResourceId& resource) LT_REQUIRES(mu_);
+  void ProcessQueue(const ResourceId& resource);
 
   // Called when `app`'s waiting request was granted: clears wait state,
   // completes escalation, and issues any continuation.
-  void OnWaitGranted(AppId app, const ResourceId& resource) LT_REQUIRES(mu_);
+  void OnWaitGranted(AppId app, const ResourceId& resource);
 
   // Appends `resource` (whose lock head is `head`) to the held list.
   void AddHeldEntry(AppState& state, const ResourceId& resource,
-                    LockHead* head) LT_REQUIRES(mu_);
+                    LockHead* head);
 
   // Erases `resource`'s entry from the held list, found by a scan from the
   // newest entry.
   void EraseHeldEntry(AppState& state, const ResourceId& resource);
 
-  AppState& GetApp(AppId app) LT_REQUIRES(mu_);
+  AppState& GetApp(AppId app);
 
-  LockHead* FindHead(const ResourceId& resource) LT_REQUIRES(mu_);
-  const LockHead* FindHead(const ResourceId& resource) const
-      LT_REQUIRES(mu_);
-
-  // Granted mode of `app` on `resource` (kNone when not held); assumes the
-  // mutex is held.
-  LockMode HeldModeLockedInternal(AppId app, const ResourceId& resource) const
-      LT_REQUIRES(mu_);
+  LockHead* FindHead(const ResourceId& resource);
+  const LockHead* FindHead(const ResourceId& resource) const;
 
   // Granted table-lock mode of `app` on `table`, served from the AppState
   // single-entry cache when possible.
-  LockMode CachedTableMode(AppId app, AppState& state, TableId table) const
-      LT_REQUIRES(mu_);
+  LockMode CachedTableMode(AppId app, AppState& state, TableId table) const;
 
   // Records `mode` as `state`'s granted table-lock mode on `table` (call at
   // every site that grants, converts, or releases a table lock).
@@ -476,50 +415,47 @@ class LockManager {
     ++state.total_row_locks;
   }
 
-  LockMemoryState MemoryStateLocked() const LT_REQUIRES(mu_);
+  void DrainWorkList();
 
-  void DrainWorkList() LT_REQUIRES(mu_);
+  // How far ahead of its cursor CheckConsistency prefetches held entries.
+  static constexpr size_t kCheckPrefetchEntries = 16;
 
   LockManagerOptions options_;
   Bytes max_lock_memory_;
 
   // Stamps wait-state entry, queues its timeout and emits WAIT_BEGIN.
-  void MarkWaitStart(AppId app, AppState& state) LT_REQUIRES(mu_);
+  void MarkWaitStart(AppId app, AppState& state);
 
   // Ends `state`'s wait for timeout-queue purposes: bumps wait_epoch so any
   // queued entry is stale, and counts/compacts the staleness.
-  void NoteWaitEnded(AppState& state) LT_REQUIRES(mu_);
+  void NoteWaitEnded(AppState& state);
 
   // Rebuilds the timeout queue without stale entries once they dominate
   // (amortized O(1) per ended wait).
-  void MaybeCompactTimeouts() LT_REQUIRES(mu_);
+  void MaybeCompactTimeouts();
 
   // Records an event in the flight recorder (and, for the rare structural
   // kinds, the armed Chrome trace), then appends it to the trace sink when
   // one is installed.
   void Emit(LockEventKind kind, AppId app, const ResourceId& resource,
-            LockMode mode, int64_t value) LT_REQUIRES(mu_);
+            LockMode mode, int64_t value);
 
-  // Serializes every public call. Rank: below the metrics registry (whose
-  // Collect callbacks take this), above the telemetry leaves the event
-  // paths take underneath (common/lock_rank_table.h).
-  mutable Mutex mu_{kLockRankManager, "LockManager::mu_"};
-  BlockList blocks_ LT_GUARDED_BY(mu_);
-  LockTable table_ LT_GUARDED_BY(mu_);
-  std::unordered_map<AppId, AppState> apps_ LT_GUARDED_BY(mu_);
-  std::unordered_set<AppId> escalation_preferred_ LT_GUARDED_BY(mu_);
-  std::deque<ResourceId> work_list_ LT_GUARDED_BY(mu_);
-  bool draining_ LT_GUARDED_BY(mu_) = false;
+  BlockList blocks_;
+  LockTable table_;
+  std::unordered_map<AppId, AppState> apps_;
+  std::unordered_set<AppId> escalation_preferred_;
+  std::deque<ResourceId> work_list_;
+  bool draining_ = false;
   // Applications currently blocked on a wait. Maintained at wait start/end
   // so the per-tick deadlock/timeout checks are O(1) when nothing waits.
-  int64_t blocked_count_ LT_GUARDED_BY(mu_) = 0;
+  int64_t blocked_count_ = 0;
   // Deadline-ordered pending timeouts (lazy deletion via wait_epoch).
-  std::deque<TimeoutEntry> timeout_queue_ LT_GUARDED_BY(mu_);
+  std::deque<TimeoutEntry> timeout_queue_;
   // Queue entries invalidated by an early wait end (grant, rollback, kill).
-  int64_t timeout_stale_ LT_GUARDED_BY(mu_) = 0;
-  LockManagerStats stats_ LT_GUARDED_BY(mu_);
-  TraceSink* trace_sink_ LT_GUARDED_BY(mu_) = nullptr;
-  Histogram wait_times_ LT_GUARDED_BY(mu_){{1, 10, 100, 1000, 10'000, 100'000}};
+  int64_t timeout_stale_ = 0;
+  LockManagerStats stats_;
+  TraceSink* trace_sink_ = nullptr;
+  Histogram wait_times_{{1, 10, 100, 1000, 10'000, 100'000}};
 };
 
 }  // namespace locktune

@@ -87,13 +87,25 @@ void LockTable::Grow() {
   }
 }
 
-Status LockTable::CheckConsistency() const {
+Status LockTable::CheckConsistency(int64_t* empty_heads) const {
   const int64_t total_nodes = pool_total_nodes();
   if ((slots_.size() & (slots_.size() - 1)) != 0) {
     return Status::Internal("directory size is not a power of two");
   }
+  const size_t mask = slots_.size() - 1;
   int64_t full = 0;
+  int64_t empty = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
+    // Slot order is random node order, and a node may straddle two cache
+    // lines: fetching both lines a few slots ahead overlaps the misses.
+    if (i + kCheckPrefetchSlots < slots_.size()) {
+      const uint32_t ahead = slots_[i + kCheckPrefetchSlots].node;
+      if (ahead != 0 && ahead <= total_nodes) {
+        const Node& node = NodeAt(ahead);
+        __builtin_prefetch(&node.head);
+        __builtin_prefetch(&node.key);
+      }
+    }
     const Slot& slot = slots_[i];
     if (slot.node == 0) continue;
     ++full;
@@ -105,14 +117,21 @@ Status LockTable::CheckConsistency() const {
     if (slot.tag != static_cast<uint32_t>(hash)) {
       return Status::Internal("slot tag does not match its node's key hash");
     }
-    // With no tombstones, finding its own slot also means no empty slot
-    // interrupts the run between the entry's home and the entry.
-    if (FindSlot(node.key, hash) != i) {
-      return Status::Internal("probe does not find its own slot");
+    // Its own probe finds it: the probe from home reaches slot i before
+    // any empty slot (with no tombstones, nothing else ends a run) or any
+    // other slot holding the same key. This is FindSlot(node.key, hash)
+    // == i without re-reading slot i's node.
+    for (size_t j = hash & mask; j != i; j = (j + 1) & mask) {
+      const Slot& other = slots_[j];
+      if (other.node == 0 ||
+          (other.tag == slot.tag && NodeAt(other.node).key == node.key)) {
+        return Status::Internal("probe does not find its own slot");
+      }
     }
     if (!node.head.AggregatesConsistent()) {
       return Status::Internal("head aggregates do not match its holders");
     }
+    if (node.head.empty()) ++empty;
   }
   if (full != size_) {
     return Status::Internal("size does not match the full slots");
@@ -140,6 +159,7 @@ Status LockTable::CheckConsistency() const {
   if (size_ + pool_free_ != total_nodes) {
     return Status::Internal("live + free nodes do not cover the slabs");
   }
+  if (empty_heads != nullptr) *empty_heads = empty;
   return Status::Ok();
 }
 

@@ -23,8 +23,8 @@
 //    the node's lifetime, which the lock manager relies on while draining
 //    grant cascades.
 //
-// Thread safety: none of its own. The owning LockManager serializes every
-// call under its mutex.
+// Threads: only the owning LockManager calls it, and one thread drives
+// the manager.
 #ifndef LOCKTUNE_LOCK_LOCK_TABLE_H_
 #define LOCKTUNE_LOCK_LOCK_TABLE_H_
 
@@ -79,15 +79,12 @@ class LockTable {
   }
   bool EraseIfEmpty(const ResourceId& resource, uint64_t hash);
 
-  // Calls fn(const ResourceId&, const LockHead&) for every head. Iteration
-  // order is unspecified (slot order); only validators iterate.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.node == 0) continue;
-      const Node& node = NodeAt(slot.node);
-      fn(UnpackResource(node.key), node.head);
-    }
+  // Prefetches the directory slot a lookup of the packed `key` probes
+  // first, for validation loops that look up many keys in a row.
+  void PrefetchHome(uint64_t key) const {
+    if (slots_.empty()) return;
+    const uint64_t hash = ResourceIdHash{}(UnpackResource(key));
+    __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
   }
 
   // Full-structure validation (paranoid mode / tests): the directory's
@@ -95,8 +92,10 @@ class LockTable {
   // hash and its own probe finds it, every live head's aggregates match a
   // recomputation, and every pooled node is either live or on the free
   // list (slab/pool conservation). O(slots + total nodes); returns OK or
-  // INTERNAL naming the violated invariant.
-  [[nodiscard]] Status CheckConsistency() const;
+  // INTERNAL naming the violated invariant. When `empty_heads` is given,
+  // it receives the number of live heads that are empty (the same pass
+  // visits them; the lock manager allows none between requests).
+  [[nodiscard]] Status CheckConsistency(int64_t* empty_heads = nullptr) const;
 
   // --- introspection (pool and directory gauges) ---
   int64_t size() const { return size_; }
@@ -125,6 +124,9 @@ class LockTable {
   static_assert(sizeof(Node) <= 64, "a lock-table node is one cache line");
 
   static constexpr size_t kNpos = ~size_t{0};
+
+  // How far ahead of its cursor CheckConsistency prefetches nodes.
+  static constexpr size_t kCheckPrefetchSlots = 16;
 
   Node& NodeAt(uint32_t index) {
     return slabs_[(index - 1) / kSlabNodes][(index - 1) % kSlabNodes];

@@ -16,8 +16,8 @@
 // the counter at the period boundary instead, so a resize or the initial
 // computation left a partial count behind and the next refresh fired early).
 //
-// Thread safety: none of its own; the lock manager calls the cached view
-// under its mutex.
+// Threads: the lock manager calls the cached view from the one thread that
+// drives it.
 #ifndef LOCKTUNE_LOCK_MAXLOCKS_CURVE_H_
 #define LOCKTUNE_LOCK_MAXLOCKS_CURVE_H_
 

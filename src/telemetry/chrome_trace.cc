@@ -1,15 +1,12 @@
 #include "telemetry/chrome_trace.h"
 
-#include <atomic>
 #include <cstdio>
-
-#include "common/mutex.h"
 
 namespace locktune {
 
 namespace {
 
-std::atomic<ChromeTraceCollector*> g_collector{nullptr};
+ChromeTraceCollector* g_collector = nullptr;
 
 // JSON string escaping for event names (the args body is caller-built from
 // trusted constant keys and numeric values).
@@ -36,24 +33,16 @@ std::string JsonString(const std::string& s) {
 void ChromeTraceCollector::Span(const std::string& name, int pid, int tid,
                                 int64_t ts_us, int64_t dur_us,
                                 const std::string& args_json) {
-  MutexLock guard(mu_);
   events_.push_back({name, 'X', ts_us, dur_us, pid, tid, args_json});
 }
 
 void ChromeTraceCollector::Instant(const std::string& name, int pid, int tid,
                                    int64_t ts_us,
                                    const std::string& args_json) {
-  MutexLock guard(mu_);
   events_.push_back({name, 'i', ts_us, 0, pid, tid, args_json});
 }
 
-size_t ChromeTraceCollector::event_count() const {
-  MutexLock guard(mu_);
-  return events_.size();
-}
-
 void ChromeTraceCollector::WriteJson(std::ostream& os) const {
-  MutexLock guard(mu_);
   std::vector<std::string> lines;
   lines.reserve(events_.size() + 4);
   const auto meta = [&lines](int pid, int tid, const char* which,
@@ -87,11 +76,9 @@ void ChromeTraceCollector::WriteJson(std::ostream& os) const {
 }
 
 void SetGlobalTraceCollector(ChromeTraceCollector* collector) {
-  g_collector.store(collector, std::memory_order_release);
+  g_collector = collector;
 }
 
-ChromeTraceCollector* GlobalTraceCollector() {
-  return g_collector.load(std::memory_order_acquire);
-}
+ChromeTraceCollector* GlobalTraceCollector() { return g_collector; }
 
 }  // namespace locktune

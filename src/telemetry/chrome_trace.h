@@ -7,8 +7,8 @@
 //
 // Arming is a process-global pointer (SetGlobalTraceCollector): emission
 // sites are per-tick or per-tuning-pass — cold — and guard themselves
-// with a single relaxed pointer load, so an unarmed run pays one branch
-// per site. The collector only runs when a sink was explicitly requested
+// with a single pointer load, so an unarmed run pays one branch per site.
+// The collector only runs when a sink was explicitly requested
 // (locktune_sim --trace-profile).
 #ifndef LOCKTUNE_TELEMETRY_CHROME_TRACE_H_
 #define LOCKTUNE_TELEMETRY_CHROME_TRACE_H_
@@ -17,9 +17,6 @@
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace locktune {
 
@@ -47,17 +44,14 @@ class ChromeTraceCollector {
   void Instant(const std::string& name, int pid, int tid, int64_t ts_us,
                const std::string& args_json = "");
 
-  size_t event_count() const;
+  size_t event_count() const { return events_.size(); }
 
   // The full trace-event JSON object ({"traceEvents": [...], ...}),
   // including process/thread-name metadata. Events keep emission order.
   void WriteJson(std::ostream& os) const;
 
  private:
-  // Leaf rank: Span/Instant are called from the tick loop and from under
-  // the lock manager's mutex; the collector takes nothing else.
-  mutable Mutex mu_{kLockRankLeaf, "ChromeTraceCollector::mu_"};
-  std::vector<ChromeTraceEvent> events_ LT_GUARDED_BY(mu_);
+  std::vector<ChromeTraceEvent> events_;
 };
 
 // Global arming. The caller owns the collector and must disarm (set

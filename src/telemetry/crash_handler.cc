@@ -15,8 +15,9 @@ namespace {
 // One dump per process: set by whichever fatal path fires first. The
 // check-failure hook below sets it too, so a LOCKTUNE_CHECK abort (which
 // already dumped through common/check.h) does not dump a second time when
-// its SIGABRT reaches the signal handler. Plain sig_atomic_t, not a mutex:
-// every reader is on the dying path.
+// its SIGABRT reaches the signal handler. The signal path reads exactly two
+// things: this flag (hence volatile sig_atomic_t) and the flight-recorder
+// ring, through DumpFlightRecorder.
 volatile std::sig_atomic_t dumped = 0;
 
 void DumpOnce(const char* why) {
@@ -24,10 +25,9 @@ void DumpOnce(const char* why) {
   dumped = 1;
   std::fprintf(stderr, "locktune: fatal: %s — flight recorder follows\n",
                why);
-  // Not async-signal-safe in the strict sense (fprintf, ring walks), but
+  // Not async-signal-safe in the strict sense (fprintf, a ring walk), but
   // the process is already dying and the alternative is no attribution at
-  // all; the flight recorder's dump path is documented to accept exactly
-  // this trade (flight_recorder.h).
+  // all.
   DumpFlightRecorder(stderr);
 }
 

@@ -1,6 +1,6 @@
 // Crash attribution for tools: on an otherwise-silent fatal path — an
 // unhandled exception (std::terminate) or a fatal signal (SIGSEGV, SIGBUS,
-// SIGFPE, SIGILL, SIGABRT) — dump the flight-recorder rings to stderr and
+// SIGFPE, SIGILL, SIGABRT) — dump the flight-recorder ring to stderr and
 // die with the default disposition, so the supervising process still sees
 // the real signal (and ASan et al. still get their turn).
 //

@@ -1,6 +1,6 @@
 // Build fingerprint for the benchmark: whether a lock-path contention
-// profiler is compiled in. None is: every lock call runs under the lock
-// manager's one mutex on one thread, so there is no contention to profile.
+// profiler is compiled in. None is: one thread drives the lock manager, so
+// there is no contention to profile.
 #ifndef LOCKTUNE_TELEMETRY_LOCK_PROFILER_H_
 #define LOCKTUNE_TELEMETRY_LOCK_PROFILER_H_
 

@@ -26,7 +26,6 @@ double SnapshotQuantile(const HistogramSnapshot& snapshot, double q) {
 }
 
 HistogramSnapshot HistogramMetric::Snapshot() const {
-  MutexLock guard(mu_);
   HistogramSnapshot out;
   out.upper_bounds = hist_.upper_bounds();
   out.counts = hist_.counts();
@@ -54,7 +53,6 @@ HistogramSnapshot SnapshotOf(const Histogram& hist) {
 
 Counter* MetricsRegistry::AddCounter(const std::string& name,
                                      const std::string& help) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -65,7 +63,6 @@ Counter* MetricsRegistry::AddCounter(const std::string& name,
 
 Gauge* MetricsRegistry::AddGauge(const std::string& name,
                                  const std::string& help) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -77,7 +74,6 @@ Gauge* MetricsRegistry::AddGauge(const std::string& name,
 HistogramMetric* MetricsRegistry::AddHistogram(
     const std::string& name, const std::string& help,
     std::vector<double> upper_bounds) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -89,7 +85,6 @@ HistogramMetric* MetricsRegistry::AddHistogram(
 void MetricsRegistry::AddCallbackCounter(const std::string& name,
                                          const std::string& help,
                                          std::function<int64_t()> fn) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -100,7 +95,6 @@ void MetricsRegistry::AddCallbackCounter(const std::string& name,
 void MetricsRegistry::AddCallbackGauge(const std::string& name,
                                        const std::string& help,
                                        std::function<double()> fn) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -111,7 +105,6 @@ void MetricsRegistry::AddCallbackGauge(const std::string& name,
 void MetricsRegistry::AddCallbackHistogram(
     const std::string& name, const std::string& help,
     std::function<HistogramSnapshot()> fn) {
-  MutexLock guard(mu_);
   Entry& e = entries_[name];
   e = Entry{};
   e.help = help;
@@ -120,12 +113,10 @@ void MetricsRegistry::AddCallbackHistogram(
 }
 
 bool MetricsRegistry::Has(const std::string& name) const {
-  MutexLock guard(mu_);
   return entries_.count(name) != 0;
 }
 
 std::vector<MetricSample> MetricsRegistry::Collect() const {
-  MutexLock guard(mu_);
   std::vector<MetricSample> out;
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) {

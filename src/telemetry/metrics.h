@@ -21,7 +21,6 @@
 #ifndef LOCKTUNE_TELEMETRY_METRICS_H_
 #define LOCKTUNE_TELEMETRY_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -29,36 +28,29 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/stats.h"
-#include "common/thread_annotations.h"
 
 namespace locktune {
 
-// Monotonically increasing event count. Lock-free: producers on concurrent
-// threads (library callers; concurrency_test) bump it with relaxed atomics
-// (it is a statistic, not a synchronization point).
+// Monotonically increasing event count.
 class Counter {
  public:
-  void Increment(int64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(int64_t n = 1) { value_ += n; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
-// Instantaneous value that can move both ways. Lock-free like Counter
-// (atomic<double>::fetch_add is C++20).
+// Instantaneous value that can move both ways.
 class Gauge {
  public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(double v) { value_ = v; }
+  void Add(double d) { value_ += d; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // Point-in-time copy of a histogram, as exporters consume it. `counts` has
@@ -78,38 +70,22 @@ struct HistogramSnapshot {
 double SnapshotQuantile(const HistogramSnapshot& snapshot, double q);
 
 // A bucketed distribution plus a running sum (for Prometheus `_sum`).
-// Observe/Snapshot are serialized by an internal mutex so concurrent
-// producers cannot tear the bucket array against the running sum.
 class HistogramMetric {
  public:
   explicit HistogramMetric(std::vector<double> upper_bounds)
       : hist_(std::move(upper_bounds)) {}
 
   void Observe(double x) {
-    MutexLock guard(mu_);
     hist_.Add(x);
     sum_ += x;
   }
 
-  int64_t total_count() const {
-    MutexLock guard(mu_);
-    return hist_.total_count();
-  }
-  // Unsynchronized view for single-threaded readers (tests, inspector after
-  // the run); concurrent contexts must use Snapshot(). Deliberately outside
-  // the capability analysis: the caller's serial phase, not mu_, is the
-  // synchronization.
-  const Histogram& histogram() const LT_NO_THREAD_SAFETY_ANALYSIS {
-    return hist_;
-  }
+  const Histogram& histogram() const { return hist_; }
   HistogramSnapshot Snapshot() const;
 
  private:
-  // Leaf rank: Observe runs under the manager lock (wait_times_) and under
-  // the registry lock (Collect callbacks); it must take nothing else.
-  mutable Mutex mu_{kLockRankLeaf, "HistogramMetric::mu_"};
-  Histogram hist_ LT_GUARDED_BY(mu_);
-  double sum_ LT_GUARDED_BY(mu_) = 0.0;
+  Histogram hist_;
+  double sum_ = 0.0;
 };
 
 // Builds a HistogramSnapshot from a bare Histogram (no sum tracked: the sum
@@ -151,18 +127,12 @@ class MetricsRegistry {
                             std::function<HistogramSnapshot()> fn);
 
   bool Has(const std::string& name) const;
-  size_t size() const {
-    MutexLock guard(mu_);
-    return entries_.size();
-  }
+  size_t size() const { return entries_.size(); }
 
   // Evaluates every metric (callbacks included), ordered by name. Label
-  // variants of one family (`name{...}`) sort adjacently. Callbacks run
-  // under mu_ and may take subsystem locks (the lock manager's gauges take
-  // its manager lock), which is why the registry lock is the OUTERMOST
-  // rank in the hierarchy (common/lock_rank_table.h): callers must hold
-  // nothing when collecting.
-  std::vector<MetricSample> Collect() const LT_EXCLUDES(mu_);
+  // variants of one family (`name{...}`) sort adjacently. Callbacks must
+  // not re-enter the registry.
+  std::vector<MetricSample> Collect() const;
 
  private:
   struct Entry {
@@ -177,11 +147,7 @@ class MetricsRegistry {
     std::function<HistogramSnapshot()> histogram_fn;
   };
 
-  // Guards the entry map itself (registration vs. Collect). The metric
-  // objects are individually thread-safe, and callbacks run under this
-  // mutex — they must not re-enter the registry.
-  mutable Mutex mu_{kLockRankMetricsRegistry, "MetricsRegistry::mu_"};
-  std::map<std::string, Entry> entries_ LT_GUARDED_BY(mu_);
+  std::map<std::string, Entry> entries_;
 };
 
 // The metric family: the name up to a `{label}` suffix, if any.

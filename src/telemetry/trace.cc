@@ -88,14 +88,11 @@ std::string TraceRecord::ToJson() const {
 
 void JsonlTraceWriter::Append(const TraceRecord& record) {
   if (os_ == nullptr) return;
-  const std::string line = record.ToJson();  // render outside the lock
-  MutexLock guard(mu_);
-  *os_ << line << '\n';
-  records_.fetch_add(1, std::memory_order_relaxed);
+  *os_ << record.ToJson() << '\n';
+  ++records_;
 }
 
 void JsonlTraceWriter::Flush() {
-  MutexLock guard(mu_);
   if (os_ != nullptr) os_->flush();
 }
 

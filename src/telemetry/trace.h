@@ -10,16 +10,13 @@
 #ifndef LOCKTUNE_TELEMETRY_TRACE_H_
 #define LOCKTUNE_TELEMETRY_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/sim_clock.h"
-#include "common/thread_annotations.h"
 
 namespace locktune {
 
@@ -60,11 +57,9 @@ class TraceRecord {
   std::vector<Field> fields_;
 };
 
-// Receives trace records. Implementations must tolerate records arriving
-// from under the lock manager's mutex: be fast, never call back into the
-// producing subsystem. A library caller may drive one database from
-// several threads, so Append must be thread-safe (both implementations
-// below serialize internally).
+// Receives trace records. Records arrive in the middle of a lock request
+// (LockManager::Emit): be fast, never call back into the producing
+// subsystem.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -80,37 +75,24 @@ class JsonlTraceWriter : public TraceSink {
   void Append(const TraceRecord& record) override;
   void Flush() override;
 
-  int64_t records_written() const {
-    return records_.load(std::memory_order_relaxed);
-  }
+  int64_t records_written() const { return records_; }
 
  private:
-  // Leaf rank: Append runs from under the lock manager's mutex
-  // (LockManager::Emit) and must take nothing underneath.
-  Mutex mu_{kLockRankLeaf, "JsonlTraceWriter::mu_"};
-  std::ostream* os_ LT_PT_GUARDED_BY(mu_);
-  std::atomic<int64_t> records_{0};
+  std::ostream* os_;
+  int64_t records_ = 0;
 };
 
 // Buffers records in memory (tests, bench/fig3_4_lock_structures).
 class MemoryTraceSink : public TraceSink {
  public:
   void Append(const TraceRecord& record) override {
-    MutexLock guard(mu_);
     records_.push_back(record);
   }
 
-  // Unsynchronized view: read only after producers have quiesced (end of
-  // run / end of tick) — the serial phase, not mu_, is the
-  // synchronization, so this stays outside the capability analysis.
-  const std::vector<TraceRecord>& records() const
-      LT_NO_THREAD_SAFETY_ANALYSIS {
-    return records_;
-  }
+  const std::vector<TraceRecord>& records() const { return records_; }
 
  private:
-  Mutex mu_{kLockRankLeaf, "MemoryTraceSink::mu_"};
-  std::vector<TraceRecord> records_ LT_GUARDED_BY(mu_);
+  std::vector<TraceRecord> records_;
 };
 
 }  // namespace locktune

@@ -196,55 +196,36 @@ void AppStore::StartTransaction(uint32_t i) {
 
 void AppStore::RunAcquisition(uint32_t i) {
   ColdApp& app = cold_[i];
-  // Pull-source over this tick's share of the transaction: requests are
-  // drawn from the workload RNG one at a time, and only while every
-  // previous request was granted — the draw sequence is exactly the legacy
-  // one-Lock()-per-request loop's, so goldens stay byte-identical. The
-  // batch amortizes the manager's mutex over the whole tick (one
-  // acquisition instead of one per request).
-  struct TickSource final : public LockRequestSource {
-    TickSource(ColdApp& app, int64_t start_acquired)
-        : app(app), start_acquired(start_acquired) {}
-    std::optional<BatchItem> Next() override {
-      if (issued >= app.profile.locks_per_tick) return std::nullopt;
-      if (start_acquired + issued >= app.profile.total_locks) {
-        return std::nullopt;
-      }
-      ++issued;
-      const RowAccess access = app.workload->NextAccess(app.rng);
-      // A table-locking plan (§3.6) fixes the coarse granularity at
-      // compile time: the self-tuning lock memory never gets a chance to
-      // avoid it.
-      BatchItem item;
-      item.resource = app.table_plan ? TableResource(access.table)
-                                     : RowResource(access.table, access.row);
-      item.mode = app.table_plan && access.mode != LockMode::kS
-                      ? LockMode::kX
-                      : access.mode;
-      return item;
+  // This tick's share of the transaction, one request at a time, each drawn
+  // from the workload RNG only after the previous one was granted: a request
+  // that blocks or fails ends the tick with no further draw.
+  for (int64_t issued = 0; issued < app.profile.locks_per_tick &&
+                           acquired_[i] < app.profile.total_locks;
+       ++issued) {
+    const RowAccess access = app.workload->NextAccess(app.rng);
+    // A table-locking plan (§3.6) fixes the coarse granularity at compile
+    // time: the self-tuning lock memory never gets a chance to avoid it.
+    const ResourceId resource = app.table_plan
+                                    ? TableResource(access.table)
+                                    : RowResource(access.table, access.row);
+    const LockMode mode = app.table_plan && access.mode != LockMode::kS
+                              ? LockMode::kX
+                              : access.mode;
+    switch (db_->locks().Lock(app.id, resource, mode).outcome) {
+      case LockOutcome::kGranted:
+        ++acquired_[i];
+        Count(i, &ApplicationStats::locks_acquired);
+        break;
+      case LockOutcome::kWaiting:
+        phase_[i] = static_cast<uint8_t>(AppPhase::kBlocked);
+        return;
+      case LockOutcome::kOutOfMemory:
+        // The statement failed (DB2 would return SQL0912N); abort the
+        // transaction and retry after thinking.
+        Count(i, &ApplicationStats::oom_aborts);
+        AbortToThinking(i);
+        return;
     }
-    ColdApp& app;
-    const int64_t start_acquired;  // granted before this tick's batch
-    int64_t issued = 0;            // drawn (== granted until the batch ends)
-  } source(app, acquired_[i]);
-
-  const BatchResult result = db_->locks().AcquireBatch(app.id, source);
-  if (result.granted > 0) {
-    acquired_[i] += result.granted;
-    Count(i, &ApplicationStats::locks_acquired, result.granted);
-  }
-  switch (result.outcome) {
-    case LockOutcome::kGranted:
-      break;
-    case LockOutcome::kWaiting:
-      phase_[i] = static_cast<uint8_t>(AppPhase::kBlocked);
-      return;
-    case LockOutcome::kOutOfMemory:
-      // The statement failed (DB2 would return SQL0912N); abort the
-      // transaction and retry after thinking.
-      Count(i, &ApplicationStats::oom_aborts);
-      AbortToThinking(i);
-      return;
   }
   if (acquired_[i] >= app.profile.total_locks) {
     if (app.profile.hold_time > 0) {

@@ -175,6 +175,26 @@ TEST_F(LockManagerTest, ReleaseAllFreesEverything) {
   EXPECT_EQ(lm_->HeldStructures(1), 0);
   EXPECT_EQ(lm_->used_bytes(), 0);
   EXPECT_TRUE(lm_->CheckConsistency().ok());
+
+  // Disjoint writers share the table's intent head: each holds its rows
+  // plus its own IX structure, nobody waits, and once every application
+  // has released, every head is gone.
+  constexpr int64_t kRows = 200;
+  for (AppId app = 1; app <= 4; ++app) {
+    for (int64_t row = app * 100'000; row < app * 100'000 + kRows; ++row) {
+      ASSERT_EQ(lm_->Lock(app, RowResource(kOrders, row), LockMode::kX)
+                    .outcome,
+                LockOutcome::kGranted);
+    }
+  }
+  for (AppId app = 1; app <= 4; ++app) {
+    EXPECT_EQ(lm_->HeldStructures(app), kRows + 1);
+  }
+  EXPECT_EQ(lm_->stats().lock_waits, 0);
+  for (AppId app = 1; app <= 4; ++app) lm_->ReleaseAll(app);
+  EXPECT_EQ(lm_->used_bytes(), 0);
+  EXPECT_EQ(lm_->lock_table_size(), 0);
+  EXPECT_TRUE(lm_->CheckConsistency().ok());
 }
 
 TEST_F(LockManagerTest, ReleaseSingleResource) {
@@ -537,26 +557,6 @@ TEST(LockManagerDeathTest, OutOfRangeResourcesAreRejectedBeforePacking) {
   EXPECT_DEATH(lm.Lock(1, RowResource(1, -1), LockMode::kS), kMessage);
   EXPECT_DEATH((void)lm.Release(1, RowResource(1, kMaxPackedRows)), kMessage);
   EXPECT_DEATH((void)lm.HeldMode(1, TableResource(too_many)), kMessage);
-
-  // Each batch item is checked as it is drawn: the first item is granted,
-  // the second dies.
-  class TwoItems final : public LockRequestSource {
-   public:
-    std::optional<BatchItem> Next() override {
-      if (drawn_ == 2) return std::nullopt;
-      return BatchItem{RowResource(1, drawn_++ == 0 ? 7 : kMaxPackedRows),
-                       LockMode::kS};
-    }
-
-   private:
-    int drawn_ = 0;
-  };
-  EXPECT_DEATH(
-      {
-        TwoItems source;
-        (void)lm.AcquireBatch(1, source);
-      },
-      kMessage);
   // Nothing leaked into the parent's manager.
   EXPECT_EQ(lm.lock_table_size(), 0);
 }

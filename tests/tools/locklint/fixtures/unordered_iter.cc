@@ -11,12 +11,3 @@ long Total() {
   }
   return total;
 }
-
-// A capability annotation after the name must not hide the declaration.
-std::unordered_map<int, long> guarded LT_GUARDED_BY(mu);
-
-long GuardedTotal() {
-  long total = 0;
-  for (const auto& [k, v] : guarded) total += v;  // LL002 line 20
-  return total;
-}

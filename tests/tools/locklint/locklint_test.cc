@@ -2,8 +2,6 @@
 // ids and line numbers — one fixture per rule plus a clean file proving
 // that comments, strings, and reasoned suppressions do not trip the linter.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -59,8 +57,7 @@ TEST(LocklintTest, UnorderedIterationRule) {
   const LintRun run = RunLocklint(FixtureRoot() + "/unordered_iter.cc");
   EXPECT_EQ(run.exit_code, 1);
   ExpectViolation(run, "unordered_iter.cc", 9, "LL002");
-  ExpectViolation(run, "unordered_iter.cc", 20, "LL002");  // annotated decl
-  EXPECT_NE(run.output.find("2 violation(s)"), std::string::npos)
+  EXPECT_NE(run.output.find("1 violation(s)"), std::string::npos)
       << run.output;
 }
 
@@ -131,20 +128,6 @@ TEST(LocklintTest, ProfileTimingRule) {
       << run.output;
 }
 
-TEST(LocklintTest, LockOrderRule) {
-  const LintRun run = RunLocklint(FixtureRoot() + "/src/lock/lock_cycle.cc");
-  EXPECT_EQ(run.exit_code, 1);
-  // The forward path (a_ rank 10, then b_ rank 40) is legal on its own;
-  // the backward path's second acquisition violates the hierarchy, and the
-  // pair of edges closes a cycle, reported at the smallest edge site.
-  ExpectViolation(run, "lock_cycle.cc", 16, "LL011");  // cycle {a_, b_}
-  ExpectViolation(run, "lock_cycle.cc", 22, "LL011");  // rank 40 -> 10
-  EXPECT_NE(run.output.find("static deadlock"), std::string::npos)
-      << run.output;
-  EXPECT_NE(run.output.find("2 violation(s)"), std::string::npos)
-      << run.output;
-}
-
 TEST(LocklintTest, HotColumnRule) {
   const LintRun run = RunLocklint(FixtureRoot() + "/hot_column.cc");
   EXPECT_EQ(run.exit_code, 1);
@@ -172,25 +155,6 @@ TEST(LocklintTest, JsonOutput) {
   EXPECT_NE(bad.output.find("\"rule\": \"LL006\""), std::string::npos)
       << bad.output;
   EXPECT_NE(bad.output.find("\"line\": 5"), std::string::npos) << bad.output;
-}
-
-TEST(LocklintTest, LockOrderGraphMatchesGolden) {
-  const std::string src = std::string(LOCKTUNE_SOURCE_DIR);
-  const std::string out = ::testing::TempDir() + "locklint_graph.dot";
-  const LintRun run =
-      RunLocklint("--lock-graph " + out + " " + src + "/src");
-  EXPECT_EQ(run.exit_code, 0) << run.output;
-  std::ifstream got_file(out);
-  std::ifstream want_file(src + "/tests/golden/lock_order_graph.dot");
-  ASSERT_TRUE(got_file.good());
-  ASSERT_TRUE(want_file.good());
-  std::stringstream got, want;
-  got << got_file.rdbuf();
-  want << want_file.rdbuf();
-  EXPECT_EQ(got.str(), want.str())
-      << "the src/ lock-order graph drifted from the golden; inspect the "
-         "new edges, then regenerate with:\n  locklint --lock-graph "
-         "tests/golden/lock_order_graph.dot src";
 }
 
 TEST(LocklintTest, EmptyReasonIsItsOwnViolation) {
@@ -226,11 +190,11 @@ TEST(LocklintTest, CleanFilePasses) {
 TEST(LocklintTest, WholeFixtureTreeIsDeterministicallySorted) {
   const LintRun run = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.exit_code, 1);
-  // 3 wallclock + 2 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
-  // + 2 addr + 1 faultgate + 2 profile + 1 bad-annotation + 2 lockorder
-  // + 2 hotcolumn + 1 orphan hot-column marker + 1 stale-suppression = 22,
-  // and a second run must be identical.
-  EXPECT_NE(run.output.find("22 violation(s)"), std::string::npos)
+  // 3 wallclock + 1 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
+  // + 2 addr + 1 faultgate + 2 profile + 1 bad-annotation + 2 hotcolumn
+  // + 1 orphan hot-column marker + 1 stale-suppression = 19, and a second
+  // run must be identical.
+  EXPECT_NE(run.output.find("19 violation(s)"), std::string::npos)
       << run.output;
   const LintRun again = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.output, again.output);
@@ -241,7 +205,7 @@ TEST(LocklintTest, ListRules) {
   EXPECT_EQ(run.exit_code, 0);
   for (const char* id : {"LL000", "LL001", "LL002", "LL003", "LL004",
                          "LL005", "LL006", "LL007", "LL008", "LL009",
-                         "LL011", "LL013"}) {
+                         "LL013"}) {
     EXPECT_NE(run.output.find(id), std::string::npos) << run.output;
   }
 }

@@ -19,6 +19,7 @@ class ScriptedWorkload : public Workload {
   TransactionProfile NextTransaction(Rng&) override { return profile_; }
 
   RowAccess NextAccess(Rng&) override {
+    ++draws_;
     RowAccess a;
     a.table = table_;
     a.row = next_row_++;
@@ -27,12 +28,15 @@ class ScriptedWorkload : public Workload {
   }
 
   void set_mode(LockMode m) { mode_ = m; }
+  // NextAccess calls so far.
+  int64_t draws() const { return draws_; }
 
  private:
   TransactionProfile profile_;
   TableId table_;
   int64_t next_row_;
   LockMode mode_ = LockMode::kS;
+  int64_t draws_ = 0;
 };
 
 // One store per independently-driven client: each test below scripts the
@@ -141,12 +145,17 @@ TEST_F(ApplicationTest, BlocksOnConflictAndResumes) {
   for (int i = 0; i < 10; ++i) a2.Tick();
   EXPECT_EQ(a2.phase(), AppPhase::kBlocked);
   EXPECT_GT(a2.stats().blocked_ticks, 0);
+  // The blocked request ended its tick: app 2 drew row 5 and nothing past
+  // it, and its blocked ticks draw nothing.
+  EXPECT_EQ(w2.draws(), 1);
   // Holder commits; stop ticking it there so its next transaction does
   // not re-collide with app 2.
   for (int i = 0; i < 80 && holder.stats().commits == 0; ++i) holder.Tick();
   ASSERT_EQ(holder.stats().commits, 1);
   for (int i = 0; i < 10; ++i) a2.Tick();
   EXPECT_EQ(a2.stats().commits, 1);
+  // One draw per lock of the transaction: none was drawn and dropped.
+  EXPECT_EQ(w2.draws(), 10);
   (void)a1;
 }
 

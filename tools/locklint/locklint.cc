@@ -1,4 +1,4 @@
-// locklint — the repo's determinism & concurrency-discipline linter.
+// locklint — the repo's determinism & invariant linter.
 //
 // The repository's core promise is that fig6/fig9 runs, --metrics-out
 // exports, and tuner decisions are byte-identical across refactors. That
@@ -8,13 +8,6 @@
 // house rules mechanically, at token/regex level — deliberately not a
 // compiler plugin, so it runs anywhere the repo builds and over code that
 // does not compile yet.
-//
-// Since v2 it is a two-phase analyzer: phase one scans every file for
-// ranked-lock declarations (`Mutex mu_{kLockRank..., "Class::mu_"}`),
-// LT_REQUIRES capability annotations, and per-function guard-construction
-// sites; phase two assembles a whole-repo lock-order graph (emit it with
-// --lock-graph out.dot) and checks every edge against the documented
-// hierarchy in src/common/lock_rank_table.h.
 //
 // Rules (see docs/STATIC_ANALYSIS.md for the catalog and rationale):
 //   LL001 wallclock     nondeterminism sources: system_clock, time(),
@@ -35,18 +28,14 @@
 //                       high_resolution_clock, rdtsc) in src/lock/ — the
 //                       lock path reads no clock; host timing belongs to
 //                       the callers that drive it
-//   LL011 lockorder     lock-order violation: an acquisition edge in the
-//                       whole-repo lock graph whose ranks do not strictly
-//                       increase (src/common/lock_rank_table.h), or a
-//                       cycle in the graph — a static deadlock.
 //   LL013 hotcolumn     non-trivially-copyable member in a struct marked
 //                       `// locklint: hot-column`. Hot-column structs are
 //                       the SoA rows the per-tick sweep copies and re-files
-//                       wholesale (wheel entries, batch items, lock
-//                       requests); an owning or virtual member would turn
-//                       every swap/compact into a correctness hazard. The
-//                       marker goes on the line above (or the line of) the
-//                       struct declaration; pair it with a
+//                       wholesale (wheel entries, lock requests); an owning
+//                       or virtual member would turn every swap/compact
+//                       into a correctness hazard. The marker goes on the
+//                       line above (or the line of) the struct
+//                       declaration; pair it with a
 //                       static_assert(std::is_trivially_copyable_v<T>) for
 //                       the compile-time word.
 //   LL000 annotation    malformed suppression (empty reason), or a stale
@@ -57,15 +46,9 @@
 // a violation, and so is a suppression that no longer suppresses anything
 // (stale). Tags: wallclock-ok, ordered-ok, float-ok, alloc-ok,
 // nodiscard-ok, assert-ok, addr-ok, faultgate-ok, profile-ok,
-// lockorder-ok, hotcolumn-ok.
+// hotcolumn-ok.
 //
-// Structural annotation (not a suppression):
-//   `// locklint: lock-edge(A -> B)`       records a lock-order edge the
-//                                          scanner cannot see (callbacks,
-//                                          function pointers)
-//
-// Usage: locklint [--list-rules] [--json] [--lock-graph <out.dot>]
-//                 <file-or-dir>...
+// Usage: locklint [--list-rules] [--json] <file-or-dir>...
 // Exit: 0 clean, 1 violations found, 2 usage/IO error.
 //
 // Comments and string/char literals are stripped before rule matching, so
@@ -77,20 +60,13 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
-
-// The documented hierarchy, shared verbatim with the runtime rank checker
-// (src/common/lock_rank.cc). Header-only and standard-library-only, so the
-// linter stays standalone.
-#include "../../src/common/lock_rank_table.h"
 
 namespace {
 
@@ -144,10 +120,6 @@ constexpr RuleInfo kRules[] = {
      "wall-clock timing call (steady_clock, high_resolution_clock, rdtsc) "
      "in src/lock/; time the lock path from its caller or annotate "
      "profile-ok(<reason>)"},
-    {"LL011", "lockorder",
-     "lock-order violation: acquisition edge whose ranks do not strictly "
-     "increase against src/common/lock_rank_table.h, or a cycle in the "
-     "whole-repo lock-order graph (static deadlock)"},
     {"LL013", "hotcolumn",
      "non-trivially-copyable member in a 'locklint: hot-column' struct — "
      "SoA hot rows are copied/compacted wholesale by the schedulers; keep "
@@ -159,15 +131,6 @@ const std::set<std::string> kAccountingFiles = {
     "block_list.h", "block_list.cc", "lock_block.h", "lock_block.cc",
     "memory_heap.h", "lock_table.h", "lock_table.cc", "lock_head.h",
     "lock_head.cc", "units.h",
-};
-
-// Spellings a declaration's rank argument may use; resolved against the
-// shared table so the linter and the runtime checker cannot drift.
-const std::map<std::string, int> kRankConstants = {
-    {"kLockRankUnranked", locktune::kLockRankUnranked},
-    {"kLockRankMetricsRegistry", locktune::kLockRankMetricsRegistry},
-    {"kLockRankManager", locktune::kLockRankManager},
-    {"kLockRankLeaf", locktune::kLockRankLeaf},
 };
 
 bool IsSourceFile(const fs::path& p) {
@@ -250,13 +213,13 @@ bool LoadFile(const fs::path& path, FileText* out) {
 }
 
 // Collects identifiers declared with an unordered container type, e.g.
-//   std::unordered_map<AppId, AppState> apps_ LT_GUARDED_BY(mu_);
+//   std::unordered_map<AppId, AppState> apps_;
 // Used file-locally plus from the sibling header, so members declared in
 // foo.h are known while scanning foo.cc.
 void CollectUnorderedIdentifiers(const FileText& text,
                                  std::set<std::string>* names) {
   static const std::regex kDecl(
-      R"(unordered_(?:map|set)\s*<[^;{}]*>\s+([A-Za-z_]\w*)\s*(?:LT_\w+\s*\([^()]*\)\s*)?(?:;|=|\{|$))");
+      R"(unordered_(?:map|set)\s*<[^;{}]*>\s+([A-Za-z_]\w*)\s*(?:;|=|\{|$))");
   for (const std::string& line : text.code) {
     for (std::sregex_iterator it(line.begin(), line.end(), kDecl), end;
          it != end; ++it) {
@@ -305,569 +268,6 @@ bool IsSuppressed(const std::string& file, const std::vector<std::string>& raw,
     if (check(raw[j - 1], j - 1)) return !*bad_annotation;
   }
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// Phase-one/-two concurrency model (LL011, --lock-graph).
-// ---------------------------------------------------------------------------
-
-// Tracks the enclosing class/struct across a file so member declarations
-// and inline methods can be attributed (`mu_` in class HistogramMetric →
-// HistogramMetric::mu_). Purely brace-depth based.
-class ScopeTracker {
- public:
-  // Call once per code line, BEFORE consuming the line's context.
-  void BeginLine(const std::string& code) {
-    static const std::regex kClassOpen(
-        R"(\b(class|struct)\s+(?:LT_\w+(?:\([^)]*\))?\s+)?([A-Za-z_]\w*))");
-    std::smatch m;
-    if (code.find("enum") == std::string::npos &&
-        std::regex_search(code, m, kClassOpen) &&
-        code.find('{') != std::string::npos &&
-        code.find(';') == std::string::npos) {
-      classes_.push_back({m[2].str(), depth_});
-      opened_class_this_line_ = true;
-    } else {
-      opened_class_this_line_ = false;
-    }
-  }
-
-  // Call once per code line, AFTER consuming the line's context.
-  void EndLine(const std::string& code) {
-    for (const char c : code) {
-      if (c == '{') ++depth_;
-      if (c == '}' && depth_ > 0) --depth_;
-    }
-    while (!classes_.empty() && depth_ <= classes_.back().open_depth &&
-           !(opened_class_this_line_ &&
-             classes_.back().open_depth == depth_)) {
-      classes_.pop_back();
-    }
-    opened_class_this_line_ = false;
-  }
-
-  int depth() const { return depth_; }
-  bool opened_class_this_line() const { return opened_class_this_line_; }
-  std::string current_class() const {
-    return classes_.empty() ? std::string() : classes_.back().name;
-  }
-
- private:
-  struct ClassScope {
-    std::string name;
-    int open_depth;  // depth before the opening brace
-  };
-  int depth_ = 0;
-  bool opened_class_this_line_ = false;
-  std::vector<ClassScope> classes_;
-};
-
-std::string FileStem(const std::string& generic) {
-  return fs::path(generic).stem().string();
-}
-
-// The whole-repo lock model: declarations, per-function acquire sets, and
-// the lock-order graph.
-class LockModel {
- public:
-  struct Edge {
-    std::string from;
-    std::string to;
-    std::string file;  // first acquisition site observed
-    int line = 0;
-    size_t idx = 0;  // 0-based line of the site, for suppression lookup
-  };
-
-  // --- phase one -----------------------------------------------------------
-
-  void ScanDeclarations(const std::string& file, const FileText& text) {
-    // Canonical names live in string literals, so declarations are matched
-    // on the raw line; class context comes from the stripped view.
-    static const std::regex kLockDecl(
-        "\\bMutex\\s+(\\w+)\\s*\\{\\s*(kLockRank\\w+)\\s*,"
-        "\\s*\"([^\"]+)\"");
-    static const std::regex kRequires(
-        R"(([A-Za-z_]\w*)\s*\([^;{}]*\)[^;{}]*LT_REQUIRES\s*\(\s*([A-Za-z_]\w*)\s*\))");
-    ScopeTracker scope;
-    std::string stmt;  // accumulated declaration text (stripped view)
-    for (size_t i = 0; i < text.code.size(); ++i) {
-      const std::string& code = text.code[i];
-      scope.BeginLine(code);
-      std::smatch m;
-      if (std::regex_search(text.raw[i], m, kLockDecl)) {
-        LockDecl d;
-        d.member = m[1].str();
-        d.canonical = m[3].str();
-        d.klass = scope.current_class();
-        d.file_stem = FileStem(file);
-        const auto rank_it = kRankConstants.find(m[2].str());
-        d.rank = rank_it != kRankConstants.end()
-                     ? rank_it->second
-                     : locktune::LockRankForName(d.canonical.c_str());
-        decls_by_member_[d.member].push_back(d);
-      }
-      stmt += code;
-      stmt += ' ';
-      if (code.find(';') != std::string::npos ||
-          code.find('{') != std::string::npos ||
-          code.find('}') != std::string::npos) {
-        std::smatch r;
-        std::string tail = stmt;
-        while (std::regex_search(tail, r, kRequires)) {
-          RequiresDecl rd;
-          rd.arg = r[2].str();
-          rd.klass = scope.current_class();
-          rd.file_stem = FileStem(file);
-          const std::string key = rd.klass + "::" + r[1].str();
-          requires_by_method_[key].push_back(rd);
-          tail = r.suffix().str();
-        }
-        stmt.clear();
-      }
-      scope.EndLine(code);
-    }
-  }
-
-  // --- phase two -----------------------------------------------------------
-
-  // Scans function bodies: guard-construction sites become held-set state
-  // and graph edges; call sites are recorded for interprocedural
-  // propagation. Also parses lock-edge structural annotations.
-  void ScanFunctions(const std::string& file, const FileText& text);
-
-  // Interprocedural fixpoint, then LL011 edge/cycle checks.
-  void Analyze(const std::map<std::string, FileText>& texts,
-               std::vector<Violation>* out, SuppressionUses* used);
-
-  // Deterministic DOT rendering of the lock-order graph.
-  std::string DotGraph() const;
-
- private:
-  struct LockDecl {
-    std::string member;
-    std::string canonical;
-    std::string klass;
-    std::string file_stem;
-    int rank = locktune::kLockRankUnranked;
-  };
-  struct RequiresDecl {
-    std::string arg;
-    std::string klass;
-    std::string file_stem;
-  };
-  struct Function {
-    std::string qualified;  // Class::Method or free name
-    std::string klass;
-    std::string file_stem;
-    std::set<std::string> acquires;  // canonical locks, transitively grown
-  };
-  struct CallSite {
-    size_t caller = 0;  // index into functions_
-    std::string callee;
-    std::vector<std::string> held;
-    std::string file;
-    int line = 0;
-    size_t idx = 0;
-  };
-
-  // Canonicalizes a guard's lock expression within (file stem, class).
-  std::string Canonicalize(const std::string& expr,
-                           const std::string& file_stem,
-                           const std::string& klass) const {
-    static const std::regex kTrailing(R"(([A-Za-z_]\w*)\s*$)");
-    std::smatch m;
-    if (!std::regex_search(expr, m, kTrailing)) {
-      return file_stem + "::<expr>";
-    }
-    const std::string member = m[1].str();
-    const auto it = decls_by_member_.find(member);
-    if (it == decls_by_member_.end()) return file_stem + "::" + member;
-    std::vector<const LockDecl*> cands;
-    for (const LockDecl& d : it->second) cands.push_back(&d);
-    if (cands.size() > 1) {
-      std::vector<const LockDecl*> same_file;
-      for (const LockDecl* d : cands) {
-        if (d->file_stem == file_stem) same_file.push_back(d);
-      }
-      if (!same_file.empty()) cands = same_file;
-    }
-    if (cands.size() > 1 && !klass.empty()) {
-      std::vector<const LockDecl*> same_class;
-      for (const LockDecl* d : cands) {
-        if (d->klass == klass) same_class.push_back(d);
-      }
-      if (!same_class.empty()) cands = same_class;
-    }
-    if (cands.size() == 1) return cands.front()->canonical;
-    return file_stem + "::" + member;
-  }
-
-  std::set<std::string> ResolveRequires(const std::string& qualified,
-                                        const std::string& klass) const {
-    std::set<std::string> held;
-    const auto pos = qualified.rfind("::");
-    const std::string k =
-        pos == std::string::npos ? klass : qualified.substr(0, pos);
-    const std::string method =
-        pos == std::string::npos ? qualified : qualified.substr(pos + 2);
-    const auto it = requires_by_method_.find(k + "::" + method);
-    if (it == requires_by_method_.end()) return held;
-    for (const RequiresDecl& rd : it->second) {
-      held.insert(Canonicalize(rd.arg, rd.file_stem, rd.klass));
-    }
-    return held;
-  }
-
-  int RankOf(const std::string& canonical) const {
-    const int table = locktune::LockRankForName(canonical.c_str());
-    if (table != locktune::kLockRankUnranked) return table;
-    const auto it = declared_ranks_.find(canonical);
-    return it != declared_ranks_.end() ? it->second
-                                       : locktune::kLockRankUnranked;
-  }
-
-  void AddEdge(const std::string& from, const std::string& to,
-               const std::string& file, int line, size_t idx) {
-    if (from == to && RankOf(from) == locktune::kLockRankUnranked) {
-      // Two guards on same-named unranked locks are usually two distinct
-      // instances (bench/test locals); only table-ranked locks carry the
-      // "never nest with yourself" contract.
-      return;
-    }
-    edges_.emplace(std::make_pair(from, to), Edge{from, to, file, line, idx});
-  }
-
-  std::map<std::string, std::vector<LockDecl>> decls_by_member_;
-  std::map<std::string, std::vector<RequiresDecl>> requires_by_method_;
-  std::map<std::string, int> declared_ranks_;  // canonical → declared rank
-  std::vector<Function> functions_;
-  std::map<std::string, std::vector<size_t>> functions_by_base_;
-  std::vector<CallSite> calls_;
-  std::map<std::pair<std::string, std::string>, Edge> edges_;
-};
-
-void LockModel::ScanFunctions(const std::string& file, const FileText& text) {
-  static const std::regex kGuardDecl(
-      R"(\bMutexLock\s+\w+\s*[({]\s*([^,;)]*))");
-  static const std::regex kSignature(
-      R"(((?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*|[A-Za-z_]\w*)\s*\()");
-  static const std::regex kCall(R"(\b([A-Za-z_]\w*)\s*\()");
-  // Both endpoints must be qualified canonical names (Class::member) —
-  // this also keeps syntax examples in documentation comments inert.
-  static const std::regex kLockEdge(
-      R"(locklint:\s*lock-edge\(\s*(\w+(?:::\w+)+)\s*->\s*(\w+(?:::\w+)+)\s*\))");
-  static const std::set<std::string> kCallKeywords = {
-      "if",     "for",    "while",   "switch",   "return", "sizeof",
-      "catch",  "assert", "decltype", "alignof", "static_assert",
-      "defined"};
-
-  // Record declared ranks so fixture-local locks (outside the shared
-  // table) still rank-check.
-  for (const auto& [member, decls] : decls_by_member_) {
-    for (const LockDecl& d : decls) declared_ranks_[d.canonical] = d.rank;
-  }
-
-  ScopeTracker scope;
-  std::string stmt;  // pending statement text (stripped)
-  struct ActiveFn {
-    size_t index = 0;
-    int base_depth = 0;  // depth before the body's opening brace
-    std::set<std::string> requires_held;
-  };
-  std::vector<ActiveFn> fn_stack;  // lambdas keep the outer entry active
-  struct HeldGuard {
-    std::string canonical;
-    int depth;
-  };
-  std::vector<HeldGuard> guards;
-
-  for (size_t i = 0; i < text.code.size(); ++i) {
-    const std::string& code = text.code[i];
-    const int line_no = static_cast<int>(i) + 1;
-    scope.BeginLine(code);
-
-    // Structural lock-edge annotations apply anywhere.
-    std::smatch em;
-    std::string rawl = text.raw[i];
-    if (std::regex_search(rawl, em, kLockEdge)) {
-      AddEdge(em[1].str(), em[2].str(), file, line_no, i);
-    }
-
-    const bool in_function = !fn_stack.empty();
-    if (!in_function && !scope.opened_class_this_line()) {
-      stmt += code;
-      stmt += ' ';
-      static const std::regex kAccessSpec(
-          R"(^\s*(public|private|protected)\s*:\s*$)");
-      if (std::regex_match(code, kAccessSpec)) {
-        stmt.clear();
-        scope.EndLine(code);
-        continue;
-      }
-      const bool opens = code.find('{') != std::string::npos;
-      if (opens) {
-        std::smatch m;
-        if (std::regex_search(stmt, m, kSignature) &&
-            stmt.find("namespace") == std::string::npos) {
-          Function fn;
-          fn.qualified = m[1].str();
-          const auto pos = fn.qualified.rfind("::");
-          fn.klass = pos == std::string::npos ? scope.current_class()
-                                              : fn.qualified.substr(0, pos);
-          if (pos == std::string::npos && !fn.klass.empty()) {
-            fn.qualified = fn.klass + "::" + fn.qualified;
-          }
-          fn.file_stem = FileStem(file);
-          ActiveFn af;
-          af.index = functions_.size();
-          af.base_depth = scope.depth();
-          af.requires_held =
-              ResolveRequires(fn.qualified, fn.klass);
-          const std::string fn_base =
-              fn.qualified.substr(fn.qualified.rfind("::") == std::string::npos
-                                      ? 0
-                                      : fn.qualified.rfind("::") + 2);
-          functions_by_base_[fn_base].push_back(af.index);
-          functions_.push_back(std::move(fn));
-          fn_stack.push_back(std::move(af));
-        }
-        stmt.clear();
-      } else if (code.find(';') != std::string::npos ||
-                 code.find('}') != std::string::npos) {
-        stmt.clear();
-      }
-    } else if (in_function) {
-      ActiveFn& af = fn_stack.back();
-      Function& fn = functions_[af.index];
-
-      // Guard-construction sites: held-set edges + acquire sets.
-      for (std::sregex_iterator it(code.begin(), code.end(), kGuardDecl),
-           end;
-           it != end; ++it) {
-        const std::string canonical =
-            Canonicalize((*it)[1].str(), fn.file_stem, fn.klass);
-        std::set<std::string> held = af.requires_held;
-        for (const HeldGuard& g : guards) held.insert(g.canonical);
-        for (const std::string& h : held) {
-          if (h != canonical || RankOf(h) != locktune::kLockRankUnranked) {
-            AddEdge(h, canonical, file, line_no, i);
-          }
-        }
-        guards.push_back({canonical, scope.depth()});
-        fn.acquires.insert(canonical);
-      }
-
-      // Call sites for interprocedural propagation.
-      for (std::sregex_iterator it(code.begin(), code.end(), kCall), end;
-           it != end; ++it) {
-        const std::string name = (*it)[1].str();
-        if (kCallKeywords.count(name) != 0) continue;
-        // Only CamelCase callees resolve: the repo is Google-style, so
-        // every lock-taking function is capitalized, while lowercase names
-        // (size, empty, begin) are STL container methods that would
-        // otherwise collide with same-named accessors on repo classes.
-        if (std::isupper(static_cast<unsigned char>(name[0])) == 0) continue;
-        if (name.size() >= 2 &&
-            std::all_of(name.begin(), name.end(), [](unsigned char c) {
-              return std::isupper(c) != 0 || std::isdigit(c) != 0 ||
-                     c == '_';
-            })) {
-          continue;  // macro
-        }
-        const auto pos = static_cast<size_t>(it->position(1));
-        if (pos > 0 && code[pos - 1] == ':') continue;  // qualified (std::)
-        CallSite cs;
-        cs.caller = af.index;
-        cs.callee = name;
-        cs.held = std::vector<std::string>(af.requires_held.begin(),
-                                           af.requires_held.end());
-        for (const HeldGuard& g : guards) cs.held.push_back(g.canonical);
-        cs.file = file;
-        cs.line = line_no;
-        cs.idx = i;
-        calls_.push_back(std::move(cs));
-      }
-    }
-
-    scope.EndLine(code);
-    const int depth = scope.depth();
-    while (!guards.empty() && guards.back().depth > depth) guards.pop_back();
-    while (!fn_stack.empty() && depth <= fn_stack.back().base_depth) {
-      fn_stack.pop_back();
-      if (fn_stack.empty()) guards.clear();
-      stmt.clear();
-    }
-  }
-}
-
-void LockModel::Analyze(const std::map<std::string, FileText>& texts,
-                        std::vector<Violation>* out, SuppressionUses* used) {
-  // Resolve a call to a unique acquire set: all candidate definitions with
-  // a nonempty set must agree, otherwise the call is skipped
-  // (conservative — wrong edges are worse than missing ones, and callback
-  // edges have the explicit lock-edge annotation).
-  const auto resolve = [&](const CallSite& cs) -> const std::set<std::string>* {
-    const auto it = functions_by_base_.find(cs.callee);
-    if (it == functions_by_base_.end()) return nullptr;
-    const std::set<std::string>* result = nullptr;
-    for (const size_t idx : it->second) {
-      if (idx == cs.caller) continue;
-      const Function& fn = functions_[idx];
-      if (fn.acquires.empty()) continue;
-      if (result == nullptr) {
-        result = &fn.acquires;
-      } else if (*result != fn.acquires) {
-        return nullptr;  // ambiguous
-      }
-    }
-    return result;
-  };
-
-  // Fixpoint: grow each caller's transitive acquire set through resolved
-  // calls, so A → F → G chains contribute A-held → G-acquired edges.
-  for (int round = 0; round < 10; ++round) {
-    bool changed = false;
-    for (const CallSite& cs : calls_) {
-      const std::set<std::string>* acq = resolve(cs);
-      if (acq == nullptr) continue;
-      Function& caller = functions_[cs.caller];
-      for (const std::string& lock : *acq) {
-        if (caller.acquires.insert(lock).second) changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  for (const CallSite& cs : calls_) {
-    if (cs.held.empty()) continue;
-    const std::set<std::string>* acq = resolve(cs);
-    if (acq == nullptr) continue;
-    for (const std::string& lock : *acq) {
-      for (const std::string& h : cs.held) {
-        if (h == lock) continue;
-        AddEdge(h, lock, cs.file, cs.line, cs.idx);
-      }
-    }
-  }
-
-  // Rank check: every edge must strictly increase.
-  for (const auto& [key, edge] : edges_) {
-    const int from_rank = RankOf(edge.from);
-    const int to_rank = RankOf(edge.to);
-    if (from_rank == locktune::kLockRankUnranked ||
-        to_rank == locktune::kLockRankUnranked || from_rank < to_rank) {
-      continue;
-    }
-    const auto it = texts.find(edge.file);
-    bool bad = false;
-    if (it != texts.end() &&
-        IsSuppressed(edge.file, it->second.raw, edge.idx, "locklint:",
-                     "lockorder", &bad, used)) {
-      continue;
-    }
-    if (bad) {
-      out->push_back({edge.file, edge.line, "LL000",
-                      "lockorder-ok() suppression requires a non-empty "
-                      "reason"});
-      continue;
-    }
-    std::ostringstream msg;
-    msg << "lock-order hierarchy violation: acquiring " << edge.to
-        << " (rank " << to_rank << ") while holding " << edge.from
-        << " (rank " << from_rank
-        << ") — ranks must strictly increase (src/common/lock_rank_table.h)";
-    out->push_back({edge.file, edge.line, "LL011", msg.str()});
-  }
-
-  // Cycle check: any strongly-connected component with an internal edge is
-  // a static deadlock. Reported once per component, at its smallest site.
-  std::map<std::string, std::vector<std::string>> adj;
-  for (const auto& [key, edge] : edges_) adj[edge.from].push_back(edge.to);
-  std::map<std::string, int> color;  // 0 white, 1 gray, 2 black
-  std::vector<std::string> stack;
-  std::set<std::set<std::string>> reported;
-  const std::function<void(const std::string&)> dfs =
-      [&](const std::string& node) {
-        color[node] = 1;
-        stack.push_back(node);
-        for (const std::string& next : adj[node]) {
-          if (color[next] == 1) {
-            // Found a back edge: the cycle is the stack suffix from next.
-            std::set<std::string> cycle;
-            for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-              cycle.insert(*it);
-              if (*it == next) break;
-            }
-            if (reported.insert(cycle).second) {
-              const Edge* site = nullptr;
-              for (const auto& [key, edge] : edges_) {
-                if (cycle.count(edge.from) == 0 || cycle.count(edge.to) == 0) {
-                  continue;
-                }
-                if (site == nullptr || edge.file < site->file ||
-                    (edge.file == site->file && edge.line < site->line)) {
-                  site = &edge;
-                }
-              }
-              std::ostringstream msg;
-              msg << "static deadlock: lock-order cycle among {";
-              bool first = true;
-              for (const std::string& n : cycle) {
-                if (!first) msg << ", ";
-                msg << n;
-                first = false;
-              }
-              msg << "}";
-              if (site != nullptr) {
-                out->push_back({site->file, site->line, "LL011", msg.str()});
-              }
-            }
-          } else if (color[next] == 0) {
-            dfs(next);
-          }
-        }
-        stack.pop_back();
-        color[node] = 2;
-      };
-  for (const auto& [node, targets] : adj) {
-    if (color[node] == 0) dfs(node);
-  }
-}
-
-std::string LockModel::DotGraph() const {
-  std::set<std::string> nodes;
-  for (const auto& [key, edge] : edges_) {
-    nodes.insert(edge.from);
-    nodes.insert(edge.to);
-  }
-  // Ranked locks that were actually acquired show up even when isolated,
-  // so the graph is a complete inventory of the disciplined locks.
-  for (const Function& fn : functions_) {
-    for (const std::string& lock : fn.acquires) {
-      if (RankOf(lock) != locktune::kLockRankUnranked) nodes.insert(lock);
-    }
-  }
-  std::ostringstream os;
-  os << "// Lock-order graph, generated by: locklint --lock-graph <out> "
-        "<roots>\n";
-  os << "// Nodes carry their rank from src/common/lock_rank_table.h; an\n";
-  os << "// edge A -> B means B is acquired while A is held. The graph\n";
-  os << "// must be acyclic with strictly increasing ranks (LL011).\n";
-  os << "digraph lock_order {\n";
-  os << "  rankdir=LR;\n";
-  os << "  node [shape=box, fontname=\"Helvetica\"];\n";
-  for (const std::string& n : nodes) {
-    const int rank = RankOf(n);
-    os << "  \"" << n << "\"";
-    if (rank != locktune::kLockRankUnranked) {
-      os << " [label=\"" << n << "\\nrank " << rank << "\"]";
-    }
-    os << ";\n";
-  }
-  for (const auto& [key, edge] : edges_) {
-    os << "  \"" << edge.from << "\" -> \"" << edge.to << "\";\n";
-  }
-  os << "}\n";
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -977,10 +377,6 @@ class Linter {
         if (opened && depth <= 0) break;
       }
     }
-  }
-
-  void AddViolations(const std::vector<Violation>& extra) {
-    violations_.insert(violations_.end(), extra.begin(), extra.end());
   }
 
   void NoteIoError() { io_error_ = true; }
@@ -1269,15 +665,13 @@ void ListRules() {
 }
 
 constexpr char kUsage[] =
-    "usage: locklint [--list-rules] [--json] [--lock-graph <out.dot>] "
-    "<file-or-dir>...\n";
+    "usage: locklint [--list-rules] [--json] <file-or-dir>...\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<fs::path> roots;
   bool json = false;
-  std::string graph_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list-rules") {
@@ -1286,14 +680,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--json") {
       json = true;
-      continue;
-    }
-    if (arg == "--lock-graph") {
-      if (i + 1 >= argc) {
-        std::cerr << "locklint: --lock-graph needs an output path\n";
-        return 2;
-      }
-      graph_path = argv[++i];
       continue;
     }
     if (arg == "--help" || arg == "-h") {
@@ -1336,7 +722,6 @@ int main(int argc, char** argv) {
 
   SuppressionUses used;
   Linter linter(&used);
-  LockModel model;
   std::map<std::string, FileText> texts;  // generic path → contents
   std::vector<std::pair<fs::path, std::string>> order;
   for (const fs::path& f : files) {
@@ -1351,31 +736,13 @@ int main(int argc, char** argv) {
     texts.emplace(generic, std::move(text));
   }
 
-  // Phase one: declarations and capability annotations, whole tree.
-  for (const auto& [path, generic] : order) {
-    model.ScanDeclarations(generic, texts.at(generic));
-  }
-  // Phase two: per-line rules and function models.
   for (const auto& [path, generic] : order) {
     linter.LintFile(path, generic, texts.at(generic));
-    model.ScanFunctions(generic, texts.at(generic));
   }
-  // Graph analysis (LL011), then the stale-suppression sweep — it must run
-  // last so every legitimate suppression has had its chance to be used.
-  std::vector<Violation> extra;
-  model.Analyze(texts, &extra, &used);
-  linter.AddViolations(extra);
+  // The stale-suppression sweep runs last, so every legitimate suppression
+  // has had its chance to be used.
   for (const auto& [path, generic] : order) {
     linter.CheckStaleSuppressions(generic, texts.at(generic));
-  }
-
-  if (!graph_path.empty()) {
-    std::ofstream out(graph_path);
-    if (!out) {
-      std::cerr << "locklint: cannot write " << graph_path << "\n";
-      return 2;
-    }
-    out << model.DotGraph();
   }
   return linter.Report(json);
 }
