@@ -68,7 +68,7 @@ void BM_RowLockSharedByManyApps(benchmark::State& state) {
     (void)lm->Release(1, RowResource(1, 7));
   }
 }
-BENCHMARK(BM_RowLockSharedByManyApps)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_RowLockSharedByManyApps)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ReleaseAllPerLock(benchmark::State& state) {
   // Amortized per-lock cost of commit-time bulk release.
@@ -159,7 +159,7 @@ void BM_DeadlockDetection(benchmark::State& state) {
     benchmark::DoNotOptimize(lm->DetectDeadlocks());
   }
 }
-BENCHMARK(BM_DeadlockDetection)->Arg(10)->Arg(100);
+BENCHMARK(BM_DeadlockDetection)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_DeadlockDetectionCyclic(benchmark::State& state) {
   // range(0) applications share S on one row and all convert to X: every
@@ -178,7 +178,33 @@ void BM_DeadlockDetectionCyclic(benchmark::State& state) {
     benchmark::DoNotOptimize(lm->DetectDeadlocks());
   }
 }
-BENCHMARK(BM_DeadlockDetectionCyclic)->Arg(10)->Arg(100);
+BENCHMARK(BM_DeadlockDetectionCyclic)->Arg(10)->Arg(100)->Arg(1000);
+
+void BM_DeadlockDetectionCrowdedTable(benchmark::State& state) {
+  // escalation_storm's shape: range(0) applications each hold IX on one
+  // table and X on one of its rows. Four fifths of them convert the table
+  // to X, the way an escalation does, and queue on its head; the rest queue
+  // X requests for the first converter's row behind one another. Each
+  // conversion waits for every other IX holder and each row request for
+  // the row's holder and every request queued ahead of it.
+  FixedMaxlocksPolicy policy(98.0);
+  auto lm = MakeManager(&policy);
+  const int apps = static_cast<int>(state.range(0));
+  const int converters = apps * 4 / 5;
+  for (AppId app = 1; app <= apps; ++app) {
+    (void)lm->Lock(app, RowResource(1, app), LockMode::kX);
+  }
+  for (AppId app = 1; app <= converters; ++app) {
+    (void)lm->Lock(app, TableResource(1), LockMode::kX);
+  }
+  for (AppId app = converters + 1; app <= apps; ++app) {
+    (void)lm->Lock(app, RowResource(1, 1), LockMode::kX);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lm->DetectDeadlocks());
+  }
+}
+BENCHMARK(BM_DeadlockDetectionCrowdedTable)->Arg(128)->Arg(1024);
 
 void BM_OltpNextAccess(benchmark::State& state) {
   // One row draw of the default OLTP workload: the table pick, the Zipf

@@ -10,9 +10,9 @@ const LockRequest* LockHead::FindHolder(AppId app) const {
   if (first_.app == app) return &first_;
   if (!extended_) return nullptr;
   if (ext_->indexed) {
-    const auto it = ext_->index.find(app);
-    if (it == ext_->index.end()) return nullptr;
-    return it->second == 0 ? &first_ : &ext_->holders[it->second - 1];
+    const uint32_t pos = ext_->index.Find(app);
+    if (pos == AppIndex::kAbsent) return nullptr;
+    return pos == 0 ? &first_ : &ext_->holders[pos - 1];
   }
   for (const LockRequest& r : ext_->holders) {
     if (r.app == app) return &r;
@@ -57,23 +57,29 @@ void LockHead::AddHolder(const LockRequest& request) {
   Extension& ext = Ext();
   ext.holders.push_back(request);
   if (ext.indexed) {
-    ext.index[request.app] = static_cast<uint32_t>(ext.holders.size());
+    ext.index.Set(request.app, static_cast<uint32_t>(ext.holders.size()));
   } else if (live_holders_ > kHolderIndexThreshold) {
     BuildIndex();
   }
 }
 
 void LockHead::BuildIndex() {
+  // An unindexed head's index is empty (AggregatesConsistent), so this only
+  // sizes it.
   Extension& ext = *ext_;
-  ext.index.clear();
-  ext.index.reserve(live_holders_);
-  if (first_.app != kDeadHolder) ext.index[first_.app] = 0;
+  ext.index.Reserve(live_holders_);
+  SetIndexPositions();
+  ext.indexed = true;
+}
+
+void LockHead::SetIndexPositions() {
+  Extension& ext = *ext_;
+  if (first_.app != kDeadHolder) ext.index.Set(first_.app, 0);
   for (size_t i = 0; i < ext.holders.size(); ++i) {
     if (ext.holders[i].app != kDeadHolder) {
-      ext.index[ext.holders[i].app] = static_cast<uint32_t>(i + 1);
+      ext.index.Set(ext.holders[i].app, static_cast<uint32_t>(i + 1));
     }
   }
-  ext.indexed = true;
 }
 
 void LockHead::CompactHolders() {
@@ -92,7 +98,8 @@ void LockHead::CompactHolders() {
   }
   rest.resize(out);
   ext_->dead_holders = 0;
-  if (ext_->indexed) BuildIndex();
+  // The indexed apps are still the live ones; only their slots moved.
+  if (ext_->indexed) SetIndexPositions();
   NoteExtensionUse();
 }
 
@@ -123,7 +130,7 @@ LockBlock* LockHead::RemoveHolder(AppId app) {
       ext_->holders.clear();
       ext_->dead_holders = 0;
       if (ext_->indexed) {
-        ext_->index.erase(app);
+        ext_->index.Erase(app);
         ext_->indexed = false;
       }
       NoteExtensionUse();
@@ -133,7 +140,7 @@ LockBlock* LockHead::RemoveHolder(AppId app) {
   // A live holder remains besides the dead slot, so the extension is in
   // use.
   Extension& ext = *ext_;
-  if (ext.indexed) ext.index.erase(app);
+  if (ext.indexed) ext.index.Erase(app);
   ++ext.dead_holders;
   if (ext.dead_holders > live_holders_ &&
       ext.dead_holders > kHolderIndexThreshold) {
@@ -188,8 +195,7 @@ void LockHead::Clear() {
   if (!extended_) return;
   ext_->holders.clear();
   ext_->waiters.clear();
-  // clear() rewrites the whole bucket array; an empty index needs nothing.
-  if (!ext_->index.empty()) ext_->index.clear();
+  ext_->index.Clear();
   ext_->dead_holders = 0;
   ext_->indexed = false;
   extended_ = false;
@@ -243,8 +249,7 @@ bool LockHead::AggregatesConsistent() const {
   for (uint32_t pos = 0; pos <= rest->size(); ++pos) {
     const LockRequest& r = pos == 0 ? first_ : (*rest)[pos - 1];
     if (r.app == kDeadHolder) continue;
-    const auto it = ext_->index.find(r.app);
-    if (it == ext_->index.end() || it->second != pos) return false;
+    if (ext_->index.Find(r.app) != pos) return false;
   }
   return true;
 }

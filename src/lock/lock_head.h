@@ -14,8 +14,10 @@
 // shared or contended head needs beyond that — later holders, the wait
 // queue, the app → slot index and the tombstone count — lives in an
 // out-of-line Extension, created the first time a head gets a second holder
-// or a waiter and kept across recycling, so steady-state traffic allocates
-// nothing.
+// or a waiter and kept across recycling. The index is a flat AppIndex, not a
+// node-based hash map, so once a head's buffers have grown to their
+// high-water mark, holder churn and recycling allocate nothing
+// (lock_head_test counts heap allocations to hold this).
 #ifndef LOCKTUNE_LOCK_LOCK_HEAD_H_
 #define LOCKTUNE_LOCK_LOCK_HEAD_H_
 
@@ -24,17 +26,13 @@
 #include <memory>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
+#include "lock/app_index.h"
 #include "lock/lock_mode.h"
 #include "lock/resource.h"
 
 namespace locktune {
-
-// Application (connection) identifier; the unit the paper's per-application
-// lock limit applies to.
-using AppId = int32_t;
 
 class LockBlock;
 
@@ -104,8 +102,8 @@ class LockHead {
   static constexpr AppId kDeadHolder = INT32_MIN;
 
   // Live-group size at which the app → slot index is built. Row heads (a
-  // handful of holders) never pay the hash-map overhead; table intent
-  // heads cross it once and stay indexed until their last holder leaves.
+  // handful of holders) never pay for it; table intent heads cross it once
+  // and stay indexed until their last holder leaves.
   static constexpr size_t kHolderIndexThreshold = 16;
 
   // Granted request of `app`, or nullptr.
@@ -178,10 +176,11 @@ class LockHead {
   struct Extension {
     std::vector<LockRequest> holders;     // holder slots 1.., with tombstones
     std::vector<WaitingRequest> waiters;  // front = next to service
-    // App → holder slot for live entries; valid iff indexed. clear() keeps
-    // the bucket array, so a pooled node that crossed the threshold once
-    // re-enters service without rehashing.
-    std::unordered_map<AppId, uint32_t> index;
+    // App → holder slot for live entries; valid iff indexed. Clear() keeps
+    // the slot array, so a pooled node that crossed the threshold once
+    // re-enters service without rehashing, and adding or removing holders
+    // allocates nothing until the index outgrows its high-water mark.
+    AppIndex index;
     uint32_t dead_holders = 0;
     bool indexed = false;
   };
@@ -210,8 +209,11 @@ class LockHead {
   // until the last live holder leaves or Clear().
   void BuildIndex();
 
+  // Points every live holder's index entry at its current slot.
+  void SetIndexPositions();
+
   // Stably removes tombstones (arrival order of live entries preserved),
-  // moving the first live holder inline, and rebuilds the index. Called
+  // moving the first live holder inline, and re-points the index. Called
   // when tombstones outnumber live holders, so its O(slots) cost amortizes
   // to O(1) per removal.
   void CompactHolders();

@@ -1,10 +1,13 @@
 #include "lock/lock_manager.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "lock/app_index.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
@@ -662,52 +665,6 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
   }
 }
 
-namespace {
-
-// AppId -> dense waits-for node id. Open addressing with linear probing at
-// most half full, so a look-up touches one or two adjacent slots of a small
-// array instead of chasing a std::unordered_map node.
-class DenseIdTable {
- public:
-  static constexpr uint32_t kAbsent = UINT32_MAX;
-
-  explicit DenseIdTable(size_t count) {
-    int bits = 4;
-    while ((size_t{1} << bits) < 2 * count) ++bits;
-    shift_ = 32 - bits;
-    slots_.resize(size_t{1} << bits);
-  }
-
-  // `app` must not be present yet.
-  void Insert(AppId app, uint32_t id) {
-    size_t i = Home(app);
-    while (slots_[i].id != kAbsent) i = (i + 1) & (slots_.size() - 1);
-    slots_[i] = {app, id};
-  }
-
-  uint32_t Find(AppId app) const {
-    for (size_t i = Home(app);; i = (i + 1) & (slots_.size() - 1)) {
-      const Slot& slot = slots_[i];
-      if (slot.id == kAbsent || slot.app == app) return slot.id;
-    }
-  }
-
- private:
-  struct Slot {
-    AppId app = 0;
-    uint32_t id = kAbsent;
-  };
-
-  size_t Home(AppId app) const {
-    return (static_cast<uint32_t>(app) * 0x9E3779B1u) >> shift_;
-  }
-
-  int shift_;
-  std::vector<Slot> slots_;
-};
-
-}  // namespace
-
 std::vector<AppId> LockManager::DetectDeadlocks() {
   // Nothing waits, so no edge exists: the common idle tick costs one
   // counter read instead of an O(apps) scan.
@@ -728,6 +685,7 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
     const LockHead* head;
   };
   std::vector<Node> nodes;
+  nodes.reserve(static_cast<size_t>(blocked_count_));  // nodes are blocked
   std::unordered_map<AppId, uint32_t> start_order;
   // locklint: ordered-ok(the fill order of start_order decides its hash
   // order, the DFS start order below; the dense ids are not observable)
@@ -739,56 +697,117 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
     nodes.push_back({app, &state, head});
   }
   const uint32_t n = static_cast<uint32_t>(nodes.size());
-  DenseIdTable ids(n);
-  for (uint32_t v = 0; v < n; ++v) ids.Insert(nodes[v].app, v);
+  AppIndex ids;
+  ids.Reserve(n);
+  for (uint32_t v = 0; v < n; ++v) ids.Set(nodes[v].app, v);
 
-  // Waits-for adjacency in CSR form: node v's successors are
-  // succ[first[v] .. first[v + 1]). A waiting application waits for every
-  // *other* holder whose granted mode conflicts with its wanted mode
-  // (tombstones hold kNone and conflict with nothing), in the head's
-  // holder arrival order; a new request also waits for every waiter queued
-  // ahead of it (strict FIFO: it cannot overtake). Edges keep the queue
-  // order, duplicates included — an application can be both a conflicting
-  // holder and a conversion queued ahead.
-  std::vector<uint32_t> first(n + 1);
-  std::vector<uint32_t> succ;
+  // Waits-for successors. A waiting application waits for every *other*
+  // holder whose granted mode conflicts with its wanted mode (tombstones
+  // hold kNone and conflict with nothing), in the head's holder arrival
+  // order; a new request then also waits for every waiter queued ahead of
+  // it (strict FIFO: it cannot overtake). Edges keep that order, duplicates
+  // included — an application can be both a conflicting holder and a
+  // conversion queued ahead.
+  //
+  // Nodes on one head share these lists instead of copying them, in one
+  // array of node ids, `entries`:
+  //  * per wait head, its waiter list: the head's node waiters in queue
+  //    order, listed when the head's first node is met. Each node's own
+  //    entry there ends its prefix.
+  //  * per (wait head, wanted mode), its group list: the head's node
+  //    holders whose granted mode conflicts with that mode, listed right
+  //    after the head's waiter list for each mode its nodes want.
+  // Node v walks its group list, skipping its own entry (a conversion's
+  // own holder slot), then, for a new request, its waiter list up to its
+  // own entry. `skip` lets a walk jump over entries whose node is black:
+  // an edge to a black node neither pushes nor closes a cycle, so skipping
+  // it leaves the DFS's pushes, back-edges and victims exactly as if every
+  // edge were walked. Grey and white entries are never skipped.
+  constexpr uint32_t kNone = UINT32_MAX;
+  struct Successors {
+    uint32_t at = kNone;       // next unexplored entry of the span walked
+    uint32_t end = kNone;      // end of that span
+    uint32_t then_at = kNone;  // the waiter prefix, walked after the group
+    uint32_t then_end = kNone;
+  };
+  struct Span {
+    uint32_t begin = kNone;
+    uint32_t end = kNone;
+  };
+  // Every node is in its head's waiter list, so entries hold at least n.
+  std::vector<uint32_t> entries;
+  entries.reserve(2 * size_t{n});
+  std::vector<Successors> succ(n);
   std::vector<int64_t> held(n);
+  auto next_entry = [&entries] {
+    return static_cast<uint32_t>(entries.size());
+  };
   for (uint32_t v = 0; v < n; ++v) {
-    const Node& node = nodes[v];
-    first[v] = static_cast<uint32_t>(succ.size());
-    held[v] = node.state->held_structures;
-    node.head->ForEachHolder([&](const LockRequest& h) {
-      if (h.app == node.app || Compatible(h.mode, node.state->wait_mode)) {
-        return;
+    held[v] = nodes[v].state->held_structures;
+    if (succ[v].then_at != kNone) continue;  // listed with its head
+    // v is the first node met on its head: list the head's node waiters,
+    // ending the prefix of each node queued on it at its own entry.
+    const LockHead* head = nodes[v].head;
+    const uint32_t begin = next_entry();
+    for (const WaitingRequest& w : head->waiters()) {
+      // Often v is the head's only waiter; it needs no look-up.
+      const uint32_t u = w.app == nodes[v].app ? v : ids.Find(w.app);
+      if (u == AppIndex::kAbsent) continue;
+      if (succ[u].then_at == kNone && nodes[u].head == head) {
+        succ[u].then_at = begin;
+        succ[u].then_end = next_entry();
       }
-      const uint32_t target = ids.Find(h.app);
-      if (target != DenseIdTable::kAbsent) succ.push_back(target);
-    });
-    if (!node.state->wait_is_conversion) {
-      for (const WaitingRequest& w : node.head->waiters()) {
-        if (w.app == node.app) break;
-        const uint32_t target = ids.Find(w.app);
-        if (target != DenseIdTable::kAbsent) succ.push_back(target);
-      }
+      entries.push_back(u);
     }
+    const uint32_t end = next_entry();
+    if (succ[v].then_at == kNone) {
+      // Not queued on its own head: nothing ends its prefix.
+      succ[v].then_at = begin;
+      succ[v].then_end = end;
+    }
+    // Then the group list of each wanted mode, found through a table of
+    // this head's modes.
+    std::array<Span, kNumLockModes> groups{};
+    auto join_group = [&](uint32_t u) {
+      const AppState& state = *nodes[u].state;
+      Span& group = groups[static_cast<size_t>(state.wait_mode)];
+      if (group.begin == kNone) {
+        group.begin = next_entry();
+        head->ForEachHolder([&](const LockRequest& h) {
+          if (Compatible(h.mode, state.wait_mode)) return;
+          const uint32_t target = ids.Find(h.app);
+          if (target != AppIndex::kAbsent) entries.push_back(target);
+        });
+        group.end = next_entry();
+      }
+      succ[u].at = group.begin;
+      succ[u].end = group.end;
+      if (state.wait_is_conversion) succ[u].then_at = succ[u].then_end;
+    };
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t u = entries[k];
+      if (succ[u].at == kNone && nodes[u].head == head) join_group(u);
+    }
+    if (succ[v].at == kNone) join_group(v);
   }
-  first[n] = static_cast<uint32_t>(succ.size());
+  std::vector<uint32_t> skip(entries.size());
+  std::iota(skip.begin(), skip.end(), 1u);
 
   // Iterative path-tracking DFS. The path is `path` (node ids, bottom to
-  // top); `pos` is a grey node's index in it and `cursor` a node's next
-  // unexplored edge. A back-edge to grey node s closes a cycle through the
-  // path entries above s; its victim is the topmost entry with the fewest
-  // held structures among them if that count is below s's own, else s.
-  // `lower[i]` links path index i to the nearest index below it with
-  // strictly fewer held structures (kNone if none), so the topmost minimum
-  // above s is the last link from the top that stays above s.
-  constexpr uint32_t kNone = UINT32_MAX;
+  // top); `pos` is a grey node's index in it. A back-edge to grey node s
+  // closes a cycle through the path entries above s; its victim is the
+  // topmost entry with the fewest held structures among them if that count
+  // is below s's own, else s. `lower[i]` links path index i to the nearest
+  // index below it with strictly fewer held structures (kNone if none), so
+  // the topmost minimum above s is the last link from the top that stays
+  // above s.
   enum : uint8_t { kWhite, kGrey, kBlack };
   std::vector<uint8_t> color(n, kWhite);
   std::vector<uint32_t> pos(n);
-  std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
   std::vector<uint32_t> path;
   std::vector<uint32_t> lower;
+  path.reserve(n);
+  lower.reserve(n);
   std::vector<uint8_t> is_victim(n, 0);
   std::vector<uint32_t> victim_ids;
   auto push = [&](uint32_t v) {
@@ -802,6 +821,20 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
     path.push_back(v);
     lower.push_back(below);
   };
+  // The first entry in [i, end) whose node is not black, or a position at
+  // or past `end` if there is none. skip[i] is meaningful while entry i's
+  // node is black: every entry in [i, skip[i]) is black. A node stays
+  // black, so the links a search follows are compressed to its answer.
+  auto live = [&](uint32_t i, uint32_t end) {
+    uint32_t j = i;
+    while (j < end && color[entries[j]] == kBlack) j = skip[j];
+    while (i != j) {
+      const uint32_t next = skip[i];
+      skip[i] = j;
+      i = next;
+    }
+    return j;
+  };
   // locklint: ordered-ok(DFS start order is this map's hash order; victim
   // choice on overlapping cycles is golden-locked to it)
   for (const auto& [app, start] : start_order) {
@@ -809,13 +842,23 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
     push(start);
     while (!path.empty()) {
       const uint32_t v = path.back();
-      if (cursor[v] == first[v + 1]) {
+      Successors& sv = succ[v];
+      const uint32_t at = live(sv.at, sv.end);
+      if (at >= sv.end) {
+        if (sv.then_at < sv.then_end) {
+          sv.at = sv.then_at;
+          sv.end = sv.then_end;
+          sv.then_at = sv.then_end;
+          continue;
+        }
         color[v] = kBlack;
         path.pop_back();
         lower.pop_back();
         continue;
       }
-      const uint32_t s = succ[cursor[v]++];
+      sv.at = at + 1;
+      const uint32_t s = entries[at];
+      if (s == v) continue;  // v's own holder slot in its group list
       if (color[s] == kWhite) {
         push(s);
       } else if (color[s] == kGrey) {

@@ -163,10 +163,15 @@ class LockManager {
   // strictly below s's own, and s otherwise (an equal minimum keeps s).
   // The DFS start order follows a hash map's iteration order, which the
   // goldens pin (docs/PERFORMANCE.md §4–§5). Costs O(apps) to find the
-  // waiters plus O(waiters + edges) for the graph. Victims are *reported*,
-  // not aborted: the caller must ReleaseAll() each (and roll back its
-  // transaction). Repeated calls without intervening ReleaseAll return the
-  // same victims, and stats() counts them on every call.
+  // waiters, plus O(waiters + list entries) to build the graph: each wait
+  // head's waiters and each (head, wanted mode)'s conflicting holders are
+  // listed once and shared by the nodes waiting there, not copied per
+  // waiter. The DFS then examines every edge to an unfinished node, and
+  // skips the entries of finished ones through path-compressed links.
+  // Victims are *reported*, not aborted: the caller must ReleaseAll() each
+  // (and roll back its transaction). Repeated calls without intervening
+  // ReleaseAll return the same victims, and stats() counts them on every
+  // call.
   std::vector<AppId> DetectDeadlocks();
 
   // Reports applications whose wait has exceeded the configured

@@ -199,6 +199,57 @@ TEST_F(DeadlockTest, TieRuleOnOverlappingCycles) {
   EXPECT_EQ(lm_->DetectDeadlocks(), (std::vector<AppId>{1, 4}));
 }
 
+// One crowded table head, the escalation_storm shape by hand: 18 IX holders
+// (so the head indexes its holders), two of them queued to convert to X,
+// then new requests queued behind the conversions in three wanted modes
+// (table X, and the IS and IX intent locks of row requests). Apps 3 and 7
+// are each both a conflicting IX holder and a conversion queued ahead of
+// the new requests, so every new X request has two edges to each of them.
+// Holders then wait on rows the table's waiters hold, closing cycles
+// through holder edges, through queue-order edges and through both. Held
+// counts vary (extra rows per app), so the victim rule's ties and minima
+// both matter. The expected victims were recorded with the per-waiter
+// edge-list detector.
+TEST_F(DeadlockTest, CrowdedTableHeadVictimsMatchRecording) {
+  const ResourceId table = TableResource(kT1);
+  for (AppId app = 1; app <= 18; ++app) {
+    ASSERT_EQ(Lock(app, app, LockMode::kX).outcome, LockOutcome::kGranted);
+    for (int64_t k = 0; k < app % 4; ++k) {
+      ASSERT_EQ(Lock(app, 100 + 10 * app + k, LockMode::kX).outcome,
+                LockOutcome::kGranted);
+    }
+  }
+  for (AppId app = 19; app <= 22; ++app) {
+    ASSERT_EQ(Lock(app, app, LockMode::kX, kT2).outcome,
+              LockOutcome::kGranted);
+  }
+  // Two X conversions, then new requests behind them: table X (19), a row
+  // S needing IS (20), a row X needing IX (21), and table X again (22).
+  ASSERT_EQ(lm_->Lock(3, table, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->Lock(19, table, LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->Lock(7, table, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(20, 500, LockMode::kS).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(21, 501, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->Lock(22, table, LockMode::kX).outcome,
+            LockOutcome::kWaiting);
+  // Holders of the table wait on rows its waiters hold: 5 -> 19, 9 -> 20,
+  // 14 -> 21 and 16 -> 22 on table 2, and 12 -> 3 and 2 -> 7 on table 1.
+  ASSERT_EQ(Lock(5, 19, LockMode::kX, kT2).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(9, 20, LockMode::kX, kT2).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(14, 21, LockMode::kS, kT2).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(16, 22, LockMode::kX, kT2).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(12, 3, LockMode::kX).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(Lock(2, 7, LockMode::kS).outcome, LockOutcome::kWaiting);
+  ASSERT_EQ(lm_->waiting_app_count(), 12);
+
+  EXPECT_EQ(lm_->DetectDeadlocks(),
+            (std::vector<AppId>{2, 3, 19, 20, 12, 21, 22}));
+  for (AppId victim : {2, 3, 19, 20, 12, 21, 22}) lm_->ReleaseAll(victim);
+  ASSERT_TRUE(lm_->CheckConsistency().ok());
+  EXPECT_TRUE(lm_->DetectDeadlocks().empty());
+}
+
 // --- victim order over seeded lock storms ---------------------------------
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;

@@ -1,8 +1,33 @@
 #include "lock/lock_head.h"
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+namespace {
+
+// This binary replaces global operator new/delete (below) so a test can
+// count the heap allocations a piece of code makes.
+bool counting_allocations = false;
+int64_t allocations_counted = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (counting_allocations) ++allocations_counted;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC would otherwise see a free() of memory it knows came
+// from operator new and warn (-Wmismatched-new-delete), though here both
+// sides are malloc and free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace locktune {
 namespace {
@@ -359,6 +384,92 @@ TEST(LockHeadTest, ClearedHeadBehavesLikeANewHead) {
   ASSERT_TRUE(head.AggregatesConsistent());
   EXPECT_EQ(HolderSlots(head), (std::vector<AppId>{5, 6}));
   EXPECT_EQ(head.GrantedGroupMode(), LockMode::kU);
+}
+
+// Home slot of `app` in a 128-slot AppIndex: the top seven bits of its
+// Fibonacci hash (lock/app_index.h). Only used to pick colliding ids.
+uint32_t HomeIn128Slots(AppId app) {
+  return (static_cast<uint32_t>(app) * 0x9E3779B1u) >> 25;
+}
+
+// One churn cycle on a crowded head, returning the index of the first step
+// after which AggregatesConsistent() failed, or -1. It makes no gtest
+// assertion, so nothing but the head allocates while it runs.
+int ChurnCycle(LockHead& head, const std::vector<AppId>& apps,
+               const std::vector<AppId>& removal_order) {
+  int step = 0;
+  int first_bad = -1;
+  auto check = [&] {
+    if (first_bad < 0 && !head.AggregatesConsistent()) first_bad = step;
+    ++step;
+  };
+  // Crossing kHolderIndexThreshold builds the index; removing every holder
+  // drops it; re-adding builds it again.
+  for (AppId a : apps) {
+    head.AddHolder(Granted(a, LockMode::kIX));
+    check();
+  }
+  for (AppId a : removal_order) {
+    head.RemoveHolder(a);
+    check();
+  }
+  for (AppId a : apps) {
+    head.AddHolder(Granted(a, LockMode::kIS));
+    check();
+  }
+  head.EnqueueConversion(Waiting(apps[0], LockMode::kX, true));
+  check();
+  head.EnqueueNew(Waiting(-1, LockMode::kX));
+  check();
+  // A recycled node re-enters service: Clear, then index 20 holders again.
+  head.Clear();
+  check();
+  for (size_t i = 0; i < 20; ++i) {
+    head.AddHolder(Granted(apps[i], LockMode::kIX));
+    check();
+  }
+  head.EnqueueNew(Waiting(-1, LockMode::kX));
+  check();
+  (void)head.PopFrontWaiter();
+  check();
+  head.Clear();
+  check();
+  return first_bad;
+}
+
+// After one warm-up cycle, holder churn on an indexed head allocates
+// nothing: adding and removing holders, compaction, crossing
+// kHolderIndexThreshold both ways, queueing, Clear() and reuse all run in
+// the buffers the warm-up grew. Half the ids share the last eight home
+// slots of the index's 128-slot array, so their probe runs wrap past its
+// end, and the removal order erases from the middle of those runs.
+TEST(LockHeadTest, HolderChurnAllocatesNothingAfterWarmUp) {
+  std::vector<AppId> clustered;
+  for (AppId a = 1000; clustered.size() < 32; ++a) {
+    if (HomeIn128Slots(a) >= 120) clustered.push_back(a);
+  }
+  std::vector<AppId> apps;
+  for (size_t i = 0; i < 32; ++i) {
+    apps.push_back(clustered[i]);
+    apps.push_back(static_cast<AppId>(i + 1));
+  }
+  std::vector<AppId> removal_order;
+  for (size_t i = 1; i < 32; i += 2) removal_order.push_back(clustered[i]);
+  for (AppId a = 1; a <= 32; ++a) removal_order.push_back(a);
+  for (size_t i = 32; i-- > 0;) {
+    if (i % 2 == 0) removal_order.push_back(clustered[i]);
+  }
+  ASSERT_EQ(removal_order.size(), apps.size());
+
+  LockHead head;
+  ASSERT_EQ(ChurnCycle(head, apps, removal_order), -1) << "warm-up";
+  allocations_counted = 0;
+  counting_allocations = true;
+  const int first_bad = ChurnCycle(head, apps, removal_order);
+  counting_allocations = false;
+  EXPECT_EQ(first_bad, -1);
+  EXPECT_EQ(allocations_counted, 0);
+  EXPECT_TRUE(head.empty());
 }
 
 // Conversions being granted via the queue must pop in conversion-first
