@@ -7,6 +7,8 @@
 // memory overhead.
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "engine/database.h"
@@ -37,6 +39,12 @@ int main() {
   std::printf("%8s %8s %14s %18s %18s %14s  %s\n", "minFree", "maxFree",
               "resizes", "sync_grow_blocks", "mean_alloc_MB",
               "mean_used_MB", "note");
+  struct Row {
+    int resizes;
+    int64_t sync_blocks;
+    double mean_alloc_mb;
+  };
+  std::vector<Row> rows;
   for (const Band& band : bands) {
     DatabaseOptions o;
     o.params.database_memory = 512 * kMiB;
@@ -72,16 +80,41 @@ int main() {
         runner.series().Get(ScenarioRunner::kLockAllocatedMb);
     const TimeSeries& used =
         runner.series().Get(ScenarioRunner::kLockUsedMb);
+    const Row row{resizes, db->locks().stats().sync_growth_blocks,
+                  bench::MeanOver(alloc, 0, alloc.size())};
     std::printf("%7.0f%% %7.0f%% %14d %18lld %18.2f %14.2f  %s\n",
-                band.min_free * 100, band.max_free * 100, resizes,
-                static_cast<long long>(
-                    db->locks().stats().sync_growth_blocks),
-                bench::MeanOver(alloc, 0, alloc.size()),
+                band.min_free * 100, band.max_free * 100, row.resizes,
+                static_cast<long long>(row.sync_blocks), row.mean_alloc_mb,
                 bench::MeanOver(used, 0, used.size()), band.note);
+    rows.push_back(row);
   }
   std::printf(
-      "\nreading: a narrow spread resizes constantly; little headroom "
-      "forces synchronous growth during surges; excess headroom wastes "
-      "memory. The paper's 50-60%% band balances all three.\n");
-  return 0;
+      "\nreading: little headroom forces more synchronous growth during "
+      "surges and excess headroom carries more memory, while the paper's "
+      "50-60%% band sits between them. A 2-point spread resizes about as "
+      "often as the paper's 10-point one under this load: the constant "
+      "resizing 3.3 guards against does not show here.\n");
+
+  std::printf("\nsummary:\n");
+  const Row& paper = rows[0];
+  const Row& narrow = rows[1];
+  const Row& little = rows[2];
+  const Row& excess = rows[3];
+  bench::Claim("little headroom forces synchronous growth",
+               "minFree absorbs a burst",
+               std::to_string(little.sync_blocks) + " blocks vs " +
+                   std::to_string(paper.sync_blocks) + " (paper band)",
+               bench::AtLeast(little.sync_blocks - paper.sync_blocks, 1));
+  bench::Claim("excess headroom carries more memory", "wasted memory",
+               bench::Ratio(excess.mean_alloc_mb / paper.mean_alloc_mb) +
+                   " the paper band's mean",
+               bench::AtLeast(excess.mean_alloc_mb / paper.mean_alloc_mb, 1.0));
+  // Known deviations: the paper's "constant resizing" is not reproduced;
+  // only the direction holds.
+  bench::Claim("a narrow spread resizes at least as often",
+               "spread avoids resizing",
+               std::to_string(narrow.resizes) + " vs " +
+                   std::to_string(paper.resizes) + " (paper band)",
+               bench::AtLeast(narrow.resizes - paper.resizes, 0));
+  return bench::ExitStatus();
 }

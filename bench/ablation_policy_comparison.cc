@@ -8,8 +8,10 @@
 // and an Oracle-style on-page ITL model is driven with the equivalent
 // update stream to surface its distinct failure modes (ITL waits on free
 // rows, queue jumping, permanent page-space growth, deferred cleanouts).
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "baseline/oracle_driver.h"
 #include "baseline/oracle_itl.h"
@@ -165,5 +167,48 @@ int main() {
       "(writer_commits). The ITL model never escalates but pays with "
       "page-level blocking on free rows, queue jumps, deferred-cleanout "
       "work, and permanent page space.\n");
-  return 0;
+
+  std::printf("\nsummary:\n");
+  const PolicyResult& self_tuning = results[0];
+  const PolicyResult& fixed = results[1];
+  const PolicyResult& sql_server = results[2];
+  bench::Claim("self-tuning runs the scan unescalated", "no escalation",
+               std::to_string(self_tuning.escalations) + " escalations",
+               bench::AtMost(self_tuning.escalations, 0));
+  bench::Claim("fixed MAXLOCKS escalates the scan (5.3)",
+               "escalations would occur",
+               std::to_string(fixed.escalations) + " escalations",
+               bench::AtLeast(fixed.escalations, 1));
+  bench::Claim("SQL Server's 5000-lock rule escalates it",
+               "escalations would occur",
+               std::to_string(sql_server.escalations) + " escalations",
+               bench::AtLeast(sql_server.escalations, 1));
+  // The escalated table S lock blocks the writers for the scan's 2 min hold
+  // of the 5 min run: a fifth or more of their commits are lost.
+  const double starved =
+      static_cast<double>(std::max(fixed.writer_commits,
+                                   sql_server.writer_commits)) /
+      static_cast<double>(self_tuning.writer_commits);
+  bench::Claim("escalation starves untouched writers",
+               "grinding OLTP to a halt",
+               bench::Ratio(starved) + " the self-tuned writer commits",
+               bench::AtMost(starved, 0.8));
+  // The ITL model's §2.3 pathologies, each seen: "thousands" of retries and
+  // a cleanout on nearly every grant (EXPERIMENTS.md).
+  const OracleDriverStats& o = oracle.stats();
+  bench::Claim("ITL: sleep-wake-check retries", "thousands",
+               std::to_string(o.retries), bench::AtLeast(o.retries, 1000));
+  bench::Claim("ITL: waiters jump the queue", "no FIFO",
+               std::to_string(s.queue_jumps), bench::AtLeast(s.queue_jumps, 1));
+  bench::Claim("ITL: transactions killed by wakeups", "aborts",
+               std::to_string(o.aborts), bench::AtLeast(o.aborts, 1));
+  const double cleanouts_per_grant =
+      static_cast<double>(s.cleanouts) / static_cast<double>(s.grants);
+  bench::Claim("ITL: deferred cleanouts per grant", "on nearly every grant",
+               std::to_string(cleanouts_per_grant),
+               bench::AtLeast(cleanouts_per_grant, 0.9));
+  bench::Claim("ITL: page space never reclaimed (bytes)", "permanent growth",
+               std::to_string(itl.ExtraItlBytes()),
+               bench::AtLeast(itl.ExtraItlBytes(), 1));
+  return bench::ExitStatus();
 }

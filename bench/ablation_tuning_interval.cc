@@ -7,6 +7,7 @@
 // passes. The adaptive mode shortens while resizing and relaxes when quiet.
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "engine/database.h"
@@ -74,20 +75,17 @@ int main() {
 
   std::printf("%-22s %8s %14s %13s %18s\n", "interval", "passes",
               "resize_passes", "sync_blocks", "surge_settle_s");
-  for (const auto& cfg :
-       {std::pair<const char*, DurationMs>{"fixed 30 s", 30 * kSecond},
-        {"fixed 2 min", 2 * kMinute},
-        {"fixed 10 min", 10 * kMinute}}) {
-    const Row r = RunWith(cfg.first, cfg.second, /*adaptive=*/false);
+  const Row rows[] = {
+      RunWith("fixed 30 s", 30 * kSecond, /*adaptive=*/false),
+      RunWith("fixed 2 min", 2 * kMinute, /*adaptive=*/false),
+      RunWith("fixed 10 min", 10 * kMinute, /*adaptive=*/false),
+      RunWith("adaptive 0.5-10 min", 30 * kSecond, /*adaptive=*/true),
+  };
+  for (const Row& r : rows) {
     std::printf("%-22s %8d %14d %13lld %18lld\n", r.label, r.passes,
                 r.resize_passes, static_cast<long long>(r.sync_blocks),
                 static_cast<long long>(r.settle_after_surge / 1000));
   }
-  const Row adaptive = RunWith("adaptive 0.5-10 min", 30 * kSecond, true);
-  std::printf("%-22s %8d %14d %13lld %18lld\n", adaptive.label,
-              adaptive.passes, adaptive.resize_passes,
-              static_cast<long long>(adaptive.sync_blocks),
-              static_cast<long long>(adaptive.settle_after_surge / 1000));
 
   std::printf(
       "\nreading: a 10-minute interval leaves the surge to synchronous "
@@ -95,5 +93,33 @@ int main() {
       "30 s settles within one interval but runs ~30x the passes. The "
       "adaptive mode idles at long intervals through the quiet phase and "
       "snaps back to 30 s when the surge arrives.\n");
-  return 0;
+
+  std::printf("\nsummary:\n");
+  const Row& fast = rows[0];
+  const Row& slow = rows[2];
+  const Row& adaptive = rows[3];
+  bench::Claim("30 s settles within one interval", "responsive",
+               std::to_string(fast.settle_after_surge / 1000) + " s",
+               bench::Within(fast.settle_after_surge, 0, 30 * kSecond));
+  bench::Claim("10 min leaves the surge to sync growth", "slow to react",
+               std::to_string(slow.sync_blocks) + " blocks vs " +
+                   std::to_string(fast.sync_blocks) + " at 30 s",
+               bench::AtLeast(slow.sync_blocks - fast.sync_blocks, 1));
+  bench::Claim("10 min settles later", "slow to react",
+               std::to_string(slow.settle_after_surge / 1000) + " s vs " +
+                   std::to_string(fast.settle_after_surge / 1000) +
+                   " s at 30 s",
+               bench::AtLeast(slow.settle_after_surge -
+                                  fast.settle_after_surge,
+                              30 * kSecond));
+  // The quiet phase is half the run: idling through it leaves at most half
+  // of the fixed 30 s passes.
+  bench::Claim("adaptive idles through the quiet phase", "fewer passes",
+               std::to_string(adaptive.passes) + " vs " +
+                   std::to_string(fast.passes) + " passes at 30 s",
+               bench::AtMost(adaptive.passes, fast.passes / 2.0));
+  bench::Claim("adaptive snaps back on the surge", "no sync growth",
+               std::to_string(adaptive.sync_blocks) + " sync blocks",
+               bench::AtMost(adaptive.sync_blocks - fast.sync_blocks, 0));
+  return bench::ExitStatus();
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "telemetry/exporters.h"
@@ -35,10 +37,43 @@ void PrintSeries(const TimeSeriesSet& series,
   }
 }
 
-void PrintClaim(const std::string& claim, const std::string& paper,
-                const std::string& measured) {
-  std::printf("  %-46s paper: %-22s measured: %s\n", claim.c_str(),
+Bound AtLeast(double value, double lo) {
+  return {value, lo, std::numeric_limits<double>::infinity()};
+}
+
+Bound AtMost(double value, double hi) {
+  return {value, -std::numeric_limits<double>::infinity(), hi};
+}
+
+Bound Within(double value, double lo, double hi) { return {value, lo, hi}; }
+
+namespace {
+bool claim_failed = false;
+}  // namespace
+
+void Claim(const std::string& claim, const std::string& paper,
+           const std::string& measured, const Bound& bound) {
+  std::printf("  %-46s paper: %-22s measured: %s", claim.c_str(),
               paper.c_str(), measured.c_str());
+  if (bound.value >= bound.lo && bound.value <= bound.hi) {
+    std::printf("\n");
+    return;
+  }
+  claim_failed = true;
+  std::printf("  FAIL (checked %g, want [%g, %g])\n", bound.value, bound.lo,
+              bound.hi);
+}
+
+int ExitStatus() { return claim_failed ? 1 : 0; }
+
+ScenarioSpec LoadScenario(const std::string& file) {
+  Result<ScenarioSpec> spec =
+      LoadScenarioFile(std::string(LOCKTUNE_SOURCE_DIR) + "/scenarios/" + file);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(spec).value();
 }
 
 void PrintMetrics(const MetricsRegistry& registry) {

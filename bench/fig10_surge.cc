@@ -49,25 +49,29 @@ int main() {
                                        alloc.size());
   const TimeMs reached = alloc.FirstTimeAtLeast(1.8 * before);
 
+  const TimeSeries& tps = runner.series().Get(ScenarioRunner::kThroughputTps);
+  const double tps_before = bench::MeanOver(tps, surge_idx - 120, surge_idx);
+  const double tps_after =
+      bench::MeanOver(tps, alloc.size() - 120, alloc.size());
+
   std::printf("\nsummary:\n");
-  bench::PrintClaim("lock memory after the surge",
-                    "just more than double", bench::Ratio(after / before));
-  bench::PrintClaim(
+  // More than double, but no more than the 2.6x growth in clients.
+  bench::Claim("lock memory after the surge",
+               "just more than double", bench::Ratio(after / before),
+               bench::Within(after / before, 2.0, 2.6));
+  // Within one 30 s tuning interval of the surge (EXPERIMENTS.md).
+  bench::Claim(
       "increase is practically instantaneous", "at the surge mark",
       reached < 0 ? "never"
                   : std::to_string((reached - kSurgeAt) / 1000) +
-                        " s after the surge");
-  bench::PrintClaim("escalations throughout", "none",
-                    std::to_string(db->locks().stats().escalations));
-  bench::PrintClaim(
-      "throughput increases with the surge", "higher after",
-      std::to_string(bench::MeanOver(
-          runner.series().Get(ScenarioRunner::kThroughputTps),
-          surge_idx - 120, surge_idx)) +
-          " -> " +
-          std::to_string(bench::MeanOver(
-              runner.series().Get(ScenarioRunner::kThroughputTps),
-              alloc.size() - 120, alloc.size())) +
-          " tx/s");
-  return 0;
+                        " s after the surge",
+      bench::Within(reached - kSurgeAt, 0, 30 * kSecond));
+  bench::Claim("escalations throughout", "none",
+               std::to_string(db->locks().stats().escalations),
+               bench::AtMost(db->locks().stats().escalations, 0));
+  bench::Claim("throughput increases with the surge", "higher after",
+               std::to_string(tps_before) + " -> " +
+                   std::to_string(tps_after) + " tx/s",
+               bench::AtLeast(tps_after / tps_before, 1.0));
+  return bench::ExitStatus();
 }

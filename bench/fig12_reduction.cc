@@ -5,6 +5,7 @@
 // (−76.9 %). With far fewer locks in use than allocated, the tuner reduces
 // the allocation by ~5 % (δ_reduce) per 30 s tuning interval and settles at
 // approximately half the earlier steady-state allocation.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -48,31 +49,49 @@ int main() {
       bench::MeanOver(alloc, alloc.size() - 120, alloc.size());
 
   // Count the shrink steps after the drop and the largest per-interval cut.
+  // A cut may exceed delta_reduce (Table 1: 5 %) of the level it cuts by at
+  // most one 128 KB block of rounding (Known deviations).
+  constexpr double kDeltaReduce = 0.05;
   int shrink_steps = 0;
   double largest_cut_frac = 0.0;
+  double cut_beyond_delta_mb = 0.0;
   double level = steady;
   for (size_t i = drop_idx; i < alloc.size(); ++i) {
     const double v = alloc.points()[i].value;
     if (v < level - 1e-9) {
       ++shrink_steps;
       largest_cut_frac = std::max(largest_cut_frac, (level - v) / level);
+      cut_beyond_delta_mb =
+          std::max(cut_beyond_delta_mb, level - v - kDeltaReduce * level);
       level = v;
     }
   }
 
   std::printf("\nsummary:\n");
-  bench::PrintClaim("steady-state allocation with 130 clients", "4.2 MB",
-                    bench::Mb(steady));
-  bench::PrintClaim("allocation after reduction settles",
-                    "about half the earlier value",
-                    bench::Mb(final_alloc) + " (" +
-                        bench::Ratio(steady / final_alloc) + " smaller)");
-  bench::PrintClaim("reduction is gradual", "~10 tuning intervals",
-                    std::to_string(shrink_steps) + " shrink steps");
-  bench::PrintClaim("per-interval cut bounded by delta_reduce",
-                    "~5% per interval (block-rounded)",
-                    std::to_string(100.0 * largest_cut_frac) + "% max");
-  bench::PrintClaim("escalations", "none",
-                    std::to_string(db->locks().stats().escalations));
-  return 0;
+  // The paper's 4.2 MB is minLockMemory(130) = 130 x 500 x 64 B; the
+  // allocation rounds it up to whole blocks.
+  const double min_lock_mb =
+      130.0 * 500.0 * static_cast<double>(kLockStructSize) / (1024.0 * 1024.0);
+  bench::Claim("steady-state allocation with 130 clients", "4.2 MB",
+               bench::Mb(steady),
+               bench::Within(steady, min_lock_mb,
+                             min_lock_mb + bench::kBlockMb));
+  // "About half", read as 40-60 % of the earlier value.
+  bench::Claim("allocation after reduction settles",
+               "about half the earlier value",
+               bench::Mb(final_alloc) + " (" +
+                   bench::Ratio(steady / final_alloc) + " smaller)",
+               bench::Within(final_alloc / steady, 0.4, 0.6));
+  // "~10", read as within a factor of two.
+  bench::Claim("reduction is gradual", "~10 tuning intervals",
+               std::to_string(shrink_steps) + " shrink steps",
+               bench::Within(shrink_steps, 5, 20));
+  bench::Claim("per-interval cut bounded by delta_reduce",
+               "~5% per interval (block-rounded)",
+               std::to_string(100.0 * largest_cut_frac) + "% max",
+               bench::AtMost(cut_beyond_delta_mb, bench::kBlockMb));
+  bench::Claim("escalations", "none",
+               std::to_string(db->locks().stats().escalations),
+               bench::AtMost(db->locks().stats().escalations, 0));
+  return bench::ExitStatus();
 }

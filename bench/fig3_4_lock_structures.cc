@@ -12,6 +12,7 @@
 // model — lock bytes referencing ITL slots, slots added on demand and
 // never reclaimed.
 #include <cstdio>
+#include <string>
 
 #include "baseline/oracle_itl.h"
 #include "bench/bench_util.h"
@@ -65,8 +66,10 @@ int main() {
       {3, LockMode::kX, "app_3 wants exclusive: chains behind the group"},
       {4, LockMode::kS, "app_4 wants share: queues up behind app_3"},
   };
+  int shared_grants = 0;  // of app_1 and app_2
   for (const Step& s : steps) {
     const LockResult r = lm.Lock(s.app, row_x, s.mode);
+    if (s.app <= 2 && r.outcome == LockOutcome::kGranted) ++shared_grants;
     std::printf("  app_%d requests %-2s -> %-7s  (%s)\n", s.app,
                 std::string(ModeName(s.mode)).c_str(), Outcome(r.outcome),
                 s.narrative);
@@ -83,8 +86,12 @@ int main() {
               lm.IsBlocked(4),
               std::string(ModeName(lm.HeldMode(4, row_x))).c_str());
   std::printf("\n  lock-event trace:\n");
+  std::string wait_end_order;  // the apps' WAIT_END records, in trace order
   for (const TraceRecord& rec : events.records()) {
     std::printf("    %s\n", rec.ToJson().c_str());
+    if (*rec.Find("event") != "\"WAIT_END\"") continue;
+    wait_end_order +=
+        (wait_end_order.empty() ? "app_" : " then app_") + *rec.Find("app");
   }
 
   // ---- Figure 4 ----
@@ -118,19 +125,31 @@ int main() {
               static_cast<long long>(itl.ExtraItlBytes()));
   itl.Commit(101);
   std::printf("  txn 101 commits; its lock byte stays set:\n");
+  const int64_t cleanouts_at_commit = itl.stats().cleanouts;
   lock_row(106, 0);  // pays the cleanout
+  const int64_t visitor_cleanouts =
+      itl.stats().cleanouts - cleanouts_at_commit;
   std::printf("  deferred cleanouts so far: %lld (the visitor paid for "
               "txn 101's exit)\n",
               static_cast<long long>(itl.stats().cleanouts));
 
   std::printf("\nsummary:\n");
-  bench::PrintClaim("Fig 3: compatible requests share the lock",
-                    "app_1+app_2 share", "both GRANTED");
-  bench::PrintClaim("Fig 3: requesters serviced in request order",
-                    "post, no queue jumping", "app_3 before app_4");
-  bench::PrintClaim("Fig 4: ITL exhaustion blocks free rows",
-                    "page-level locking in effect", "txn 105 waited");
-  bench::PrintClaim("Fig 4: lock bytes outlive commit",
-                    "cleanout by next visitor", "txn 106 paid it");
-  return 0;
+  bench::Claim("Fig 3: compatible requests share the lock",
+               "app_1+app_2 share",
+               std::to_string(shared_grants) + " of 2 GRANTED",
+               bench::AtLeast(shared_grants, 2));
+  // 1 when the waits ended in the order they were requested.
+  bench::Claim("Fig 3: requesters serviced in request order",
+               "post, no queue jumping", "WAIT_END " + wait_end_order,
+               bench::AtLeast(wait_end_order == "app_3 then app_4", 1));
+  bench::Claim("Fig 4: ITL exhaustion blocks free rows",
+               "page-level locking in effect",
+               std::to_string(itl.stats().itl_waits) + " ITL wait(s)",
+               bench::AtLeast(itl.stats().itl_waits, 1));
+  // One committed transaction left one lock byte; its next visitor, not
+  // the commit, clears it.
+  bench::Claim("Fig 4: lock bytes outlive commit", "cleanout by next visitor",
+               std::to_string(visitor_cleanouts) + " cleanout paid by txn 106",
+               bench::Within(visitor_cleanouts, 1, 1));
+  return bench::ExitStatus();
 }

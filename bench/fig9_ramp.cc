@@ -3,13 +3,15 @@
 // The workload ramps from 1 to 130 clients; the self-tuning lock memory
 // starts from a minimal LOCKLIST and converges almost immediately to a
 // stable allocation ~10.5x larger, with no lock escalations.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 
 #include "bench/bench_util.h"
 #include "engine/database.h"
-#include "workload/oltp_workload.h"
 #include "workload/scenario.h"
+#include "workload/scenario_config.h"
 
 using namespace locktune;
 
@@ -19,21 +21,11 @@ int main() {
       "1 -> 130 clients over the first 2 minutes; minimal initial LOCKLIST "
       "(96 pages = 0.375 MB); 512 MB database; 30 s tuning interval.");
 
-  DatabaseOptions o;
-  o.params.database_memory = 512 * kMiB;
-  o.params.initial_locklist_pages = 96;
-  std::unique_ptr<Database> db = Database::Open(o).value();
-  OltpWorkload oltp(db->catalog(), OltpOptions{});
-  ClientTimeline tl;
-  tl.workload = &oltp;
-  tl.steps = {{0, 1},
-              {20 * kSecond, 20},
-              {40 * kSecond, 50},
-              {60 * kSecond, 90},
-              {90 * kSecond, 130}};
-  ScenarioOptions so;
-  so.duration = 10 * kMinute;
-  ScenarioRunner runner(db.get(), {tl}, so);
+  // The run is scenarios/fig9_ramp.conf, the file locktune_sim runs.
+  const ScenarioSpec spec = bench::LoadScenario("fig9_ramp.conf");
+  std::unique_ptr<LoadedScenario> loaded = LoadedScenario::Create(spec).value();
+  Database& db = loaded->database();
+  ScenarioRunner& runner = loaded->runner();
   runner.Run();
 
   std::printf("\nseries: throughput and lock memory (Figure 9 overlays both)\n");
@@ -49,30 +41,43 @@ int main() {
   const double final_alloc = alloc.Last();
   // Time at which the allocation reached 95 % of its final value.
   const TimeMs settle = alloc.FirstTimeAtLeast(0.95 * final_alloc);
+  const TimeMs ramp_end = spec.workloads[0].client_steps.back().first;
+  // Flat afterwards: the allocation does not move over the second half.
+  const auto [lo, hi] =
+      std::ranges::minmax(std::span(alloc.points()).subspan(alloc.size() / 2),
+                          {}, &TimeSeries::Point::value);
+  const TimeSeries& tps = runner.series().Get(ScenarioRunner::kThroughputTps);
+  const double early_tps = bench::MeanOver(tps, 0, 60);
+  const double late_tps = bench::MeanOver(tps, 300, 600);
 
   std::printf("\nsummary:\n");
-  bench::PrintClaim("lock escalations during the ramp", "none",
-                    std::to_string(db->locks().stats().escalations));
-  bench::PrintClaim("lock memory growth", "10.5x",
-                    bench::Ratio(final_alloc / initial));
-  bench::PrintClaim("adaptation speed", "immediately after ramp",
-                    std::to_string(settle / 1000) +
-                        " s to reach 95% of final (ramp ends at 90 s)");
-  bench::PrintClaim(
+  bench::Claim("lock escalations during the ramp", "none",
+               std::to_string(db.locks().stats().escalations),
+               bench::AtMost(db.locks().stats().escalations, 0));
+  // 10.5x is read off the paper's plot; the 128 KB block rounding of both
+  // ends alone moves this ratio by several percent, so allow 10 %.
+  bench::Claim("lock memory growth", "10.5x",
+               bench::Ratio(final_alloc / initial),
+               bench::Within(final_alloc / initial, 0.9 * 10.5, 1.1 * 10.5));
+  // Adapted by the first tuning pass after the ramp ends (EXPERIMENTS.md).
+  bench::Claim("adaptation speed", "immediately after ramp",
+               std::to_string(settle / 1000) +
+                   " s to reach 95% of final (ramp ends at 90 s)",
+               bench::Within(settle, 0, ramp_end + 30 * kSecond));
+  bench::Claim(
       "stable allocation afterwards", "flat line",
       bench::Mb(alloc.points()[alloc.size() / 2].value) + " at t/2 vs " +
-          bench::Mb(final_alloc) + " at end");
-  bench::PrintClaim(
-      "throughput rises with clients", "increasing",
-      std::to_string(bench::MeanOver(
-          runner.series().Get(ScenarioRunner::kThroughputTps), 0, 60)) +
-          " -> " +
-          std::to_string(bench::MeanOver(
-              runner.series().Get(ScenarioRunner::kThroughputTps), 300,
-              600)) +
-          " tx/s");
-  bench::PrintClaim("lock memory errors", "none",
-                    std::to_string(runner.total_oom_aborts()));
-  bench::PrintMetrics(db->metrics());
-  return 0;
+          bench::Mb(final_alloc) + " at end",
+      bench::AtMost(hi.value - lo.value, 0.0));
+  // Clients grow more than fivefold between the windows (about 24 on
+  // average in the first minute, 130 in the last five): at least double.
+  bench::Claim("throughput rises with clients", "increasing",
+               std::to_string(early_tps) + " -> " + std::to_string(late_tps) +
+                   " tx/s",
+               bench::AtLeast(late_tps / early_tps, 2.0));
+  bench::Claim("lock memory errors", "none",
+               std::to_string(runner.total_oom_aborts()),
+               bench::AtMost(runner.total_oom_aborts(), 0));
+  bench::PrintMetrics(db.metrics());
+  return bench::ExitStatus();
 }

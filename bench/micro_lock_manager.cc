@@ -3,14 +3,16 @@
 // The paper's synchronous growth and the MAXLOCKS refresh period (0x80)
 // both exist because lock-request-path work must stay cheap; these
 // benchmarks quantify the primitives: grant/release cycles, block list
-// alloc/free, curve evaluation, tuner decisions, escalation, deadlock
-// detection, and the OLTP workload's row draws and construction.
+// alloc/free, curve evaluation, tuner decisions, escalation, a wait and
+// its grant cascade, deadlock detection, the per-tick checks, and the OLTP
+// workload's row draws and construction.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/random.h"
+#include "common/sim_clock.h"
 #include "core/lock_memory_tuner.h"
 #include "engine/catalog.h"
 #include "lock/lock_manager.h"
@@ -22,12 +24,15 @@ namespace locktune {
 namespace {
 
 std::unique_ptr<LockManager> MakeManager(EscalationPolicy* policy,
-                                         int64_t blocks = 64) {
+                                         int64_t blocks = 64,
+                                         const SimClock* clock = nullptr) {
   LockManagerOptions o;
   o.initial_blocks = blocks;
   o.max_lock_memory = kGiB / 5;
   o.database_memory = kGiB;
   o.policy = policy;
+  o.clock = clock;
+  o.lock_timeout = clock != nullptr ? 10 * kSecond : -1;
   return std::make_unique<LockManager>(std::move(o));
 }
 
@@ -69,6 +74,20 @@ void BM_RowLockSharedByManyApps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowLockSharedByManyApps)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_WaitEnqueueDequeue(benchmark::State& state) {
+  // App 2 blocks on app 1's X row lock; releasing app 1 runs the FIFO
+  // grant cascade that dequeues and grants app 2.
+  FixedMaxlocksPolicy policy(98.0);
+  auto lm = MakeManager(&policy);
+  for (auto _ : state) {
+    (void)lm->Lock(1, RowResource(1, 7), LockMode::kX);
+    benchmark::DoNotOptimize(lm->Lock(2, RowResource(1, 7), LockMode::kX));
+    lm->ReleaseAll(1);
+    lm->ReleaseAll(2);
+  }
+}
+BENCHMARK(BM_WaitEnqueueDequeue);
 
 void BM_ReleaseAllPerLock(benchmark::State& state) {
   // Amortized per-lock cost of commit-time bulk release.
@@ -205,6 +224,25 @@ void BM_DeadlockDetectionCrowdedTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeadlockDetectionCrowdedTable)->Arg(128)->Arg(1024);
+
+void BM_IdleTickChecks(benchmark::State& state) {
+  // The deadlock and timeout checks every scenario tick runs, in their
+  // common case: 256 applications hold grants under a clock and a 10 s
+  // LOCKTIMEOUT, and none waits.
+  FixedMaxlocksPolicy policy(98.0);
+  SimClock clock;
+  auto lm = MakeManager(&policy, /*blocks=*/64, &clock);
+  for (AppId app = 1; app <= 256; ++app) {
+    for (int r = 0; r < 4; ++r) {
+      (void)lm->Lock(app, RowResource(app % 16, app * 8 + r), LockMode::kS);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lm->DetectDeadlocks());
+    benchmark::DoNotOptimize(lm->ExpireTimedOutWaiters());
+  }
+}
+BENCHMARK(BM_IdleTickChecks);
 
 void BM_OltpNextAccess(benchmark::State& state) {
   // One row draw of the default OLTP workload: the table pick, the Zipf

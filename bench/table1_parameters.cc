@@ -67,11 +67,15 @@ int main() {
     std::printf(" %5.1f", curve.Evaluate(x));
   }
   std::printf("\n\n");
-  bench::PrintClaim("nearly unconstrained while memory ample", "98 at x=0",
-                    std::to_string(curve.Evaluate(0.0)));
-  bench::PrintClaim("aggressive attenuation past 75% used", "~57 at x=75",
-                    std::to_string(curve.Evaluate(75.0)));
-  bench::PrintClaim("drops to 1 at 100% of maximum", "1 at x=100",
-                    std::to_string(curve.Evaluate(100.0)));
-  return 0;
+  const double at0 = curve.Evaluate(0.0);
+  const double at75 = curve.Evaluate(75.0);
+  const double at100 = curve.Evaluate(100.0);
+  bench::Claim("nearly unconstrained while memory ample", "98 at x=0",
+               std::to_string(at0), bench::Within(at0, 98.0, 98.0));
+  // The paper gives the formula; ~57 is its 98(1-0.75^3) = 56.66 rounded.
+  bench::Claim("aggressive attenuation past 75% used", "~57 at x=75",
+               std::to_string(at75), bench::Within(at75, 56.5, 57.5));
+  bench::Claim("drops to 1 at 100% of maximum", "1 at x=100",
+               std::to_string(at100), bench::Within(at100, 1.0, 1.0));
+  return bench::ExitStatus();
 }

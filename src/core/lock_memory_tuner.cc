@@ -27,6 +27,15 @@ std::string ExplainDecision(const LockTunerInputs& inputs,
                             const TuningParams& params) {
   const double free_pct = 100.0 * FreeFraction(inputs);
   char buf[256];
+  const Bytes min_lock = params.MinLockMemory(inputs.num_applications);
+  if (min_lock > params.MaxLockMemory()) {
+    std::snprintf(buf, sizeof(buf),
+                  "free %.1f%%, but minLockMemory(%d apps) = %.2f MB crosses "
+                  "maxLockMemory = %.2f MB: target capped at maxLockMemory",
+                  free_pct, inputs.num_applications, ToMb(min_lock),
+                  ToMb(params.MaxLockMemory()));
+    return buf;
+  }
   switch (decision.action) {
     case LockTunerAction::kDouble:
       std::snprintf(buf, sizeof(buf),
@@ -143,8 +152,10 @@ LockTunerDecision LockMemoryTuner::Tune(const LockTunerInputs& inputs) const {
 
 Bytes LockMemoryTuner::Clamp(Bytes target, int num_applications,
                              bool* clamped) const {
-  const Bytes lo = params_.MinLockMemory(num_applications);
-  const Bytes hi = std::max(params_.MaxLockMemory(), lo);
+  // Past the crossing (minLockMemory(napps) > maxLockMemory) the band is
+  // the single point maxLockMemory: the heap can never grow beyond it.
+  const Bytes hi = params_.MaxLockMemory();
+  const Bytes lo = std::min(params_.MinLockMemory(num_applications), hi);
   const Bytes out = std::clamp(target, lo, hi);
   *clamped = out != target;
   return out;

@@ -16,7 +16,10 @@
 //    constant resizing).
 //
 // Every decision is clamped to [minLockMemory(num_applications),
-// maxLockMemory] and rounded to whole 128 KB blocks.
+// maxLockMemory] and rounded to whole 128 KB blocks. Past the crossing,
+// where minLockMemory(num_applications) exceeds maxLockMemory (3,355
+// applications in a 512 MB database), the target is maxLockMemory: the
+// heap cannot grow beyond it.
 //
 // The tuner is a pure decision object: the StmmController executes the
 // decision against DatabaseMemory and the LockManager.

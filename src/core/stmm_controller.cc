@@ -242,6 +242,10 @@ Status StmmController::CheckConsistency() const {
   if (lmo_ < 0 || lmoc_ < 0) {
     return Status::Internal("negative LMO/LMOC accounting");
   }
+  // The heap cannot exceed maxLockMemory, so neither may its configuration.
+  if (lmoc_ > params_.MaxLockMemory()) {
+    return Status::Internal("LMOC exceeds maxLockMemory");
+  }
   // RunTuningPass leaves lmo_ == max(0, size - lmoc_); synchronous growth
   // bumps size and lmo_ together, so the debt always covers the part of the
   // allocation beyond the externalized configuration.

@@ -38,7 +38,6 @@ class LockBlock;
 
 // One lock structure: an application's granted interest in a resource.
 // Consumes one 64 B slot of lock memory while it exists.
-// locklint: hot-column
 struct LockRequest {
   AppId app = 0;
   LockMode mode = LockMode::kNone;  // granted mode

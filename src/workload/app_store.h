@@ -153,7 +153,6 @@ class AppStore {
   // Deadline-wheel entry. `gen` snapshots gen_[index] at park time; a
   // mismatch at pop time means the application disconnected (and possibly
   // reconnected) since, and the entry is dead.
-  // locklint: hot-column
   struct WheelEntry {
     uint32_t index = 0;
     uint32_t gen = 0;

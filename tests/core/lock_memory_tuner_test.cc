@@ -1,5 +1,8 @@
 #include "core/lock_memory_tuner.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace locktune {
@@ -137,6 +140,24 @@ TEST(LockMemoryTunerTest, MinimumTracksApplicationCount) {
   EXPECT_EQ(d.target, p.MinLockMemory(500));
 }
 
+// Past the crossing, 5,000 applications need minLockMemory = 152.6 MB in a
+// 512 MB database whose maxLockMemory is 102.4 MB. The heap cannot grow
+// beyond maxLockMemory, so neither may the target, and the pass's why says
+// so instead of claiming the minFree rule chose the size.
+TEST(LockMemoryTunerTest, CrossingCapsTargetAtMaxLockMemory) {
+  TuningParams p;
+  p.database_memory = 512 * kMiB;
+  ASSERT_GT(p.MinLockMemory(5000), p.MaxLockMemory());
+  LockMemoryTuner tuner(p);
+  // 40 MiB allocated, 28 MiB used: minFree alone asks for 56 MiB.
+  const LockTunerInputs in = In(40 * kMiB, 28 * kMiB, /*napps=*/5000);
+  const LockTunerDecision d = tuner.Tune(in);
+  EXPECT_EQ(d.action, LockTunerAction::kGrow);
+  EXPECT_EQ(d.target, p.MaxLockMemory());
+  const std::string why = ExplainDecision(in, d, p);
+  EXPECT_NE(why.find("crosses maxLockMemory"), std::string::npos) << why;
+}
+
 TEST(LockMemoryTunerTest, TargetsAreBlockMultiples) {
   LockMemoryTuner tuner(BigParams());
   for (Bytes used : {0L, 1000L, 777'777L, 5'000'000L, 50'000'000L}) {
@@ -152,7 +173,8 @@ TEST(LockMemoryTunerTest, ZeroAllocationTreatedAsOneBlock) {
 }
 
 // Property sweep: for any (allocated, used) state the decision target stays
-// inside [minLockMemory, maxLockMemory] and is a block multiple.
+// inside [minLockMemory, maxLockMemory] and is a block multiple; past the
+// crossing (10,000 applications here) it is maxLockMemory.
 class TunerPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -162,10 +184,10 @@ TEST_P(TunerPropertyTest, TargetAlwaysBoundedAndAligned) {
   LockMemoryTuner tuner(p);
   const Bytes allocated = static_cast<Bytes>(alloc_mb) * kMiB;
   const Bytes used = allocated * used_permille / 1000;
-  for (int napps : {0, 1, 50, 130, 1000}) {
+  for (int napps : {0, 1, 50, 130, 1000, 10'000}) {
     const LockTunerDecision d = tuner.Tune(In(allocated, used, napps));
-    EXPECT_GE(d.target, p.MinLockMemory(napps));
-    EXPECT_LE(d.target, std::max(p.MaxLockMemory(), p.MinLockMemory(napps)));
+    EXPECT_GE(d.target, std::min(p.MinLockMemory(napps), p.MaxLockMemory()));
+    EXPECT_LE(d.target, p.MaxLockMemory());
     EXPECT_EQ(d.target % kLockBlockSize, 0);
   }
 }

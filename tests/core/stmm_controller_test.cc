@@ -274,5 +274,22 @@ TEST_F(StmmControllerTest, MinLockMemoryReevaluatedWithConnections) {
   EXPECT_GE(locks_->allocated_bytes(), params_.MinLockMemory(130));
 }
 
+// 5,000 connections in a 512 MB database ask for minLockMemory = 152.6 MB,
+// past maxLockMemory (102.4 MB). The pass grows the heap to maxLockMemory
+// and configures exactly that: LMOC never names a size the heap cannot
+// reach.
+TEST_F(StmmControllerTest, LmocCappedAtMaxLockMemoryPastTheCrossing) {
+  TuningParams p;
+  p.database_memory = 512 * kMiB;
+  Build(p);
+  napps_ = 5000;
+  ASSERT_GT(params_.MinLockMemory(napps_), params_.MaxLockMemory());
+  HoldRows(1, 1000);
+  stmm_->RunTuningPass();
+  EXPECT_EQ(stmm_->lmoc(), params_.MaxLockMemory());
+  EXPECT_EQ(locks_->allocated_bytes(), params_.MaxLockMemory());
+  EXPECT_TRUE(stmm_->CheckConsistency().ok());
+}
+
 }  // namespace
 }  // namespace locktune

@@ -128,19 +128,6 @@ TEST(LocklintTest, ProfileTimingRule) {
       << run.output;
 }
 
-TEST(LocklintTest, HotColumnRule) {
-  const LintRun run = RunLocklint(FixtureRoot() + "/hot_column.cc");
-  EXPECT_EQ(run.exit_code, 1);
-  ExpectViolation(run, "hot_column.cc", 10, "LL013");  // std::string member
-  ExpectViolation(run, "hot_column.cc", 11, "LL013");  // virtual method
-  // GoodEntry (POD) and the unannotated ColdRow must not be flagged; the
-  // reasoned hotcolumn-ok suppression holds; the orphan marker at the end
-  // is its own finding.
-  ExpectViolation(run, "hot_column.cc", 33, "LL000");
-  EXPECT_NE(run.output.find("3 violation(s)"), std::string::npos)
-      << run.output;
-}
-
 TEST(LocklintTest, JsonOutput) {
   const LintRun clean = RunLocklint("--json " + FixtureRoot() + "/clean.cc");
   EXPECT_EQ(clean.exit_code, 0);
@@ -191,10 +178,9 @@ TEST(LocklintTest, WholeFixtureTreeIsDeterministicallySorted) {
   const LintRun run = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.exit_code, 1);
   // 3 wallclock + 1 unordered + 1 float + 2 alloc + 1 nodiscard + 1 assert
-  // + 2 addr + 1 faultgate + 2 profile + 1 bad-annotation + 2 hotcolumn
-  // + 1 orphan hot-column marker + 1 stale-suppression = 19, and a second
-  // run must be identical.
-  EXPECT_NE(run.output.find("19 violation(s)"), std::string::npos)
+  // + 2 addr + 1 faultgate + 2 profile + 1 bad-annotation
+  // + 1 stale-suppression = 16, and a second run must be identical.
+  EXPECT_NE(run.output.find("16 violation(s)"), std::string::npos)
       << run.output;
   const LintRun again = RunLocklint(FixtureRoot());
   EXPECT_EQ(run.output, again.output);
@@ -204,8 +190,7 @@ TEST(LocklintTest, ListRules) {
   const LintRun run = RunLocklint("--list-rules");
   EXPECT_EQ(run.exit_code, 0);
   for (const char* id : {"LL000", "LL001", "LL002", "LL003", "LL004",
-                         "LL005", "LL006", "LL007", "LL008", "LL009",
-                         "LL013"}) {
+                         "LL005", "LL006", "LL007", "LL008", "LL009"}) {
     EXPECT_NE(run.output.find(id), std::string::npos) << run.output;
   }
 }

@@ -28,16 +28,6 @@
 //                       high_resolution_clock, rdtsc) in src/lock/ — the
 //                       lock path reads no clock; host timing belongs to
 //                       the callers that drive it
-//   LL013 hotcolumn     non-trivially-copyable member in a struct marked
-//                       `// locklint: hot-column`. Hot-column structs are
-//                       the SoA rows the per-tick sweep copies and re-files
-//                       wholesale (wheel entries, lock requests); an owning
-//                       or virtual member would turn every swap/compact
-//                       into a correctness hazard. The marker goes on the
-//                       line above (or the line of) the struct
-//                       declaration; pair it with a
-//                       static_assert(std::is_trivially_copyable_v<T>) for
-//                       the compile-time word.
 //   LL000 annotation    malformed suppression (empty reason), or a stale
 //                       suppression that matches no finding
 //
@@ -45,8 +35,7 @@
 // the line directly above. The reason is mandatory; an empty one is itself
 // a violation, and so is a suppression that no longer suppresses anything
 // (stale). Tags: wallclock-ok, ordered-ok, float-ok, alloc-ok,
-// nodiscard-ok, assert-ok, addr-ok, faultgate-ok, profile-ok,
-// hotcolumn-ok.
+// nodiscard-ok, assert-ok, addr-ok, faultgate-ok, profile-ok.
 //
 // Usage: locklint [--list-rules] [--json] <file-or-dir>...
 // Exit: 0 clean, 1 violations found, 2 usage/IO error.
@@ -120,10 +109,6 @@ constexpr RuleInfo kRules[] = {
      "wall-clock timing call (steady_clock, high_resolution_clock, rdtsc) "
      "in src/lock/; time the lock path from its caller or annotate "
      "profile-ok(<reason>)"},
-    {"LL013", "hotcolumn",
-     "non-trivially-copyable member in a 'locklint: hot-column' struct — "
-     "SoA hot rows are copied/compacted wholesale by the schedulers; keep "
-     "them POD (and static_assert is_trivially_copyable)"},
 };
 
 // Basenames of files where integral accounting is mandatory (LL003).
@@ -319,63 +304,6 @@ class Linter {
       if (is_header) CheckNodiscard(generic, text, i, line_no, code);
       CheckAssert(generic, text, i, line_no, code);
       CheckAddressOrder(generic, text, i, line_no, code);
-    }
-
-    ScanHotColumns(generic, text);
-  }
-
-  // LL013: a struct marked `locklint: hot-column` is an SoA hot row the
-  // sweep copies, swaps, and compacts byte-wise; every member must be
-  // trivially copyable. Lexical scan of the struct body for owning or
-  // virtual members — the paired static_assert(is_trivially_copyable_v<>)
-  // in the source has the final compile-time word; this rule names the
-  // offending member line at review time.
-  void ScanHotColumns(const std::string& file, const FileText& text) {
-    // Anchored to end-of-line so prose *mentioning* the marker (this file,
-    // docs) stays inert; the real annotation is the whole comment.
-    static const std::regex kMarker(R"(locklint:\s*hot-column\s*$)");
-    static const std::regex kStructDecl(R"(\b(?:struct|class)\s+\w+)");
-    static const std::regex kBadMember(
-        R"(\bstd::(?:string|vector|deque|list|map|set|multimap|multiset|unordered_map|unordered_set|function|unique_ptr|shared_ptr|weak_ptr|any)\b|\bvirtual\b)");
-    for (size_t i = 0; i < text.raw.size(); ++i) {
-      if (!std::regex_search(text.raw[i], kMarker)) continue;
-      // The annotated declaration sits on this line or within the next two
-      // (comment block directly above the struct).
-      size_t decl = i;
-      bool found = false;
-      for (size_t j = i; j < std::min(i + 3, text.code.size()); ++j) {
-        if (std::regex_search(text.code[j], kStructDecl)) {
-          decl = j;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        Add(file, static_cast<int>(i) + 1, "LL000",
-            "hot-column annotation with no struct/class declaration on "
-            "this line or the two below");
-        continue;
-      }
-      int depth = 0;
-      bool opened = false;
-      for (size_t j = decl; j < text.code.size(); ++j) {
-        std::smatch m;
-        if (opened && std::regex_search(text.code[j], m, kBadMember)) {
-          AddUnlessSuppressed(file, text, j, static_cast<int>(j) + 1,
-                              "LL013", "hotcolumn",
-                              "non-trivially-copyable member '" +
-                                  m[0].str() + "' in hot-column struct");
-        }
-        for (const char c : text.code[j]) {
-          if (c == '{') {
-            ++depth;
-            opened = true;
-          } else if (c == '}') {
-            --depth;
-          }
-        }
-        if (opened && depth <= 0) break;
-      }
     }
   }
 

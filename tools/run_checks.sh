@@ -6,6 +6,7 @@
 #
 #   tools/run_checks.sh              # lint, build, ctest, output check
 #   tools/run_checks.sh --paranoid   # also rerun ctest with LOCKTUNE_PARANOID=1
+#                                    # (the paranoid preset skips `paper`)
 #   tools/run_checks.sh --asan       # also build/test the asan preset
 set -euo pipefail
 
@@ -32,8 +33,9 @@ run "${CXX:-g++}" -std=c++20 -O2 -Wall -Wextra -Werror \
 run "$LINT_BIN" src tools bench
 
 # 2. Default build + the full test suite (includes locklint_repo, the
-#    golden determinism suite and paranoid_golden_run; every entry has a
-#    deadline, so a hang fails instead of stalling).
+#    golden determinism suite, paranoid_golden_run and the `paper` benches'
+#    checked claims; every entry has a deadline, so a hang fails instead of
+#    stalling).
 run cmake -B build -S . -DLOCKTUNE_WERROR=ON
 run cmake --build build -j
 run ctest --test-dir build --output-on-failure -j 4
