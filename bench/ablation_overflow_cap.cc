@@ -38,7 +38,7 @@ int main() {
   ScenarioSpec spec = bench::LoadScenario("fig11_dss.conf");
   spec.runner.duration = 6 * kMinute;
   spec.workloads[1].client_steps = {{2 * kMinute, 1}};
-  spec.workloads[1].dss.hold_time = 5 * kMinute;
+  spec.workloads[1].scan.hold_time = 5 * kMinute;
   for (double c1 : {0.25, 0.45, 0.65, 0.85, 1.0}) {
     spec.database.params.overflow_cap_c1 = c1;
     std::unique_ptr<LoadedScenario> loaded =

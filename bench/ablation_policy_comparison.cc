@@ -18,7 +18,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "engine/database.h"
-#include "workload/dss_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
 
@@ -78,11 +78,11 @@ PolicyResult RunMode(const char* name, TuningMode mode) {
   o.static_maxlocks_percent = 10.0;
   std::unique_ptr<Database> db = Database::Open(o).value();
   OltpWorkload oltp(db->catalog(), OltpOptions{});
-  DssOptions dss_opts;
-  dss_opts.scan_locks = 200'000;
+  ScanOptions dss_opts = ScanDefaults(ScanPreset::kDss);
+  dss_opts.total_locks = 200'000;
   dss_opts.locks_per_tick = 2000;
   dss_opts.hold_time = 2 * kMinute;
-  DssWorkload dss(db->catalog(), dss_opts);
+  ScanWorkload dss(db->catalog(), dss_opts);
   LineitemWriter writers(db->catalog());
   ClientTimeline oltp_tl, dss_tl, writer_tl;
   oltp_tl.workload = &oltp;

@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "engine/database.h"
-#include "workload/batch_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
 
@@ -35,7 +35,7 @@ Run RunBatch(bool preferred) {
   o.params.database_memory = 512 * kMiB;
   std::unique_ptr<Database> db = Database::Open(o).value();
   OltpWorkload oltp(db->catalog(), OltpOptions{});
-  BatchWorkload batch(db->catalog(), "tpch_orders", BatchOptions{});
+  ScanWorkload batch(db->catalog(), ScanDefaults(ScanPreset::kBatch));
   ClientTimeline oltp_tl, batch_tl;
   oltp_tl.workload = &oltp;
   oltp_tl.steps = {{0, 40}};

@@ -94,6 +94,6 @@ int main() {
                "allowed while far from max",
                std::to_string(dss_held) + " structures held "
                "by the DSS application",
-               bench::AtLeast(dss_held, dss.dss.scan_locks));
+               bench::AtLeast(dss_held, dss.scan.total_locks));
   return bench::ExitStatus();
 }

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "engine/database.h"
-#include "workload/dss_workload.h"
 #include "workload/oltp_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/scenario.h"
 
 using namespace locktune;
@@ -27,11 +27,11 @@ int main() {
 
   // 40 OLTP clients from the start; one reporting query at t = 2 min.
   OltpWorkload oltp(database.catalog(), OltpOptions{});
-  DssOptions dss_options;
-  dss_options.scan_locks = 400'000;        // 25 MB of lock structures
+  ScanOptions dss_options = ScanDefaults(ScanPreset::kDss);
+  dss_options.total_locks = 400'000;       // 25 MB of lock structures
   dss_options.locks_per_tick = 2500;       // 25 000 locks/s
   dss_options.hold_time = 3 * kMinute;     // the report keeps running
-  DssWorkload dss(database.catalog(), dss_options);
+  ScanWorkload dss(database.catalog(), dss_options);
 
   ClientTimeline oltp_clients, report;
   oltp_clients.workload = &oltp;

@@ -114,6 +114,21 @@ Status Database::Init() {
   if (!lock_heap.ok()) return lock_heap.status();
   lock_heap_ = lock_heap.value();
 
+  // A deny_heap window on a heap that does not exist would never fire,
+  // silently turning a chaos run fault-free.
+  for (const FaultWindowSpec& w : options_.fault.windows) {
+    if (w.kind != FaultKind::kDenyHeapGrowth || w.heap == "*" ||
+        memory_->FindHeap(w.heap) != nullptr) {
+      continue;
+    }
+    std::string valid;
+    for (const std::unique_ptr<MemoryHeap>& heap : memory_->heaps()) {
+      valid += heap->name() + ", ";
+    }
+    return Status::InvalidArgument("deny_heap: unknown heap '" + w.heap +
+                                   "' (valid: " + valid + "*)");
+  }
+
   LockManagerOptions lmo;
   lmo.initial_blocks = BytesToBlocks(initial_lock);
   lmo.max_lock_memory = manager_max;

@@ -8,7 +8,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/check.h"
 #include "workload/scenario_schema.h"
 
 namespace locktune {
@@ -60,390 +59,114 @@ std::string FmtNum(double v) {
   return os.str();
 }
 
-// One line of a scenario file. Every error it produces has the form
-// `<source>:<line>: ...` and names the offending key and the expected
-// value, so a typo in a 300-line chaos scenario is a one-glance fix.
-class LineParser {
- public:
-  LineParser(const std::string& source, int line_no,
-             const std::vector<std::string>& tokens)
-      : source_(source), line_no_(line_no), tokens_(tokens) {}
-
-  const std::string& key() const { return tokens_[0]; }
-  size_t values() const { return tokens_.size() - 1; }
-  const std::string& token(size_t i) const { return tokens_[i]; }
-
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument(source_ + ":" + std::to_string(line_no_) +
-                                   ": " + message);
+// "a", "a or b", "a, b or c".
+std::string JoinOr(const std::vector<std::string>& items) {
+  std::string out;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += i + 1 == items.size() ? " or " : ", ";
+    out += items[i];
   }
-  Status UnknownKey(const std::string& where) const {
-    return Error("unknown key '" + key() + "' in " + where);
-  }
-  Status WantValues(size_t n) const {
-    if (values() == n) return Status::Ok();
-    return Error("key '" + key() + "' wants " + std::to_string(n) +
-                 " value(s), got " + std::to_string(values()));
-  }
-
-  // Value parsers. Index `i` is the token index (the key is token 0).
-  [[nodiscard]] Status IntAt(size_t i, int64_t* out) const {
-    if (!ParseRawInt(tokens_[i], out)) {
-      return Error("key '" + key() + "' wants an integer, got '" +
-                   tokens_[i] + "'");
-    }
-    return Status::Ok();
-  }
-  [[nodiscard]] Status DoubleAt(size_t i, double* out) const {
-    if (!ParseRawDouble(tokens_[i], out)) {
-      return Error("key '" + key() + "' wants a number, got '" + tokens_[i] +
-                   "'");
-    }
-    return Status::Ok();
-  }
-  [[nodiscard]] Status DoubleIn(size_t i, double lo, bool lo_open, double hi,
-                                bool hi_open, double* out) const {
-    if (Status s = DoubleAt(i, out); !s.ok()) return s;
-    const bool in_range = (lo_open ? *out > lo : *out >= lo) &&
-                          (hi_open ? *out < hi : *out <= hi);
-    if (!in_range) {
-      return Error("key '" + key() + "' wants a number in " +
-                   (lo_open ? "(" : "[") + FmtNum(lo) + ", " + FmtNum(hi) +
-                   (hi_open ? ")" : "]") + ", got '" + tokens_[i] + "'");
-    }
-    return Status::Ok();
-  }
-
-  // Schema-driven value parsers: the range comes from the shared
-  // ScenarioSchema() table, so the parser cannot drift from what the
-  // generator samples. A missing or mistyped schema entry is a programmer
-  // error (scenario_schema_test pins parity), hence CHECK not Status.
-  [[nodiscard]] Status SchemaIntAt(const ValueSchema& vs, size_t i,
-                                   int64_t* out) const {
-    LOCKTUNE_CHECK(vs.kind == ValueKind::kInt);
-    if (Status s = IntAt(i, out); !s.ok()) return s;
-    if (*out < vs.int_min || *out > vs.int_max) {
-      return Error("key '" + key() + "' wants an integer in [" +
-                   std::to_string(vs.int_min) + ", " +
-                   std::to_string(vs.int_max) + "], got '" + tokens_[i] +
-                   "'");
-    }
-    return Status::Ok();
-  }
-  [[nodiscard]] Status SchemaDoubleAt(const ValueSchema& vs, size_t i,
-                                      double* out) const {
-    LOCKTUNE_CHECK(vs.kind == ValueKind::kDouble);
-    return DoubleIn(i, vs.lo, vs.lo_open, vs.hi, vs.hi_open, out);
-  }
-
-  // Single-value conveniences (schema lookup + arity check + parse +
-  // range). `section` is the schema section ("" for global keys).
-  [[nodiscard]] Status OneSchemaInt(const char* section,
-                                    int64_t* out) const {
-    const KeySchema* ks = FindKeySchema(section, key());
-    LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 1);
-    if (Status s = WantValues(1); !s.ok()) return s;
-    return SchemaIntAt(ks->values[0], 1, out);
-  }
-  [[nodiscard]] Status OneSchemaDouble(const char* section,
-                                       double* out) const {
-    const KeySchema* ks = FindKeySchema(section, key());
-    LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 1);
-    if (Status s = WantValues(1); !s.ok()) return s;
-    return SchemaDoubleAt(ks->values[0], 1, out);
-  }
-  [[nodiscard]] Status OneLockMode(LockMode* out) const {
-    if (Status s = WantValues(1); !s.ok()) return s;
-    if (tokens_[1] == "X") {
-      *out = LockMode::kX;
-    } else if (tokens_[1] == "U") {
-      *out = LockMode::kU;
-    } else if (tokens_[1] == "S") {
-      *out = LockMode::kS;
-    } else {
-      return Error("key '" + key() + "' wants S, U or X, got '" + tokens_[1] +
-                   "'");
-    }
-    return Status::Ok();
-  }
-
- private:
-  const std::string& source_;
-  int line_no_;
-  const std::vector<std::string>& tokens_;
-};
-
-Status ParseGlobalLine(const LineParser& p, ScenarioSpec* spec) {
-  const std::string& key = p.key();
-  int64_t iv = 0;
-  double dv = 0.0;
-
-  if (key == "database_memory_mb") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->database.params.database_memory = iv * kMiB;
-  } else if (key == "mode") {
-    if (Status s = p.WantValues(1); !s.ok()) return s;
-    if (p.token(1) == "selftuning") {
-      spec->database.mode = TuningMode::kSelfTuning;
-    } else if (p.token(1) == "static") {
-      spec->database.mode = TuningMode::kStatic;
-    } else if (p.token(1) == "sqlserver") {
-      spec->database.mode = TuningMode::kSqlServer;
-    } else {
-      return p.Error(
-          "key 'mode' wants one of: selftuning, static, sqlserver; got '" +
-          p.token(1) + "'");
-    }
-  } else if (key == "static_locklist_pages") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->database.static_locklist_pages = iv;
-  } else if (key == "static_maxlocks_percent") {
-    if (Status s = p.OneSchemaDouble("", &dv); !s.ok()) return s;
-    spec->database.static_maxlocks_percent = dv;
-  } else if (key == "initial_locklist_pages") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->database.params.initial_locklist_pages = iv;
-  } else if (key == "tuning_interval_s") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->database.params.tuning_interval = iv * kSecond;
-  } else if (key == "adaptive_interval") {
-    if (Status s = p.WantValues(1); !s.ok()) return s;
-    if (p.token(1) != "on" && p.token(1) != "off") {
-      return p.Error("key 'adaptive_interval' wants on or off, got '" +
-                     p.token(1) + "'");
-    }
-    spec->database.params.adaptive_interval = p.token(1) == "on";
-  } else if (key == "lock_timeout_ms") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->database.lock_timeout = iv;
-  } else if (key == "duration_s") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->runner.duration = iv * kSecond;
-  } else if (key == "sample_period_s") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->runner.sample_period = iv * kSecond;
-  } else if (key == "seed") {
-    if (Status s = p.OneSchemaInt("", &iv); !s.ok()) return s;
-    spec->runner.seed = static_cast<uint64_t>(iv);
-  } else if (key == "delta_reduce_percent") {
-    if (Status s = p.OneSchemaDouble("", &dv); !s.ok()) return s;
-    spec->database.params.delta_reduce = dv / 100.0;
-  } else {
-    return p.UnknownKey("the global section");
-  }
-  return Status::Ok();
+  return out;
 }
 
-Status ParseOltpLine(const LineParser& p, WorkloadSpec* section) {
-  const std::string& key = p.key();
-  int64_t iv = 0;
-  double dv = 0.0;
-
-  if (key == "mean_locks_per_txn") {
-    if (Status s = p.OneSchemaInt("oltp", &iv); !s.ok()) return s;
-    section->oltp.mean_locks_per_txn = iv;
-  } else if (key == "locks_per_tick") {
-    if (Status s = p.OneSchemaInt("oltp", &iv); !s.ok()) return s;
-    section->oltp.locks_per_tick = static_cast<int>(iv);
-  } else if (key == "write_fraction") {
-    if (Status s = p.OneSchemaDouble("oltp", &dv); !s.ok()) return s;
-    section->oltp.write_fraction = dv;
-  } else if (key == "think_time_ms") {
-    if (Status s = p.OneSchemaInt("oltp", &iv); !s.ok()) return s;
-    section->oltp.think_time = iv;
-  } else if (key == "zipf") {
-    if (Status s = p.OneSchemaDouble("oltp", &dv); !s.ok()) return s;
-    section->oltp.row_zipf_theta = dv;
-  } else {
-    return p.UnknownKey("[oltp]");
+// Checks the values of one line against its key's schema and converts
+// them. Errors start with `where` (`<source>:<line>: `) and name the key,
+// the offending token and the accepted form, so a typo in a 300-line chaos
+// scenario is a one-glance fix.
+[[nodiscard]] Status ParseValues(const std::string& where,
+                                 const KeySchema& ks,
+                                 const std::vector<std::string>& tokens,
+                                 std::vector<ParsedValue>* values) {
+  const std::string key = "key '" + ks.key + "' wants ";
+  const size_t given = tokens.size() - 1;
+  if (given < ks.min_values || given > ks.values.size()) {
+    const std::string arity =
+        ks.min_values == ks.values.size()
+            ? std::to_string(ks.min_values)
+            : std::to_string(ks.min_values) + " to " +
+                  std::to_string(ks.values.size());
+    return Status::InvalidArgument(where + key + arity + " value(s), got " +
+                                   std::to_string(given));
   }
-  return Status::Ok();
-}
-
-Status ParseDssLine(const LineParser& p, WorkloadSpec* section) {
-  const std::string& key = p.key();
-  int64_t iv = 0;
-
-  if (key == "scan_locks") {
-    if (Status s = p.OneSchemaInt("dss", &iv); !s.ok()) return s;
-    section->dss.scan_locks = iv;
-  } else if (key == "locks_per_tick") {
-    if (Status s = p.OneSchemaInt("dss", &iv); !s.ok()) return s;
-    section->dss.locks_per_tick = static_cast<int>(iv);
-  } else if (key == "hold_time_s") {
-    if (Status s = p.OneSchemaInt("dss", &iv); !s.ok()) return s;
-    section->dss.hold_time = iv * kSecond;
-  } else if (key == "think_time_s") {
-    if (Status s = p.OneSchemaInt("dss", &iv); !s.ok()) return s;
-    section->dss.think_time = iv * kSecond;
-  } else {
-    return p.UnknownKey("[dss]");
-  }
-  return Status::Ok();
-}
-
-Status ParseBatchLine(const LineParser& p, WorkloadSpec* section) {
-  const std::string& key = p.key();
-  int64_t iv = 0;
-
-  if (key == "rows_per_batch") {
-    if (Status s = p.OneSchemaInt("batch", &iv); !s.ok()) return s;
-    section->batch.rows_per_batch = iv;
-  } else if (key == "locks_per_tick") {
-    if (Status s = p.OneSchemaInt("batch", &iv); !s.ok()) return s;
-    section->batch.locks_per_tick = static_cast<int>(iv);
-  } else if (key == "hold_time_s") {
-    if (Status s = p.OneSchemaInt("batch", &iv); !s.ok()) return s;
-    section->batch.hold_time = iv * kSecond;
-  } else if (key == "think_time_s") {
-    if (Status s = p.OneSchemaInt("batch", &iv); !s.ok()) return s;
-    section->batch.think_time = iv * kSecond;
-  } else if (key == "table") {
-    if (Status s = p.WantValues(1); !s.ok()) return s;
-    section->batch_table = p.token(1);
-  } else if (key == "mode") {
-    if (Status s = p.OneLockMode(&section->batch.mode); !s.ok()) return s;
-  } else {
-    return p.UnknownKey("[batch]");
-  }
-  return Status::Ok();
-}
-
-Status ParseHostileLine(const LineParser& p, WorkloadSpec* section) {
-  const std::string& key = p.key();
-  int64_t iv = 0;
-
-  if (key == "archetype") {
-    if (Status s = p.WantValues(1); !s.ok()) return s;
-    if (p.token(1) == "lock_hog") {
-      section->hostile.archetype = HostileArchetype::kLockHog;
-    } else if (p.token(1) == "idle_holder") {
-      section->hostile.archetype = HostileArchetype::kIdleHolder;
-    } else if (p.token(1) == "abort_storm") {
-      section->hostile.archetype = HostileArchetype::kAbortStorm;
-    } else if (p.token(1) == "request_storm") {
-      section->hostile.archetype = HostileArchetype::kRequestStorm;
-    } else {
-      return p.Error(
-          "key 'archetype' wants one of: lock_hog, idle_holder, "
-          "abort_storm, request_storm; got '" +
-          p.token(1) + "'");
-    }
-  } else if (key == "table") {
-    if (Status s = p.WantValues(1); !s.ok()) return s;
-    section->hostile_table = p.token(1);
-  } else if (key == "locks_per_txn") {
-    if (Status s = p.OneSchemaInt("hostile", &iv); !s.ok()) return s;
-    section->hostile.locks_per_txn = iv;
-  } else if (key == "locks_per_tick") {
-    if (Status s = p.OneSchemaInt("hostile", &iv); !s.ok()) return s;
-    section->hostile.locks_per_tick = static_cast<int>(iv);
-  } else if (key == "hold_time_s") {
-    if (Status s = p.OneSchemaInt("hostile", &iv); !s.ok()) return s;
-    section->hostile.hold_time = iv * kSecond;
-  } else if (key == "think_time_s") {
-    if (Status s = p.OneSchemaInt("hostile", &iv); !s.ok()) return s;
-    section->hostile.think_time = iv * kSecond;
-  } else if (key == "mode") {
-    if (Status s = p.OneLockMode(&section->hostile.mode); !s.ok()) return s;
-  } else {
-    return p.UnknownKey("[hostile]");
-  }
-  return Status::Ok();
-}
-
-Status ParseFaultLine(const LineParser& p, ScenarioSpec* spec,
-                      bool* fault_seed_set) {
-  const std::string& key = p.key();
-  FaultPlanSpec& fault = spec->database.fault;
-  int64_t iv = 0;
-
-  if (key == "fault_seed") {
-    if (Status s = p.OneSchemaInt("fault", &iv); !s.ok()) return s;
-    fault.seed = static_cast<uint64_t>(iv);
-    *fault_seed_set = true;
-  } else if (key == "deny_heap") {
-    if (p.values() != 3 && p.values() != 4) {
-      return p.Error(
-          "key 'deny_heap' wants: deny_heap <heap> <from_s> <until_s> "
-          "[probability]");
-    }
-    const KeySchema* ks = FindKeySchema("fault", "deny_heap");
-    LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 4);
-    FaultWindowSpec w;
-    w.kind = FaultKind::kDenyHeapGrowth;
-    w.heap = p.token(1);
-    int64_t from = 0, until = 0;
-    if (Status s = p.SchemaIntAt(ks->values[1], 2, &from); !s.ok()) return s;
-    if (Status s = p.SchemaIntAt(ks->values[2], 3, &until); !s.ok()) return s;
-    if (until <= from) {
-      return p.Error("key 'deny_heap' wants until_s > from_s (the window "
-                     "[from, until) is empty)");
-    }
-    w.from = from * kSecond;
-    w.until = until * kSecond;
-    if (p.values() == 4) {
-      if (Status s = p.SchemaDoubleAt(ks->values[3], 4, &w.probability);
-          !s.ok()) {
-        return s;
+  for (size_t i = 0; i < given; ++i) {
+    const ValueSchema& vs = ks.values[i];
+    const std::string& token = tokens[i + 1];
+    const std::string got = ", got '" + token + "'";
+    ParsedValue v;
+    switch (vs.kind) {
+      case ValueKind::kInt:
+        if (!ParseRawInt(token, &v.i)) {
+          return Status::InvalidArgument(where + key + "an integer" + got);
+        }
+        if (v.i < vs.int_min || v.i > vs.int_max) {
+          return Status::InvalidArgument(
+              where + key + "an integer in [" + std::to_string(vs.int_min) +
+              ", " + std::to_string(vs.int_max) + "]" + got);
+        }
+        break;
+      case ValueKind::kDouble:
+        if (!ParseRawDouble(token, &v.d)) {
+          return Status::InvalidArgument(where + key + "a number" + got);
+        }
+        if (!((vs.lo_open ? v.d > vs.lo : v.d >= vs.lo) &&
+              (vs.hi_open ? v.d < vs.hi : v.d <= vs.hi))) {
+          return Status::InvalidArgument(
+              where + key + "a number in " + (vs.lo_open ? "(" : "[") +
+              FmtNum(vs.lo) + ", " + FmtNum(vs.hi) +
+              (vs.hi_open ? ")" : "]") + got);
+        }
+        break;
+      case ValueKind::kEnum: {
+        const auto it =
+            std::find(vs.choices.begin(), vs.choices.end(), token);
+        if (it == vs.choices.end()) {
+          return Status::InvalidArgument(where + key + JoinOr(vs.choices) +
+                                         got);
+        }
+        v.i = vs.codes[static_cast<size_t>(it - vs.choices.begin())];
+        break;
       }
+      case ValueKind::kName:
+        v.name = token;
+        break;
     }
-    fault.windows.push_back(w);
-  } else if (key == "squeeze_overflow_mb") {
-    const KeySchema* ks = FindKeySchema("fault", "squeeze_overflow_mb");
-    LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 3);
-    if (Status s = p.WantValues(3); !s.ok()) return s;
-    int64_t mb = 0, from = 0, until = 0;
-    if (Status s = p.SchemaIntAt(ks->values[0], 1, &mb); !s.ok()) return s;
-    if (Status s = p.SchemaIntAt(ks->values[1], 2, &from); !s.ok()) return s;
-    if (Status s = p.SchemaIntAt(ks->values[2], 3, &until); !s.ok()) return s;
-    if (until <= from) {
-      return p.Error(
-          "key 'squeeze_overflow_mb' wants until_s > from_s (the window "
-          "[from, until) is empty)");
-    }
-    FaultWindowSpec w;
-    w.kind = FaultKind::kSqueezeOverflow;
-    w.heap = "*";
-    w.amount = mb * kMiB;
-    w.from = from * kSecond;
-    w.until = until * kSecond;
-    fault.windows.push_back(w);
-  } else if (key == "kill_app") {
-    const KeySchema* ks = FindKeySchema("fault", "kill_app");
-    LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 2);
-    if (Status s = p.WantValues(2); !s.ok()) return s;
-    int64_t app = 0, at = 0;
-    if (Status s = p.SchemaIntAt(ks->values[0], 1, &app); !s.ok()) return s;
-    if (Status s = p.SchemaIntAt(ks->values[1], 2, &at); !s.ok()) return s;
-    FaultKillSpec k;
-    k.at = at * kSecond;
-    k.app = static_cast<int32_t>(app);
-    fault.kills.push_back(k);
-  } else {
-    return p.UnknownKey("[fault]");
+    values->push_back(std::move(v));
   }
   return Status::Ok();
+}
+
+const SectionSchema* FindSection(const std::string& header) {
+  for (const SectionSchema& s : ScenarioSections()) {
+    if (header == "[" + s.name + "]") return &s;
+  }
+  return nullptr;
+}
+
+// The bracketed names of every section, or of the workload sections only.
+std::vector<std::string> Headers(bool workload_only) {
+  std::vector<std::string> headers;
+  for (const SectionSchema& s : ScenarioSections()) {
+    if (s.workload || !workload_only) headers.push_back("[" + s.name + "]");
+  }
+  return headers;
 }
 
 }  // namespace
+
+void ScenarioSpec::SetSeed(uint64_t seed) {
+  runner.seed = seed;
+  database.fault.seed = seed ^ 0x9e3779b97f4a7c15ULL;
+}
 
 Result<ScenarioSpec> ParseScenario(const std::string& text,
                                    const std::string& source_name) {
   ScenarioSpec spec;
   spec.runner.duration = 60 * kSecond;
-  WorkloadSpec* section = nullptr;
-  bool in_fault_section = false;
-  bool fault_seed_set = false;
-  bool any_hostile = false;
+  spec.SetSeed(spec.runner.seed);
+  std::string section;  // "" before the first header: the global keys
 
   // Duplicate-key detection, scoped per section: a scalar key appearing
-  // twice silently overwrote its first value and hid config typos. Keys
-  // that genuinely build lists stay repeatable.
-  const auto is_repeatable = [](const std::string& key) {
-    return key == "clients" || key == "deny_heap" ||
-           key == "squeeze_overflow_mb" || key == "kill_app";
-  };
+  // twice silently overwrote its first value and hid config typos.
   std::map<std::string, int> seen_keys;  // key -> first line in this section
 
   std::istringstream is(text);
@@ -456,98 +179,66 @@ Result<ScenarioSpec> ParseScenario(const std::string& text,
     if (hash != std::string::npos) raw.resize(hash);
     const std::vector<std::string> tokens = Tokenize(raw);
     if (tokens.empty()) continue;
-    const LineParser p(source_name, line_no, tokens);
+    const std::string where =
+        source_name + ":" + std::to_string(line_no) + ": ";
 
-    // Section headers.
     if (tokens[0].front() == '[') {
       if (tokens.size() != 1) {
-        return p.Error("trailing tokens after section header " + tokens[0]);
+        return Status::InvalidArgument(
+            where + "trailing tokens after section header " + tokens[0]);
       }
+      const SectionSchema* s = FindSection(tokens[0]);
+      if (s == nullptr) {
+        return Status::InvalidArgument(where + "unknown section " +
+                                       tokens[0] + " (expected " +
+                                       JoinOr(Headers(false)) + ")");
+      }
+      section = s->name;
       seen_keys.clear();
-      if (tokens[0] == "[fault]") {
-        in_fault_section = true;
-        section = nullptr;
-        continue;
-      }
-      if (tokens[0] != "[oltp]" && tokens[0] != "[dss]" &&
-          tokens[0] != "[batch]" && tokens[0] != "[hostile]") {
-        return p.Error("unknown section " + tokens[0] +
-                       " (expected [oltp], [dss], [batch], [hostile] or "
-                       "[fault])");
-      }
-      in_fault_section = false;
-      spec.workloads.emplace_back();
-      section = &spec.workloads.back();
-      if (tokens[0] == "[oltp]") {
-        section->kind = WorkloadSpec::Kind::kOltp;
-      } else if (tokens[0] == "[dss]") {
-        section->kind = WorkloadSpec::Kind::kDss;
-      } else if (tokens[0] == "[batch]") {
-        section->kind = WorkloadSpec::Kind::kBatch;
-      } else {
-        section->kind = WorkloadSpec::Kind::kHostile;
-        any_hostile = true;
+      if (s->workload) {
+        spec.workloads.emplace_back();
+        spec.workloads.back().kind = s->kind;
+        spec.workloads.back().preset = s->preset;
       }
       continue;
     }
 
-    if (!is_repeatable(p.key())) {
-      const auto [it, inserted] = seen_keys.emplace(p.key(), line_no);
+    const std::string& key = tokens[0];
+    const KeySchema* ks = FindKeySchema(section, key);
+    if (ks == nullptr) {
+      return Status::InvalidArgument(
+          where + "unknown key '" + key + "' in " +
+          (section.empty() ? "the global section" : "[" + section + "]"));
+    }
+    if (!ks->repeatable) {
+      const auto [it, inserted] = seen_keys.emplace(key, line_no);
       if (!inserted) {
-        return p.Error("duplicate key '" + p.key() + "' (first set at " +
-                       source_name + ":" + std::to_string(it->second) + ")");
+        return Status::InvalidArgument(
+            where + "duplicate key '" + key + "' (first set at " +
+            source_name + ":" + std::to_string(it->second) + ")");
       }
     }
-
-    if (in_fault_section) {
-      if (Status s = ParseFaultLine(p, &spec, &fault_seed_set); !s.ok()) {
-        return s;
-      }
-      continue;
+    std::vector<ParsedValue> values;
+    if (Status s = ParseValues(where, *ks, tokens, &values); !s.ok()) {
+      return s;
     }
-
-    if (section == nullptr) {
-      if (Status s = ParseGlobalLine(p, &spec); !s.ok()) return s;
-      continue;
+    KeyLine line{spec, values};
+    ks->apply(line);
+    if (line.broken_rule != nullptr) {
+      return Status::InvalidArgument(where + "key '" + key + "' wants " +
+                                     line.broken_rule);
     }
-
-    // Keys shared by all workload sections.
-    if (p.key() == "clients") {
-      const KeySchema* ks = FindKeySchema(kSharedWorkloadSection, "clients");
-      LOCKTUNE_CHECK(ks != nullptr && ks->values.size() == 2);
-      if (Status s = p.WantValues(2); !s.ok()) return s;
-      int64_t at = 0, count = 0;
-      if (Status s = p.SchemaIntAt(ks->values[0], 1, &at); !s.ok()) return s;
-      if (Status s = p.SchemaIntAt(ks->values[1], 2, &count); !s.ok()) {
-        return s;
-      }
-      section->client_steps.push_back(
-          {at * kSecond, static_cast<int>(count)});
-      continue;
-    }
-    Status s = Status::Ok();
-    switch (section->kind) {
-      case WorkloadSpec::Kind::kOltp:
-        s = ParseOltpLine(p, section);
-        break;
-      case WorkloadSpec::Kind::kDss:
-        s = ParseDssLine(p, section);
-        break;
-      case WorkloadSpec::Kind::kBatch:
-        s = ParseBatchLine(p, section);
-        break;
-      case WorkloadSpec::Kind::kHostile:
-        s = ParseHostileLine(p, section);
-        break;
-    }
-    if (!s.ok()) return s;
   }
 
   if (spec.workloads.empty()) {
-    return Status::InvalidArgument(
-        source_name +
-        ": no workload sections ([oltp] / [dss] / [batch] / [hostile])");
+    std::string headers;
+    for (const std::string& h : Headers(true)) {
+      headers += (headers.empty() ? "" : " / ") + h;
+    }
+    return Status::InvalidArgument(source_name + ": no workload sections (" +
+                                   headers + ")");
   }
+  bool any_hostile = false;
   for (size_t i = 0; i < spec.workloads.size(); ++i) {
     WorkloadSpec& w = spec.workloads[i];
     if (w.client_steps.empty()) {
@@ -556,15 +247,10 @@ Result<ScenarioSpec> ParseScenario(const std::string& text,
                                      " has no clients lines");
     }
     std::sort(w.client_steps.begin(), w.client_steps.end());
+    any_hostile = any_hostile || w.kind == WorkloadSpec::Kind::kHostile;
   }
   if (Status s = spec.database.params.Validate(); !s.ok()) return s;
 
-  // The fault plan draws from its own stream so arming faults never
-  // perturbs workload randomness; absent an explicit fault_seed it is
-  // still derived deterministically from the scenario seed.
-  if (!fault_seed_set) {
-    spec.database.fault.seed = spec.runner.seed ^ 0x9e3779b97f4a7c15ULL;
-  }
   // Kill/user-abort counters only exist for chaos scenarios, keeping
   // fault-free metric exports byte-identical.
   spec.runner.robustness_metrics =
@@ -590,28 +276,21 @@ Result<std::unique_ptr<LoadedScenario>> LoadedScenario::Create(
   std::vector<ClientTimeline> timelines;
   int64_t total_app_slots = 0;
   for (const WorkloadSpec& w : spec.workloads) {
+    const Catalog& catalog = loaded->database_->catalog();
     std::unique_ptr<Workload> workload;
     if (w.kind == WorkloadSpec::Kind::kOltp) {
-      workload = std::make_unique<OltpWorkload>(loaded->database_->catalog(),
-                                                w.oltp);
-    } else if (w.kind == WorkloadSpec::Kind::kDss) {
-      workload = std::make_unique<DssWorkload>(loaded->database_->catalog(),
-                                               w.dss);
-    } else if (w.kind == WorkloadSpec::Kind::kBatch) {
-      if (loaded->database_->catalog().FindByName(w.batch_table) == nullptr) {
-        return Status::InvalidArgument("unknown batch table " +
-                                       w.batch_table);
-      }
-      workload = std::make_unique<BatchWorkload>(
-          loaded->database_->catalog(), w.batch_table, w.batch);
+      workload = std::make_unique<OltpWorkload>(catalog, w.oltp);
     } else {
-      if (loaded->database_->catalog().FindByName(w.hostile_table) ==
-          nullptr) {
-        return Status::InvalidArgument("unknown hostile table " +
-                                       w.hostile_table);
+      const ScanOptions scan = ScanDefaults(w.preset, w.scan);
+      if (catalog.FindByName(scan.table) == nullptr) {
+        std::string section;
+        for (const SectionSchema& s : ScenarioSections()) {
+          if (s.workload && s.kind == w.kind) section = s.name;
+        }
+        return Status::InvalidArgument("unknown " + section + " table " +
+                                       scan.table);
       }
-      workload = std::make_unique<HostileWorkload>(
-          loaded->database_->catalog(), w.hostile_table, w.hostile);
+      workload = std::make_unique<ScanWorkload>(catalog, scan);
     }
     ClientTimeline tl;
     tl.workload = workload.get();

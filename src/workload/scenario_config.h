@@ -20,20 +20,23 @@
 //     locks_per_tick 3000
 //     hold_time_s 600
 //
-// Chaos scenarios add a `[hostile]` workload section (misbehaving
-// application archetypes: lock_hog, idle_holder, abort_storm,
-// request_storm) and a `[fault]` section scheduling deterministic fault
-// injection (see docs/ROBUSTNESS.md):
+// [dss], [batch] and [hostile] all run a ScanWorkload (scan_workload.h);
+// a key a section leaves out takes the section's default or, in
+// [hostile], the default of the section's `archetype`, wherever in the
+// section that line stands. Chaos scenarios add a `[fault]` section
+// scheduling deterministic fault injection (see docs/ROBUSTNESS.md):
 //
 //     [fault]
 //     deny_heap locklist 120 180      # refuse locklist growth, t=[120,180)s
 //     squeeze_overflow_mb 64 60 90    # withhold 64 MB of overflow
 //     kill_app 3 45                   # kill application #3 at t=45 s
 //
-// `#` starts a comment; blank lines are ignored. Parsing is strict:
-// unknown keys, malformed numbers, or out-of-range values produce an error
-// of the form `<file>:<line>: ...` naming the offending key and the
-// expected form.
+// `#` starts a comment; blank lines are ignored. Every section and key,
+// with its values, ranges and spellings, is defined once, in
+// ScenarioSchema() (scenario_schema.h), and ParseScenario reads the file
+// with that table. Parsing is strict: unknown keys, malformed numbers, or
+// out-of-range values produce an error of the form `<file>:<line>: ...`
+// naming the offending key and the expected form.
 #ifndef LOCKTUNE_WORKLOAD_SCENARIO_CONFIG_H_
 #define LOCKTUNE_WORKLOAD_SCENARIO_CONFIG_H_
 
@@ -43,10 +46,8 @@
 
 #include "common/status.h"
 #include "engine/database.h"
-#include "workload/batch_workload.h"
-#include "workload/dss_workload.h"
-#include "workload/hostile_workload.h"
 #include "workload/oltp_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/scenario.h"
 
 namespace locktune {
@@ -55,11 +56,11 @@ namespace locktune {
 struct WorkloadSpec {
   enum class Kind { kOltp, kDss, kBatch, kHostile } kind = Kind::kOltp;
   OltpOptions oltp;
-  DssOptions dss;
-  BatchOptions batch;
-  HostileOptions hostile;
-  std::string batch_table = "tpch_orders";
-  std::string hostile_table = "tpcc_stock";
+  // Scan sections: the defaults row (the section's, or the [hostile]
+  // archetype's) and the fields the file sets over it; LoadedScenario
+  // runs ScanDefaults(preset, scan).
+  ScanPreset preset = ScanPreset::kDss;
+  ScanOptions scan;
   std::vector<std::pair<TimeMs, int>> client_steps;
 };
 
@@ -69,6 +70,11 @@ struct ScenarioSpec {
   DatabaseOptions database;
   ScenarioOptions runner;
   std::vector<WorkloadSpec> workloads;
+
+  // Sets the scenario seed and derives the fault plan's seed from it: the
+  // plan draws from its own stream, so arming faults never perturbs
+  // workload randomness. A later `fault_seed` line replaces the plan's.
+  void SetSeed(uint64_t seed);
 };
 
 // Parses scenario text. On error, the message is `source_name:line: ...`

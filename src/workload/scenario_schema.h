@@ -1,12 +1,12 @@
-// Machine-readable schema of the scenario-file input language.
+// The scenario-file language, defined once.
 //
-// One table describes every section, key, arity, value type, and numeric
-// range the parser accepts. The parser (scenario_config.cc) enforces its
-// integer/double ranges *from this table*, and the scenario fuzzer
-// (src/fuzz/scenario_gen.h) samples values *from this table* — so the
-// generator cannot drift from the parser: a key renamed, removed, or
-// re-ranged in one place breaks the other's tests immediately
-// (tests/workload/scenario_schema_test.cc round-trips every entry).
+// ScenarioSections() lists the sections and ScenarioSchema() every key:
+// its section, its values (type and range, or the accepted spellings), how
+// many of them are required, whether it may repeat, and where the parsed
+// values go. ParseScenario (scenario_config.h) reads a file with these two
+// tables alone, and the scenario fuzzer (src/fuzz) samples and shrinks
+// values from the same table, so a key added, removed or re-ranged here
+// changes the parser and the fuzzer together.
 //
 // Sections use their file spelling without brackets; two pseudo-sections
 // exist: "" (the global key space before any section header) and
@@ -16,9 +16,13 @@
 #define LOCKTUNE_WORKLOAD_SCENARIO_SCHEMA_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "workload/scenario_config.h"
 
 namespace locktune {
 
@@ -41,8 +45,10 @@ enum class ValueKind {
   kInt,     // integer in [int_min, int_max]
   kDouble,  // double in lo..hi with per-end openness
   kEnum,    // one of `choices`, exact spelling
-  kName,    // free identifier (table / heap name); `choices` lists
-            // known-valid spellings for generators, not a parser limit
+  kName,    // identifier the parser takes as written; building the
+            // scenario checks it (a table against the catalog in
+            // LoadedScenario::Create, a heap against the database's heaps
+            // in Database::Open), and `choices` lists the valid spellings
 };
 
 // One positional value of a key.
@@ -55,12 +61,36 @@ struct ValueSchema {
   bool lo_open = false;
   bool hi_open = false;
   std::vector<std::string> choices;
+  // kEnum: what each of `choices` stands for, an enumerator cast to int.
+  std::vector<int> codes;
 
   static ValueSchema IntIn(int64_t min, int64_t max);
   static ValueSchema DoubleIn(double lo, bool lo_open, double hi,
                               bool hi_open);
-  static ValueSchema EnumOf(std::vector<std::string> choices);
+  template <typename E>
+  static ValueSchema EnumOf(
+      std::initializer_list<std::pair<const char*, E>> choices);
   static ValueSchema NameOf(std::vector<std::string> choices);
+};
+
+// One checked value of a line: kInt fills `i`, kEnum puts its code in `i`,
+// kDouble fills `d` and kName fills `name`.
+struct ParsedValue {
+  int64_t i = 0;
+  double d = 0.0;
+  std::string name;
+};
+
+// A checked line, as its key's `apply` sees it.
+struct KeyLine {
+  ScenarioSpec& spec;
+  const std::vector<ParsedValue>& values;
+  // Set by `apply` when the values break a rule between them; the parser
+  // then reports "key '<key>' wants <broken_rule>".
+  const char* broken_rule = nullptr;
+
+  // The workload section being read.
+  WorkloadSpec& workload() const { return spec.workloads.back(); }
 };
 
 // One key of the scenario language.
@@ -73,18 +103,42 @@ struct KeySchema {
   size_t min_values = 0;
   // May appear more than once per section (list-building keys).
   bool repeatable = false;
+  // Stores the line's checked values in the spec.
+  void (*apply)(KeyLine& line) = nullptr;
+};
+
+// One section, as spelled between brackets.
+struct SectionSchema {
+  std::string name;
+  // Workload sections open one WorkloadSpec of `kind` per header, starting
+  // from the defaults row `preset` (scan sections only).
+  bool workload = false;
+  WorkloadSpec::Kind kind = WorkloadSpec::Kind::kOltp;
+  ScanPreset preset = ScanPreset::kDss;
 };
 
 // The full key table, in deterministic declaration order.
 const std::vector<KeySchema>& ScenarioSchema();
 
-// Workload section names as they appear between brackets, plus "fault".
-const std::vector<std::string>& ScenarioSectionNames();
+// Every section, in declaration order.
+const std::vector<SectionSchema>& ScenarioSections();
 
 // Lookup by (section, key); shared workload keys are found under their
 // concrete section name too. Returns nullptr when the pair is unknown.
 const KeySchema* FindKeySchema(std::string_view section,
                                std::string_view key);
+
+template <typename E>
+ValueSchema ValueSchema::EnumOf(
+    std::initializer_list<std::pair<const char*, E>> choices) {
+  ValueSchema v;
+  v.kind = ValueKind::kEnum;
+  for (const auto& [spelling, value] : choices) {
+    v.choices.emplace_back(spelling);
+    v.codes.push_back(static_cast<int>(value));
+  }
+  return v;
+}
 
 }  // namespace locktune
 

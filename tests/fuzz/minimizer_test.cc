@@ -57,7 +57,7 @@ TEST(MinimizerTest, BisectsIntegersToTheThreshold) {
         if (!spec.ok()) return false;
         for (const WorkloadSpec& w : spec.value().workloads) {
           if (w.kind == WorkloadSpec::Kind::kHostile &&
-              w.hostile.locks_per_txn >= 500) {
+              w.scan.total_locks >= 500) {
             return true;
           }
         }

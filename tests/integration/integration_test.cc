@@ -9,7 +9,7 @@
 
 #include "engine/database.h"
 #include "telemetry/trace.h"
-#include "workload/dss_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
 
@@ -27,11 +27,11 @@ TEST(IntegrationTest, LockTimeoutsRollBackStalledWriters) {
   std::unique_ptr<Database> db = Database::Open(o).value();
   // A reporting scan holds S locks on the first 50k lineitem rows while
   // OLTP-ish writers target exactly those rows.
-  DssOptions dss_opts;
-  dss_opts.scan_locks = 50'000;
+  ScanOptions dss_opts = ScanDefaults(ScanPreset::kDss);
+  dss_opts.total_locks = 50'000;
   dss_opts.locks_per_tick = 5000;
   dss_opts.hold_time = kMinute;
-  DssWorkload dss(db->catalog(), dss_opts);
+  ScanWorkload dss(db->catalog(), dss_opts);
 
   class HotWriters : public Workload {
    public:

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
-#include "workload/dss_workload.h"
+#include "workload/scan_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/scenario.h"
 
@@ -102,11 +102,11 @@ TEST_P(ModeInvariantTest, MixedLoadKeepsAccountingConsistent) {
   std::unique_ptr<Database> db = Database::Open(o).value();
 
   OltpWorkload oltp(db->catalog(), OltpOptions{});
-  DssOptions dss_opts;
-  dss_opts.scan_locks = 50'000;
+  ScanOptions dss_opts = ScanDefaults(ScanPreset::kDss);
+  dss_opts.total_locks = 50'000;
   dss_opts.locks_per_tick = 1000;
   dss_opts.hold_time = 30 * kSecond;
-  DssWorkload dss(db->catalog(), dss_opts);
+  ScanWorkload dss(db->catalog(), dss_opts);
   ClientTimeline oltp_tl, dss_tl;
   oltp_tl.workload = &oltp;
   oltp_tl.steps = {{0, 20}};

@@ -1,5 +1,8 @@
 #include "workload/scenario_config.h"
 
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace locktune {
@@ -83,8 +86,8 @@ hold_time_s 90
 think_time_s 30
 )");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  const DssOptions& d = spec.value().workloads[0].dss;
-  EXPECT_EQ(d.scan_locks, 123456);
+  const ScanOptions& d = spec.value().workloads[0].scan;
+  EXPECT_EQ(d.total_locks, 123456);
   EXPECT_EQ(d.locks_per_tick, 2500);
   EXPECT_EQ(d.hold_time, 90 * kSecond);
   EXPECT_EQ(d.think_time, 30 * kSecond);
@@ -104,12 +107,12 @@ mode U
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const WorkloadSpec& w = spec.value().workloads[0];
   EXPECT_EQ(w.kind, WorkloadSpec::Kind::kBatch);
-  EXPECT_EQ(w.batch_table, "tpcc_history");
-  EXPECT_EQ(w.batch.rows_per_batch, 77000);
-  EXPECT_EQ(w.batch.locks_per_tick, 900);
-  EXPECT_EQ(w.batch.hold_time, 30 * kSecond);
-  EXPECT_EQ(w.batch.think_time, 120 * kSecond);
-  EXPECT_EQ(w.batch.mode, LockMode::kU);
+  EXPECT_EQ(w.scan.table, "tpcc_history");
+  EXPECT_EQ(w.scan.total_locks, 77000);
+  EXPECT_EQ(w.scan.locks_per_tick, 900);
+  EXPECT_EQ(w.scan.hold_time, 30 * kSecond);
+  EXPECT_EQ(w.scan.think_time, 120 * kSecond);
+  EXPECT_EQ(w.scan.mode, LockMode::kU);
 }
 
 TEST(ScenarioConfigTest, BatchRejectsBadMode) {
@@ -125,6 +128,27 @@ table no_such_table
 )");
   ASSERT_TRUE(spec.ok());
   EXPECT_FALSE(LoadedScenario::Create(spec.value()).ok());
+}
+
+TEST(LoadedScenarioTest, DenyHeapWithUnknownHeapFailsAtCreate) {
+  // A window on a misspelled heap would never fire: the chaos run would
+  // silently go fault-free.
+  Result<ScenarioSpec> spec = ParseScenario(R"(
+[oltp]
+clients 0 1
+[fault]
+deny_heap lockist 60 150
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const Result<std::unique_ptr<LoadedScenario>> loaded =
+      LoadedScenario::Create(spec.value());
+  ASSERT_FALSE(loaded.ok());
+  const std::string& message = loaded.status().message();
+  for (const char* fragment : {"deny_heap", "'lockist'", "locklist",
+                               "buffer_pool", "sort", "package_cache", "*"}) {
+    EXPECT_NE(message.find(fragment), std::string::npos)
+        << "missing '" << fragment << "' in: " << message;
+  }
 }
 
 TEST(ScenarioConfigTest, MultipleSectionsAndSortedSteps) {
@@ -330,13 +354,13 @@ mode S
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const WorkloadSpec& w = spec.value().workloads[0];
   EXPECT_EQ(w.kind, WorkloadSpec::Kind::kHostile);
-  EXPECT_EQ(w.hostile.archetype, HostileArchetype::kIdleHolder);
-  EXPECT_EQ(w.hostile_table, "tpcc_order_line");
-  EXPECT_EQ(w.hostile.locks_per_txn, 1234);
-  EXPECT_EQ(w.hostile.locks_per_tick, 99);
-  EXPECT_EQ(w.hostile.hold_time, 600 * kSecond);
-  EXPECT_EQ(w.hostile.think_time, 5 * kSecond);
-  EXPECT_EQ(w.hostile.mode, LockMode::kS);
+  EXPECT_EQ(w.preset, ScanPreset::kIdleHolder);
+  EXPECT_EQ(w.scan.table, "tpcc_order_line");
+  EXPECT_EQ(w.scan.total_locks, 1234);
+  EXPECT_EQ(w.scan.locks_per_tick, 99);
+  EXPECT_EQ(w.scan.hold_time, 600 * kSecond);
+  EXPECT_EQ(w.scan.think_time, 5 * kSecond);
+  EXPECT_EQ(w.scan.mode, LockMode::kS);
   // A hostile section alone flips the robustness metric family on.
   EXPECT_TRUE(spec.value().runner.robustness_metrics);
 }
@@ -397,7 +421,7 @@ TEST(ScenarioConfigTest, FaultFreeScenarioHasEmptyPlanAndPlainMetrics) {
 TEST(ScenarioConfigTest, RejectsMalformedFaultLines) {
   const std::string tail = "\n[oltp]\nclients 0 1\n";
   ExpectParseError("[fault]\ndeny_heap locklist 120" + tail, 2,
-                   {"deny_heap", "<heap> <from_s> <until_s>"});
+                   {"deny_heap", "wants 3 to 4 value(s), got 2"});
   ExpectParseError("[fault]\ndeny_heap locklist 180 120" + tail, 2,
                    {"deny_heap", "until_s > from_s"});
   ExpectParseError("[fault]\ndeny_heap locklist 10 20 1.5" + tail, 2,
@@ -461,16 +485,23 @@ clients 0 5
 }
 
 TEST(LoadedScenarioTest, ShippedScenarioFilesParse) {
-  for (const char* path :
-       {"/scenarios/fig9_ramp.conf", "/scenarios/fig11_dss.conf",
-        "/scenarios/static_escalation.conf", "/scenarios/batch_rollout.conf",
-        "/scenarios/chaos_lockdeny.conf",
-        "/scenarios/chaos_overflow_squeeze.conf",
-        "/scenarios/chaos_kill_recovery.conf"}) {
-    const Result<ScenarioSpec> spec =
-        LoadScenarioFile(std::string(LOCKTUNE_SOURCE_DIR) + path);
-    EXPECT_TRUE(spec.ok()) << path << ": " << spec.status().ToString();
+  // Every shipped scenario parses and builds, so a misspelled heap or
+  // table in any of them fails here.
+  int files = 0;
+  for (const char* dir : {"/scenarios", "/scenarios/regression"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(LOCKTUNE_SOURCE_DIR) + dir)) {
+      if (entry.path().extension() != ".conf") continue;
+      ++files;
+      const std::string path = entry.path().string();
+      const Result<ScenarioSpec> spec = LoadScenarioFile(path);
+      ASSERT_TRUE(spec.ok()) << path << ": " << spec.status().ToString();
+      const Result<std::unique_ptr<LoadedScenario>> loaded =
+          LoadedScenario::Create(spec.value());
+      EXPECT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
+    }
   }
+  EXPECT_GE(files, 11);  // 7 in scenarios/, 4 in scenarios/regression/
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Anti-drift tests: the machine-readable schema (scenario_schema.h) and
-// the hand-written parser (scenario_config.cc) must describe the same
-// input language. Every key in the schema is driven through ParseScenario
-// with in-range, below-range, above-range, and non-finite values; any key
-// the parser spells, sections, ranges, or bounds-checks differently from
-// the schema fails here — which is what keeps the fuzzer's generator
+// Schema-entry tests: ParseScenario reads files with the schema
+// (scenario_schema.h) alone, so every key in it is driven through the
+// parser with in-range, below-range, above-range, and non-finite values;
+// an entry whose section, range, spelling, repetition or `apply` is wrong
+// fails here — which is what keeps the fuzzer's generator
 // (src/fuzz/scenario_gen.h, which samples from the same table) honest.
 #include "workload/scenario_schema.h"
 
@@ -250,12 +249,13 @@ TEST(ScenarioSchemaTest, RepeatabilityMatchesParser) {
 }
 
 TEST(ScenarioSchemaTest, SectionNamesAllParse) {
-  for (const std::string& section : ScenarioSectionNames()) {
+  for (const SectionSchema& section : ScenarioSections()) {
     const std::string body =
-        section == "fault" ? "[oltp]\nclients 0 1\n[fault]\nkill_app 1 5\n"
-                           : "[" + section + "]\nclients 0 1\n";
+        section.name == "fault"
+            ? "[oltp]\nclients 0 1\n[fault]\nkill_app 1 5\n"
+            : "[" + section.name + "]\nclients 0 1\n";
     const Result<ScenarioSpec> spec = ParseScenario(body, "schema.conf");
-    EXPECT_TRUE(spec.ok()) << "section [" << section
+    EXPECT_TRUE(spec.ok()) << "section [" << section.name
                            << "]: " << spec.status().ToString();
   }
 }

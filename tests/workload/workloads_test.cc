@@ -1,13 +1,14 @@
 #include <cstdint>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "engine/catalog.h"
-#include "workload/batch_workload.h"
-#include "workload/dss_workload.h"
 #include "workload/oltp_workload.h"
+#include "workload/scan_workload.h"
+#include "workload/scenario_config.h"
 
 namespace locktune {
 namespace {
@@ -136,9 +137,9 @@ TEST(OltpWorkloadTest, DrawDigestMatchesParent) {
 }
 
 TEST_F(WorkloadsTest, DssProfileIsOneBigHeldScan) {
-  DssOptions opts;
-  opts.scan_locks = 123'456;
-  DssWorkload w(catalog_, opts);
+  ScanOptions opts = ScanDefaults(ScanPreset::kDss);
+  opts.total_locks = 123'456;
+  ScanWorkload w(catalog_, opts);
   Rng rng(5);
   const TransactionProfile p = w.NextTransaction(rng);
   EXPECT_EQ(p.total_locks, 123'456);
@@ -147,7 +148,7 @@ TEST_F(WorkloadsTest, DssProfileIsOneBigHeldScan) {
 }
 
 TEST_F(WorkloadsTest, DssScansLineitemSequentially) {
-  DssWorkload w(catalog_, DssOptions{});
+  ScanWorkload w(catalog_, ScanDefaults(ScanPreset::kDss));
   Rng rng(6);
   const TableId lineitem = catalog_.FindByName("tpch_lineitem")->id;
   for (int64_t i = 0; i < 1000; ++i) {
@@ -161,19 +162,19 @@ TEST_F(WorkloadsTest, DssScansLineitemSequentially) {
 TEST_F(WorkloadsTest, DssScanWrapsAroundTable) {
   Catalog tiny = Catalog::TpccTpch(1e-6);  // lineitem gets few rows
   const int64_t rows = tiny.FindByName("tpch_lineitem")->row_count;
-  DssWorkload w(tiny, DssOptions{});
+  ScanWorkload w(tiny, ScanDefaults(ScanPreset::kDss));
   Rng rng(7);
   for (int64_t i = 0; i < rows; ++i) (void)w.NextAccess(rng);
   EXPECT_EQ(w.NextAccess(rng).row, 0);  // wrapped
 }
 
 TEST_F(WorkloadsTest, BatchProfileMatchesOptions) {
-  BatchOptions opts;
-  opts.rows_per_batch = 250'000;
+  ScanOptions opts = ScanDefaults(ScanPreset::kBatch);
+  opts.total_locks = 250'000;
   opts.locks_per_tick = 1000;
   opts.hold_time = 45 * kSecond;
   opts.think_time = 3 * kMinute;
-  BatchWorkload w(catalog_, "tpch_orders", opts);
+  ScanWorkload w(catalog_, opts);
   Rng rng(8);
   const TransactionProfile p = w.NextTransaction(rng);
   EXPECT_EQ(p.total_locks, 250'000);
@@ -183,7 +184,7 @@ TEST_F(WorkloadsTest, BatchProfileMatchesOptions) {
 }
 
 TEST_F(WorkloadsTest, BatchUpdatesSequentiallyInX) {
-  BatchWorkload w(catalog_, "tpch_orders", BatchOptions{});
+  ScanWorkload w(catalog_, ScanDefaults(ScanPreset::kBatch));
   Rng rng(9);
   const TableId orders = catalog_.FindByName("tpch_orders")->id;
   for (int64_t i = 0; i < 100; ++i) {
@@ -195,9 +196,9 @@ TEST_F(WorkloadsTest, BatchUpdatesSequentiallyInX) {
 }
 
 TEST_F(WorkloadsTest, BatchModeOverride) {
-  BatchOptions opts;
-  opts.mode = LockMode::kU;
-  BatchWorkload w(catalog_, "tpcc_customer", opts);
+  ScanWorkload w(catalog_, ScanDefaults(ScanPreset::kBatch,
+                                        {.table = "tpcc_customer",
+                                         .mode = LockMode::kU}));
   Rng rng(10);
   EXPECT_EQ(w.NextAccess(rng).mode, LockMode::kU);
 }
@@ -205,10 +206,62 @@ TEST_F(WorkloadsTest, BatchModeOverride) {
 TEST_F(WorkloadsTest, BatchWrapsAtTableEnd) {
   Catalog tiny = Catalog::TpccTpch(1e-6);
   const int64_t rows = tiny.FindByName("tpch_orders")->row_count;
-  BatchWorkload w(tiny, "tpch_orders", BatchOptions{});
+  ScanWorkload w(tiny, ScanDefaults(ScanPreset::kBatch));
   Rng rng(11);
   for (int64_t i = 0; i < rows; ++i) (void)w.NextAccess(rng);
   EXPECT_EQ(w.NextAccess(rng).row, 0);
+}
+
+// Digest of the profile and the first 10k accesses of the scan workload
+// that the one-section scenario `text` runs, built as LoadedScenario
+// builds it.
+uint64_t ScanDigest(const std::string& text) {
+  const Result<ScenarioSpec> spec = ParseScenario(text);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  if (!spec.ok()) return 0;
+  const WorkloadSpec& w = spec.value().workloads[0];
+  const Catalog catalog = Catalog::TpccTpch();
+  ScanWorkload workload(catalog, ScanDefaults(w.preset, w.scan));
+  Rng rng(42);
+  const TransactionProfile p = workload.NextTransaction(rng);
+  uint64_t h = kFnvBasis;
+  h = Fnv1a(h, static_cast<uint64_t>(p.total_locks));
+  h = Fnv1a(h, static_cast<uint64_t>(p.locks_per_tick));
+  h = Fnv1a(h, static_cast<uint64_t>(p.hold_time));
+  h = Fnv1a(h, static_cast<uint64_t>(p.think_time));
+  h = Fnv1a(h, p.abort_at_end ? 1 : 0);
+  for (int i = 0; i < 10'000; ++i) {
+    const RowAccess a = workload.NextAccess(rng);
+    h = Fnv1a(h, static_cast<uint64_t>(a.table));
+    h = Fnv1a(h, static_cast<uint64_t>(a.row));
+    h = Fnv1a(h, static_cast<uint64_t>(a.mode));
+  }
+  return h;
+}
+
+TEST(ScanWorkloadTest, PresetDigestsMatchParent) {
+  // Recorded by this digest at commit f0e06c1, where DssWorkload,
+  // BatchWorkload and HostileWorkload each held their own defaults. The
+  // last case writes `archetype` after two of the keys it defaults.
+  EXPECT_EQ(ScanDigest("[dss]\nclients 0 1\n"), 0xd2532c6ffd9c6666ULL);
+  EXPECT_EQ(ScanDigest("[batch]\nclients 0 1\n"), 0x6f9ff0eb1bc028cfULL);
+  EXPECT_EQ(ScanDigest("[batch]\nclients 0 1\nmode U\n"),
+            0xb5ca2a0107615f4fULL);
+  EXPECT_EQ(ScanDigest("[batch]\nclients 0 1\nmode S\n"),
+            0xa66752774c62b88fULL);
+  EXPECT_EQ(ScanDigest("[hostile]\nclients 0 1\n"), 0x13488b755043df31ULL);
+  EXPECT_EQ(ScanDigest("[hostile]\nclients 0 1\narchetype lock_hog\n"),
+            0x13488b755043df31ULL);
+  EXPECT_EQ(ScanDigest("[hostile]\nclients 0 1\narchetype idle_holder\n"),
+            0xf342e305fb3f80c2ULL);
+  EXPECT_EQ(ScanDigest("[hostile]\nclients 0 1\narchetype abort_storm\n"),
+            0xb06aa853d945a7bfULL);
+  EXPECT_EQ(
+      ScanDigest("[hostile]\nclients 0 1\narchetype request_storm\n"),
+      0x888ddeee59a51d19ULL);
+  EXPECT_EQ(ScanDigest("[hostile]\nclients 0 1\nlocks_per_txn 900\n"
+                       "hold_time_s 7\narchetype idle_holder\n"),
+            0xbf5f25e5b003e8a7ULL);
 }
 
 }  // namespace
