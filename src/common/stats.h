@@ -1,35 +1,11 @@
-// Lightweight descriptive statistics used by metrics and benches.
+// Bucketed distributions behind the metrics registry's histograms.
 #ifndef LOCKTUNE_COMMON_STATS_H_
 #define LOCKTUNE_COMMON_STATS_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace locktune {
-
-// Streaming min / max / mean / variance (Welford). Accepts doubles.
-class SummaryStats {
- public:
-  void Add(double x);
-
-  int64_t count() const { return count_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double sum() const { return sum_; }
-  // Population variance / standard deviation.
-  double variance() const;
-  double stddev() const;
-
- private:
-  int64_t count_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Fixed-boundary histogram for latency-like values. Buckets are
 // caller-supplied upper bounds; values above the last bound land in an

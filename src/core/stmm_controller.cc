@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "core/stmm_report.h"
 #include "fault/degradation_ledger.h"
 #include "telemetry/chrome_trace.h"
@@ -165,6 +164,7 @@ void StmmController::RunTuningPass() {
 
   StmmIntervalRecord rec;
   rec.time = clock_->now();
+  rec.lock_allocated_before = inputs.allocated;
   rec.lock_allocated = lock_heap_->size();
   rec.lock_used = locks_->used_bytes();
   rec.lmoc = lmoc_;
@@ -178,7 +178,7 @@ void StmmController::RunTuningPass() {
   // Flight-recorder + trace-timeline copies of the pass: a = action, b =
   // resulting configured size, so a post-mortem dump shows what the tuner
   // was doing when an invariant tripped.
-  FlightRecord(FlightEventKind::kTunerPass, rec.time, 0,
+  FlightRecord(EventKind::kTunerPass, rec.time, 0,
                static_cast<int64_t>(decision.action), lmoc_);
   if (ChromeTraceCollector* chrome = GlobalTraceCollector()) {
     chrome->Instant(
@@ -189,17 +189,6 @@ void StmmController::RunTuningPass() {
             ",\"escalations_delta\":" + std::to_string(esc_delta) + "}");
   }
 
-  LOCKTUNE_LOG(kDebug) << "tuning pass " << history_.size() << ": "
-                       << TunerActionName(decision.action) << " — "
-                       << ExplainDecision(inputs, decision, params_);
-
-  if (Counter* c = action_passes_[static_cast<size_t>(decision.action)]) {
-    c->Increment();
-  }
-  if (resize_hist_ != nullptr) {
-    resize_hist_->Observe(static_cast<double>(
-        std::abs(rec.lock_allocated - inputs.allocated)));
-  }
   if (trace_ != nullptr) {
     const double free_frac =
         inputs.allocated > 0
@@ -261,10 +250,16 @@ void StmmController::RegisterMetrics(MetricsRegistry* registry) {
       [this] { return static_cast<int64_t>(history_.size()); });
   for (int a = 0; a < 5; ++a) {
     const LockTunerAction action = static_cast<LockTunerAction>(a);
-    action_passes_[a] = registry->AddCounter(
+    registry->AddCallbackCounter(
         std::string("locktune_stmm_pass_actions_total{action=\"") +
             std::string(TunerActionName(action)) + "\"}",
-        "tuning passes by chosen action");
+        "tuning passes by chosen action", [this, action] {
+          return static_cast<int64_t>(std::count_if(
+              history_.begin(), history_.end(),
+              [action](const StmmIntervalRecord& rec) {
+                return rec.action == action;
+              }));
+        });
   }
   registry->AddCallbackGauge(
       "locktune_stmm_lmoc_bytes", "externalized on-disk lock memory config",
@@ -291,11 +286,20 @@ void StmmController::RegisterMetrics(MetricsRegistry* registry) {
   registry->AddCallbackGauge(
       "locktune_stmm_max_free_fraction", "maxFreeLockMemory band edge",
       [this] { return params_.max_free_fraction; });
-  resize_hist_ = registry->AddHistogram(
-      "locktune_stmm_resize_bytes",
-      "per-pass lock memory resize magnitude",
-      {0.0, 128.0 * 1024, 512.0 * 1024, 1024.0 * 1024, 4096.0 * 1024,
-       16384.0 * 1024, 65536.0 * 1024});
+  registry->AddCallbackHistogram(
+      "locktune_stmm_resize_bytes", "per-pass lock memory resize magnitude",
+      [this] {
+        std::vector<double> resizes;
+        resizes.reserve(history_.size());
+        for (const StmmIntervalRecord& rec : history_) {
+          resizes.push_back(static_cast<double>(
+              std::abs(rec.lock_allocated - rec.lock_allocated_before)));
+        }
+        return SnapshotOfValues({0.0, 128.0 * 1024, 512.0 * 1024,
+                                 1024.0 * 1024, 4096.0 * 1024,
+                                 16384.0 * 1024, 65536.0 * 1024},
+                                resizes);
+      });
 }
 
 void StmmController::AdaptInterval(LockTunerAction action) {
@@ -335,7 +339,6 @@ Bytes StmmController::GrowLockMemory(Bytes want) {
     if (ledger_ != nullptr) {
       ledger_->RecordAbsorbed("async_grow", s.message());
     }
-    LOCKTUNE_LOG(kWarning) << "async lock growth failed: " << s.ToString();
     return 0;
   }
   locks_->AddBlocks(BytesToBlocks(grow));

@@ -28,15 +28,14 @@
 
 namespace locktune {
 
-class Counter;
 class DegradationLedger;
-class HistogramMetric;
 class MetricsRegistry;
 class TraceSink;
 
 // What one tuning pass saw and did (history entry for experiments).
 struct StmmIntervalRecord {
   TimeMs time = 0;
+  Bytes lock_allocated_before = 0;
   Bytes lock_allocated = 0;  // after the pass
   Bytes lock_used = 0;
   Bytes lmoc = 0;
@@ -120,7 +119,9 @@ class StmmController {
 
   // Registers the tuner metric family (`locktune_stmm_*`): per-action pass
   // counters, lmoc/lmo/interval gauges, the free-band position, and a
-  // resize-magnitude histogram.
+  // resize-magnitude histogram. The pass counters and the histogram are read
+  // from history(), so they count every pass, including any run before
+  // registration.
   void RegisterMetrics(MetricsRegistry* registry);
 
  private:
@@ -161,10 +162,6 @@ class StmmController {
 
   DegradationLedger* ledger_ = nullptr;
   TraceSink* trace_ = nullptr;
-  // Owned by the registry; null until RegisterMetrics. Indexed by
-  // LockTunerAction.
-  Counter* action_passes_[5] = {};
-  HistogramMetric* resize_hist_ = nullptr;
 };
 
 }  // namespace locktune

@@ -15,24 +15,21 @@ void DegradationLedger::RecordInjection(std::string_view site,
                                         std::string_view detail) {
   ++injections_;
   ++by_site_[std::string(site)];
-  FlightRecord(FlightEventKind::kFaultInjection, clock_->now(), 0, 0,
-               injections_);
+  FlightRecord(EventKind::kFaultInjection, clock_->now(), 0, 0, injections_);
   Trace("fault_injected", site, detail);
 }
 
 void DegradationLedger::RecordAbsorbed(std::string_view site,
                                        std::string_view detail) {
   ++absorbed_;
-  FlightRecord(FlightEventKind::kFaultAbsorbed, clock_->now(), 0, 0,
-               absorbed_);
+  FlightRecord(EventKind::kFaultAbsorbed, clock_->now(), 0, 0, absorbed_);
   Trace("fault_absorbed", site, detail);
 }
 
 void DegradationLedger::RecordRecovery(std::string_view site,
                                        std::string_view detail) {
   ++recoveries_;
-  FlightRecord(FlightEventKind::kFaultRecovery, clock_->now(), 0, 0,
-               recoveries_);
+  FlightRecord(EventKind::kFaultRecovery, clock_->now(), 0, 0, recoveries_);
   Trace("fault_recovered", site, detail);
 }
 

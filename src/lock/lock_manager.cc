@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "lock/app_index.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
@@ -14,26 +13,6 @@
 #include "telemetry/trace.h"
 
 namespace locktune {
-
-std::string_view LockEventKindName(LockEventKind kind) {
-  switch (kind) {
-    case LockEventKind::kWaitBegin:
-      return "WAIT_BEGIN";
-    case LockEventKind::kWaitEnd:
-      return "WAIT_END";
-    case LockEventKind::kEscalation:
-      return "ESCALATION";
-    case LockEventKind::kTimeout:
-      return "TIMEOUT";
-    case LockEventKind::kDeadlockVictim:
-      return "DEADLOCK_VICTIM";
-    case LockEventKind::kOutOfLockMemory:
-      return "OUT_OF_LOCK_MEMORY";
-    case LockEventKind::kSynchronousGrowth:
-      return "SYNC_GROWTH";
-  }
-  return "?";
-}
 
 LockManager::LockManager(LockManagerOptions options)
     : options_(std::move(options)),
@@ -69,7 +48,7 @@ LockResult LockManager::Lock(AppId app, const ResourceId& resource,
     case AcquireOutcome::kNoMemory:
       result.outcome = LockOutcome::kOutOfMemory;
       ++stats_.out_of_memory_failures;
-      Emit(LockEventKind::kOutOfLockMemory, app, resource, mode, 0);
+      Emit(EventKind::kOutOfLockMemory, app, resource, mode, 0);
       break;
   }
   return result;
@@ -283,7 +262,7 @@ LockManager::AllocResult LockManager::AllocateStructure(AppId requester,
     blocks_.AddBlock();
     ++stats_.sync_growth_blocks;
     options_.policy->OnResize();
-    Emit(LockEventKind::kSynchronousGrowth, requester, ResourceId{},
+    Emit(EventKind::kSynchronousGrowth, requester, ResourceId{},
          LockMode::kNone, 1);
     slot = blocks_.AllocateSlot();
     LOCKTUNE_DCHECK(slot.ok());
@@ -428,7 +407,7 @@ LockManager::AcquireOutcome LockManager::EscalateApp(AppId app,
     ++stats_.escalations;
     if (target == LockMode::kX) ++stats_.exclusive_escalations;
     ReleaseRowLocksOnTable(app, victim_table);
-    Emit(LockEventKind::kEscalation, app, table_res, new_mode, most_rows);
+    Emit(EventKind::kEscalation, app, table_res, new_mode, most_rows);
     return AcquireOutcome::kDone;
   }
   if (only_if_immediate) return AcquireOutcome::kNoMemory;
@@ -627,7 +606,7 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
     wait_times_.Add(
         static_cast<double>(options_.clock->now() - state.wait_since));
   }
-  Emit(LockEventKind::kWaitEnd, app, resource, granted_mode,
+  Emit(EventKind::kWaitEnd, app, resource, granted_mode,
        options_.clock != nullptr ? options_.clock->now() - state.wait_since
                                  : 0);
   state.waiting = false;
@@ -646,8 +625,7 @@ void LockManager::OnWaitGranted(AppId app, const ResourceId& resource) {
             ? state.row_locks_per_table[resource.table]
             : 0;
     ReleaseRowLocksOnTable(app, resource.table);
-    Emit(LockEventKind::kEscalation, app, resource, granted_mode,
-         rows_before);
+    Emit(EventKind::kEscalation, app, resource, granted_mode, rows_before);
   }
 
   if (state.continuation.has_value()) {
@@ -879,7 +857,7 @@ std::vector<AppId> LockManager::DetectDeadlocks() {
   stats_.deadlock_victims += static_cast<int64_t>(victims.size());
   for (uint32_t v : victim_ids) {
     const AppState& state = *nodes[v].state;
-    Emit(LockEventKind::kDeadlockVictim, nodes[v].app, state.wait_resource,
+    Emit(EventKind::kDeadlockVictim, nodes[v].app, state.wait_resource,
          state.wait_mode, state.held_structures);
   }
   // When armed (--flight-dump / paranoid), the first victim selection dumps
@@ -1117,7 +1095,7 @@ std::vector<AppId> LockManager::ExpireTimedOutWaiters() {
       continue;
     }
     expired.push_back(entry.app);
-    Emit(LockEventKind::kTimeout, entry.app, state.wait_resource,
+    Emit(EventKind::kTimeout, entry.app, state.wait_resource,
          state.wait_mode, now - state.wait_since);
     still_waiting.push_back(entry);
   }
@@ -1151,8 +1129,7 @@ void LockManager::MarkWaitStart(AppId app, AppState& state) {
     timeout_queue_.push_back(TimeoutEntry{
         state.wait_since + options_.lock_timeout, app, state.wait_epoch});
   }
-  Emit(LockEventKind::kWaitBegin, app, state.wait_resource, state.wait_mode,
-       0);
+  Emit(EventKind::kWaitBegin, app, state.wait_resource, state.wait_mode, 0);
 }
 
 void LockManager::NoteWaitEnded(AppState& state) {
@@ -1191,44 +1168,24 @@ void LockManager::MaybeCompactTimeouts() {
 
 namespace {
 
-FlightEventKind ToFlightKind(LockEventKind kind) {
-  switch (kind) {
-    case LockEventKind::kWaitBegin:
-      return FlightEventKind::kWaitBegin;
-    case LockEventKind::kWaitEnd:
-      return FlightEventKind::kWaitEnd;
-    case LockEventKind::kEscalation:
-      return FlightEventKind::kEscalation;
-    case LockEventKind::kTimeout:
-      return FlightEventKind::kTimeout;
-    case LockEventKind::kDeadlockVictim:
-      return FlightEventKind::kDeadlockVictim;
-    case LockEventKind::kOutOfLockMemory:
-      return FlightEventKind::kOutOfLockMemory;
-    case LockEventKind::kSynchronousGrowth:
-      return FlightEventKind::kSynchronousGrowth;
-  }
-  return FlightEventKind::kWaitBegin;
-}
-
 // Wait begin/end pairs fire for every blocked request — too hot for the
 // trace timeline. The structural events are rare and worth a pin.
-bool IsColdLockEvent(LockEventKind kind) {
-  return kind != LockEventKind::kWaitBegin && kind != LockEventKind::kWaitEnd;
+bool IsColdLockEvent(EventKind kind) {
+  return kind != EventKind::kWaitBegin && kind != EventKind::kWaitEnd;
 }
 
 }  // namespace
 
-void LockManager::Emit(LockEventKind kind, AppId app,
+void LockManager::Emit(EventKind kind, AppId app,
                        const ResourceId& resource, LockMode mode,
                        int64_t value) {
   const int64_t now = options_.clock != nullptr ? options_.clock->now() : 0;
   // The flight recorder and trace collector see events even when no trace
   // sink is installed (benches, runs without a sampler).
-  FlightRecord(ToFlightKind(kind), now, app, resource.table, value);
+  FlightRecord(kind, now, app, resource.table, value);
   if (IsColdLockEvent(kind)) {
     if (ChromeTraceCollector* trace = GlobalTraceCollector()) {
-      trace->Instant(std::string(LockEventKindName(kind)), kTracePidSim,
+      trace->Instant(EventRecordName(kind), kTracePidSim,
                      kTraceTidLockEvents, SimTimeToTraceUs(now),
                      "{\"app\":" + std::to_string(app) +
                          ",\"table\":" + std::to_string(resource.table) +
@@ -1237,15 +1194,15 @@ void LockManager::Emit(LockEventKind kind, AppId app,
   }
   if (trace_sink_ == nullptr) return;
   TraceRecord rec(now, "lock_event");
-  rec.Str("event", LockEventKindName(kind))
+  rec.Str("event", EventRecordName(kind))
       .Int("app", app)
       .Str("resource", resource.ToString())
       .Str("mode", ModeName(mode));
   switch (kind) {
-    case LockEventKind::kWaitEnd:
+    case EventKind::kWaitEnd:
       rec.Int("wait_ms", value);
       break;
-    case LockEventKind::kEscalation:
+    case EventKind::kEscalation:
       rec.Int("rows_released", value);
       break;
     default:

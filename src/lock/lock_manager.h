@@ -25,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "lock/lock_table.h"
 #include "lock/resource.h"
 #include "memory/block_list.h"
+#include "telemetry/flight_recorder.h"
 
 namespace locktune {
 
@@ -60,23 +60,6 @@ struct LockResult {
   // initiated) somewhere in the system.
   bool escalated = false;
 };
-
-// The lock manager's observable transitions. Each one goes to the flight
-// recorder, to the armed Chrome trace (all kinds but the wait pair) and, when
-// installed, to the trace sink as one `lock_event` record.
-enum class LockEventKind : uint8_t {
-  kWaitBegin = 0,      // a request queued behind incompatible holders
-  kWaitEnd,            // a queued request was granted
-  kEscalation,         // row locks collapsed into a table lock
-  kTimeout,            // a waiter exceeded LOCKTIMEOUT
-  kDeadlockVictim,     // chosen to break a cycle
-  kOutOfLockMemory,    // no structure available and nothing to escalate
-  kSynchronousGrowth,  // a block was added on the request path
-};
-
-// Stable upper-case name ("WAIT_BEGIN", ...): the `event` field of a
-// `lock_event` record and the Chrome-trace instant name.
-std::string_view LockEventKindName(LockEventKind kind);
 
 // One application's lock footprint, as reported by TopLockHolders.
 struct AppLockUsage {
@@ -439,10 +422,12 @@ class LockManager {
   // (amortized O(1) per ended wait).
   void MaybeCompactTimeouts();
 
-  // Records an event in the flight recorder (and, for the rare structural
-  // kinds, the armed Chrome trace), then appends it to the trace sink when
-  // one is installed.
-  void Emit(LockEventKind kind, AppId app, const ResourceId& resource,
+  // Records a lock event (wait begin/end, escalation, timeout, deadlock
+  // victim, out of lock memory, synchronous growth) in the flight recorder
+  // and, for all kinds but the wait pair, the armed Chrome trace, then
+  // appends it to the trace sink, when one is installed, as one
+  // `lock_event` record.
+  void Emit(EventKind kind, AppId app, const ResourceId& resource,
             LockMode mode, int64_t value);
 
   BlockList blocks_;

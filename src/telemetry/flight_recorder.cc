@@ -1,42 +1,50 @@
 #include "telemetry/flight_recorder.h"
 
+#include <iterator>
+
 #include "common/check.h"
 
 namespace locktune {
 
-const char* FlightEventKindName(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kWaitBegin:
-      return "wait_begin";
-    case FlightEventKind::kWaitEnd:
-      return "wait_end";
-    case FlightEventKind::kEscalation:
-      return "escalation";
-    case FlightEventKind::kDeadlockVictim:
-      return "deadlock_victim";
-    case FlightEventKind::kTimeout:
-      return "timeout";
-    case FlightEventKind::kOutOfLockMemory:
-      return "out_of_lock_memory";
-    case FlightEventKind::kSynchronousGrowth:
-      return "sync_growth";
-    case FlightEventKind::kTunerPass:
-      return "tuner_pass";
-    case FlightEventKind::kFaultInjection:
-      return "fault_injection";
-    case FlightEventKind::kFaultAbsorbed:
-      return "fault_absorbed";
-    case FlightEventKind::kFaultRecovery:
-      return "fault_recovery";
-  }
-  return "unknown";
+namespace {
+
+struct EventNames {
+  const char* dump;
+  const char* record;
+};
+
+// One row per EventKind, in declaration order.
+constexpr EventNames kEventNames[] = {
+    {"wait_begin", "WAIT_BEGIN"},
+    {"wait_end", "WAIT_END"},
+    {"escalation", "ESCALATION"},
+    {"deadlock_victim", "DEADLOCK_VICTIM"},
+    {"timeout", "TIMEOUT"},
+    {"out_of_lock_memory", "OUT_OF_LOCK_MEMORY"},
+    {"sync_growth", "SYNC_GROWTH"},
+    {"tuner_pass", "TUNER_PASS"},
+    {"fault_injection", "FAULT_INJECTION"},
+    {"fault_absorbed", "FAULT_ABSORBED"},
+    {"fault_recovery", "FAULT_RECOVERY"},
+};
+static_assert(std::size(kEventNames) ==
+              static_cast<size_t>(EventKind::kFaultRecovery) + 1);
+
+}  // namespace
+
+const char* EventDumpName(EventKind kind) {
+  return kEventNames[static_cast<size_t>(kind)].dump;
+}
+
+const char* EventRecordName(EventKind kind) {
+  return kEventNames[static_cast<size_t>(kind)].record;
 }
 
 std::string FlightEvent::ToString() const {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "t=%lldms %-18s app=%d a=%lld b=%lld",
-                static_cast<long long>(time_ms), FlightEventKindName(kind),
+                static_cast<long long>(time_ms), EventDumpName(kind),
                 app, static_cast<long long>(a), static_cast<long long>(b));
   return buf;
 }
@@ -66,8 +74,8 @@ FlightRing& Ring() {
 
 }  // namespace
 
-void FlightRecord(FlightEventKind kind, int64_t time_ms, int32_t app,
-                  int64_t a, int64_t b) {
+void FlightRecord(EventKind kind, int64_t time_ms, int32_t app, int64_t a,
+                  int64_t b) {
   FlightRing& ring = Ring();
   FlightEvent& slot = ring.events[ring.next % kFlightRingCapacity];
   slot.time_ms = time_ms;

@@ -30,26 +30,33 @@
 
 namespace locktune {
 
-// Kept layer-clean: telemetry cannot see lock/ or fault/ types, so events
-// carry generic integer payloads. Producers map their enums here.
-enum class FlightEventKind : uint8_t {
-  kWaitBegin = 0,
-  kWaitEnd,
-  kEscalation,
-  kDeadlockVictim,
-  kTimeout,
-  kOutOfLockMemory,
-  kSynchronousGrowth,
-  kTunerPass,
-  kFaultInjection,
-  kFaultAbsorbed,
-  kFaultRecovery,
+// Every recorded event, in one vocabulary: the lock manager, the STMM
+// controller and the degradation ledger record these kinds directly.
+// Telemetry cannot see lock/ or fault/ types, so events carry generic
+// integer payloads.
+enum class EventKind : uint8_t {
+  kWaitBegin = 0,      // a request queued behind incompatible holders
+  kWaitEnd,            // a queued request was granted
+  kEscalation,         // row locks collapsed into a table lock
+  kDeadlockVictim,     // chosen to break a cycle
+  kTimeout,            // a waiter exceeded LOCKTIMEOUT
+  kOutOfLockMemory,    // no structure available and nothing to escalate
+  kSynchronousGrowth,  // a block was added on the request path
+  kTunerPass,          // one asynchronous STMM tuning pass
+  kFaultInjection,     // the fault plan delivered a fault
+  kFaultAbsorbed,      // a subsystem degraded instead of failing
+  kFaultRecovery,      // a subsystem left its degraded state
 };
-const char* FlightEventKindName(FlightEventKind kind);
+
+// The flight-dump name ("wait_begin"), as FlightEvent::ToString prints it.
+const char* EventDumpName(EventKind kind);
+// The record name ("WAIT_BEGIN"): the `event` field of a `lock_event`
+// trace record and the name of a Chrome-trace instant.
+const char* EventRecordName(EventKind kind);
 
 struct FlightEvent {
   int64_t time_ms = 0;  // virtual time
-  FlightEventKind kind = FlightEventKind::kWaitBegin;
+  EventKind kind = EventKind::kWaitBegin;
   int32_t app = 0;
   int64_t a = 0;  // kind-specific (table id, tuner action, ...)
   int64_t b = 0;  // kind-specific (row id, value, ...)
@@ -61,8 +68,8 @@ inline constexpr int kFlightRingCapacity = 256;
 
 // Appends to the ring. Installs the check-failure dump hook on the first
 // use of the recorder.
-void FlightRecord(FlightEventKind kind, int64_t time_ms, int32_t app,
-                  int64_t a, int64_t b);
+void FlightRecord(EventKind kind, int64_t time_ms, int32_t app, int64_t a,
+                  int64_t b);
 
 // Writes the ring (oldest surviving event first) to `out`.
 void DumpFlightRecorder(std::FILE* out);

@@ -25,15 +25,6 @@ double SnapshotQuantile(const HistogramSnapshot& snapshot, double q) {
   return snapshot.upper_bounds.empty() ? 0.0 : snapshot.upper_bounds.back();
 }
 
-HistogramSnapshot HistogramMetric::Snapshot() const {
-  HistogramSnapshot out;
-  out.upper_bounds = hist_.upper_bounds();
-  out.counts = hist_.counts();
-  out.total = hist_.total_count();
-  out.sum = sum_;
-  return out;
-}
-
 HistogramSnapshot SnapshotOf(const Histogram& hist) {
   HistogramSnapshot out;
   out.upper_bounds = hist.upper_bounds();
@@ -51,35 +42,17 @@ HistogramSnapshot SnapshotOf(const Histogram& hist) {
   return out;
 }
 
-Counter* MetricsRegistry::AddCounter(const std::string& name,
-                                     const std::string& help) {
-  Entry& e = entries_[name];
-  e = Entry{};
-  e.help = help;
-  e.kind = MetricKind::kCounter;
-  e.counter = std::make_unique<Counter>();
-  return e.counter.get();
-}
-
-Gauge* MetricsRegistry::AddGauge(const std::string& name,
-                                 const std::string& help) {
-  Entry& e = entries_[name];
-  e = Entry{};
-  e.help = help;
-  e.kind = MetricKind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
-  return e.gauge.get();
-}
-
-HistogramMetric* MetricsRegistry::AddHistogram(
-    const std::string& name, const std::string& help,
-    std::vector<double> upper_bounds) {
-  Entry& e = entries_[name];
-  e = Entry{};
-  e.help = help;
-  e.kind = MetricKind::kHistogram;
-  e.histogram = std::make_unique<HistogramMetric>(std::move(upper_bounds));
-  return e.histogram.get();
+HistogramSnapshot SnapshotOfValues(std::vector<double> upper_bounds,
+                                   const std::vector<double>& values) {
+  Histogram hist(std::move(upper_bounds));
+  double sum = 0.0;
+  for (const double x : values) {
+    hist.Add(x);
+    sum += x;
+  }
+  HistogramSnapshot out = SnapshotOf(hist);
+  out.sum = sum;
+  return out;
 }
 
 void MetricsRegistry::AddCallbackCounter(const std::string& name,
@@ -126,14 +99,13 @@ std::vector<MetricSample> MetricsRegistry::Collect() const {
     s.kind = e.kind;
     switch (e.kind) {
       case MetricKind::kCounter:
-        s.value = static_cast<double>(e.counter ? e.counter->value()
-                                                : e.counter_fn());
+        s.value = static_cast<double>(e.counter_fn());
         break;
       case MetricKind::kGauge:
-        s.value = e.gauge ? e.gauge->value() : e.gauge_fn();
+        s.value = e.gauge_fn();
         break;
       case MetricKind::kHistogram:
-        s.histogram = e.histogram ? e.histogram->Snapshot() : e.histogram_fn();
+        s.histogram = e.histogram_fn();
         break;
     }
     out.push_back(std::move(s));

@@ -6,7 +6,7 @@
 // pass capturing its inputs, the chosen action, and a human-readable *why*;
 // the lock manager appends one `lock_event` record per lock event
 // (LockManager::set_trace_sink). Timestamps are SimClock virtual time, so
-// traces line up with the sampled series and the stderr log.
+// traces line up with the sampled series.
 #ifndef LOCKTUNE_TELEMETRY_TRACE_H_
 #define LOCKTUNE_TELEMETRY_TRACE_H_
 

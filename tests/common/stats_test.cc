@@ -5,46 +5,6 @@
 namespace locktune {
 namespace {
 
-TEST(SummaryStatsTest, EmptyDefaults) {
-  SummaryStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SummaryStatsTest, SingleValue) {
-  SummaryStats s;
-  s.Add(4.0);
-  EXPECT_EQ(s.count(), 1);
-  EXPECT_EQ(s.min(), 4.0);
-  EXPECT_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.mean(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SummaryStatsTest, KnownSeries) {
-  SummaryStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(SummaryStatsTest, NegativeValues) {
-  SummaryStats s;
-  s.Add(-5.0);
-  s.Add(5.0);
-  EXPECT_EQ(s.min(), -5.0);
-  EXPECT_EQ(s.max(), 5.0);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
 TEST(HistogramTest, BucketsByUpperBound) {
   Histogram h({1.0, 10.0, 100.0});
   h.Add(0.5);    // bucket 0 (≤ 1)

@@ -130,8 +130,8 @@ TEST_F(StmmTraceTest, RegisterMetricsExposesTunerState) {
     if (s.name == "locktune_stmm_free_fraction") saw_free_fraction = true;
   }
   EXPECT_DOUBLE_EQ(passes, 5.0);
-  // Every pass increments exactly one per-action counter and observes one
-  // resize magnitude.
+  // Every pass counts under exactly one action and adds one resize
+  // magnitude.
   EXPECT_DOUBLE_EQ(action_sum, 5.0);
   EXPECT_DOUBLE_EQ(resize_count, 5.0);
   EXPECT_DOUBLE_EQ(lmoc, static_cast<double>(stmm_->lmoc()));

@@ -8,6 +8,7 @@
 
 #include "common/units.h"
 #include "lock/lock_manager.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/trace.h"
 
 namespace locktune {
@@ -15,17 +16,20 @@ namespace {
 
 constexpr TableId kT = 1;
 
-TEST(LockEventKindTest, NamesAreStable) {
-  EXPECT_EQ(LockEventKindName(LockEventKind::kWaitBegin), "WAIT_BEGIN");
-  EXPECT_EQ(LockEventKindName(LockEventKind::kEscalation), "ESCALATION");
-  EXPECT_EQ(LockEventKindName(LockEventKind::kSynchronousGrowth),
-            "SYNC_GROWTH");
+TEST(EventKindTest, NamesAreStable) {
+  EXPECT_STREQ(EventRecordName(EventKind::kWaitBegin), "WAIT_BEGIN");
+  EXPECT_STREQ(EventRecordName(EventKind::kEscalation), "ESCALATION");
+  EXPECT_STREQ(EventRecordName(EventKind::kSynchronousGrowth),
+               "SYNC_GROWTH");
+  EXPECT_STREQ(EventDumpName(EventKind::kWaitBegin), "wait_begin");
+  EXPECT_STREQ(EventDumpName(EventKind::kEscalation), "escalation");
+  EXPECT_STREQ(EventDumpName(EventKind::kSynchronousGrowth), "sync_growth");
 }
 
 // Records of kind "lock_event" whose `event` field names `kind`.
 std::vector<TraceRecord> LockEvents(const MemoryTraceSink& sink,
-                                    LockEventKind kind) {
-  const std::string want = "\"" + std::string(LockEventKindName(kind)) + "\"";
+                                    EventKind kind) {
+  const std::string want = "\"" + std::string(EventRecordName(kind)) + "\"";
   std::vector<TraceRecord> out;
   for (const TraceRecord& rec : sink.records()) {
     const std::string* event = rec.Find("event");
@@ -56,7 +60,7 @@ class LockEventsTest : public ::testing::Test {
     lm_->set_trace_sink(&sink_);
   }
 
-  size_t Count(LockEventKind kind) const {
+  size_t Count(EventKind kind) const {
     return LockEvents(sink_, kind).size();
   }
 
@@ -72,10 +76,10 @@ TEST_F(LockEventsTest, WaitBeginAndEnd) {
             LockOutcome::kGranted);
   ASSERT_EQ(lm_->Lock(2, RowResource(kT, 1), LockMode::kX).outcome,
             LockOutcome::kWaiting);
-  EXPECT_EQ(Count(LockEventKind::kWaitBegin), 1u);
-  EXPECT_EQ(Count(LockEventKind::kWaitEnd), 0u);
+  EXPECT_EQ(Count(EventKind::kWaitBegin), 1u);
+  EXPECT_EQ(Count(EventKind::kWaitEnd), 0u);
   lm_->ReleaseAll(1);
-  EXPECT_EQ(Count(LockEventKind::kWaitEnd), 1u);
+  EXPECT_EQ(Count(EventKind::kWaitEnd), 1u);
 }
 
 TEST_F(LockEventsTest, EscalationCarriesRowsReleased) {
@@ -90,7 +94,7 @@ TEST_F(LockEventsTest, EscalationCarriesRowsReleased) {
   ASSERT_GT(granted_rows, 100);
   ASSERT_LT(granted_rows, 300);
   const std::vector<TraceRecord> escalations =
-      LockEvents(sink_, LockEventKind::kEscalation);
+      LockEvents(sink_, EventKind::kEscalation);
   ASSERT_EQ(escalations.size(), 1u);
   EXPECT_EQ(*escalations[0].Find("app"), "1");
   EXPECT_EQ(*escalations[0].Find("resource"), "\"tab(1)\"");
@@ -109,7 +113,7 @@ TEST_F(LockEventsTest, SynchronousGrowthEvent) {
                     RowResource(static_cast<TableId>(r % 2), r),
                     LockMode::kS);
   }
-  EXPECT_GE(Count(LockEventKind::kSynchronousGrowth), 1u);
+  EXPECT_GE(Count(EventKind::kSynchronousGrowth), 1u);
 }
 
 TEST_F(LockEventsTest, TimeoutEvent) {
@@ -120,7 +124,7 @@ TEST_F(LockEventsTest, TimeoutEvent) {
             LockOutcome::kWaiting);
   clock_.Advance(2 * kSecond);
   (void)lm_->ExpireTimedOutWaiters();
-  EXPECT_EQ(Count(LockEventKind::kTimeout), 1u);
+  EXPECT_EQ(Count(EventKind::kTimeout), 1u);
 }
 
 TEST_F(LockEventsTest, DeadlockVictimEvent) {
@@ -134,7 +138,7 @@ TEST_F(LockEventsTest, DeadlockVictimEvent) {
   ASSERT_EQ(lm_->Lock(2, RowResource(kT, 1), LockMode::kX).outcome,
             LockOutcome::kWaiting);
   (void)lm_->DetectDeadlocks();
-  EXPECT_EQ(Count(LockEventKind::kDeadlockVictim), 1u);
+  EXPECT_EQ(Count(EventKind::kDeadlockVictim), 1u);
 }
 
 TEST_F(LockEventsTest, OutOfMemoryEvent) {
@@ -145,7 +149,7 @@ TEST_F(LockEventsTest, OutOfMemoryEvent) {
         lm_->Lock(1, TableResource(static_cast<TableId>(t)), LockMode::kIS);
     if (res.outcome == LockOutcome::kOutOfMemory) break;
   }
-  EXPECT_GE(Count(LockEventKind::kOutOfLockMemory), 1u);
+  EXPECT_GE(Count(EventKind::kOutOfLockMemory), 1u);
 }
 
 TEST_F(LockEventsTest, NoTraceSinkAppendsNothing) {
@@ -190,7 +194,7 @@ TEST_F(LockEventsTest, TraceSinkWaitEndCarriesWaitMs) {
   clock_.Advance(250);
   lm_->ReleaseAll(1);
   const std::vector<TraceRecord> ends =
-      LockEvents(sink_, LockEventKind::kWaitEnd);
+      LockEvents(sink_, EventKind::kWaitEnd);
   ASSERT_EQ(ends.size(), 1u);
   EXPECT_EQ(*ends[0].Find("app"), "3");
   EXPECT_EQ(*ends[0].Find("wait_ms"), "250");

@@ -21,8 +21,10 @@ std::vector<std::string> Lines(const std::string& text) {
 
 TEST(WritePrometheusTest, CountersAndGauges) {
   MetricsRegistry reg;
-  reg.AddCounter("locktune_lock_waits_total", "lock waits")->Increment(3);
-  reg.AddGauge("locktune_memory_total_bytes", "database memory")->Set(1024);
+  reg.AddCallbackCounter("locktune_lock_waits_total", "lock waits",
+                         [] { return 3; });
+  reg.AddCallbackGauge("locktune_memory_total_bytes", "database memory",
+                       [] { return 1024.0; });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::vector<std::string> lines = Lines(os.str());
@@ -37,10 +39,10 @@ TEST(WritePrometheusTest, CountersAndGauges) {
 
 TEST(WritePrometheusTest, LabeledVariantsShareOneFamilyHeader) {
   MetricsRegistry reg;
-  reg.AddGauge("locktune_memory_heap_bytes{heap=\"locklist\"}", "heap size")
-      ->Set(4);
-  reg.AddGauge("locktune_memory_heap_bytes{heap=\"sort\"}", "heap size")
-      ->Set(8);
+  reg.AddCallbackGauge("locktune_memory_heap_bytes{heap=\"locklist\"}",
+                       "heap size", [] { return 4.0; });
+  reg.AddCallbackGauge("locktune_memory_heap_bytes{heap=\"sort\"}",
+                       "heap size", [] { return 8.0; });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::string text = os.str();
@@ -57,11 +59,9 @@ TEST(WritePrometheusTest, LabeledVariantsShareOneFamilyHeader) {
 
 TEST(WritePrometheusTest, HistogramExpandsToCumulativeBuckets) {
   MetricsRegistry reg;
-  HistogramMetric* h =
-      reg.AddHistogram("locktune_lock_wait_time_ms", "wait time", {1.0, 10.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
-  h->Observe(50.0);  // overflow
+  reg.AddCallbackHistogram("locktune_lock_wait_time_ms", "wait time", [] {
+    return SnapshotOfValues({1.0, 10.0}, {0.5, 5.0, 50.0});  // 50 overflows
+  });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::string text = os.str();
@@ -81,11 +81,10 @@ TEST(WritePrometheusTest, HistogramExpandsToCumulativeBuckets) {
 
 TEST(WritePrometheusTest, LabeledHistogramSplicesLeIntoLabels) {
   MetricsRegistry reg;
-  HistogramMetric* h = reg.AddHistogram(
-      "locktune_test_wait_ms{site=\"shard\"}", "wait", {1.0, 10.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
-  h->Observe(50.0);  // overflow
+  reg.AddCallbackHistogram(
+      "locktune_test_wait_ms{site=\"shard\"}", "wait", [] {
+        return SnapshotOfValues({1.0, 10.0}, {0.5, 5.0, 50.0});  // 50 overflows
+      });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::string text = os.str();
@@ -121,12 +120,10 @@ TEST(WritePrometheusTest, LabeledHistogramSplicesLeIntoLabels) {
 
 TEST(WritePrometheusTest, LabeledHistogramVariantsShareOneFamilyHeader) {
   MetricsRegistry reg;
-  reg.AddHistogram("locktune_test_wait_ms{site=\"alloc\"}", "wait",
-                   {1.0})
-      ->Observe(0.5);
-  reg.AddHistogram("locktune_test_wait_ms{site=\"shard\"}", "wait",
-                   {1.0})
-      ->Observe(0.5);
+  reg.AddCallbackHistogram("locktune_test_wait_ms{site=\"alloc\"}", "wait",
+                           [] { return SnapshotOfValues({1.0}, {0.5}); });
+  reg.AddCallbackHistogram("locktune_test_wait_ms{site=\"shard\"}", "wait",
+                           [] { return SnapshotOfValues({1.0}, {0.5}); });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::string text = os.str();
@@ -142,8 +139,10 @@ TEST(WritePrometheusTest, LabeledHistogramVariantsShareOneFamilyHeader) {
 
 TEST(WriteMetricsCsvTest, HeaderAndRows) {
   MetricsRegistry reg;
-  reg.AddCounter("locktune_lock_waits_total", "waits")->Increment(2);
-  reg.AddGauge("locktune_workload_throughput_tps", "tps")->Set(120.5);
+  reg.AddCallbackCounter("locktune_lock_waits_total", "waits",
+                         [] { return 2; });
+  reg.AddCallbackGauge("locktune_workload_throughput_tps", "tps",
+                       [] { return 120.5; });
   std::ostringstream os;
   WriteMetricsCsv(reg, os);
   const std::vector<std::string> lines = Lines(os.str());
@@ -155,9 +154,9 @@ TEST(WriteMetricsCsvTest, HeaderAndRows) {
 
 TEST(WriteMetricsCsvTest, HistogramExpandsToDigestRows) {
   MetricsRegistry reg;
-  HistogramMetric* h =
-      reg.AddHistogram("locktune_test_ms", "t", {1.0, 10.0, 100.0});
-  for (int i = 0; i < 100; ++i) h->Observe(5.0);
+  reg.AddCallbackHistogram("locktune_test_ms", "t", [] {
+    return SnapshotOfValues({1.0, 10.0, 100.0}, std::vector<double>(100, 5.0));
+  });
   std::ostringstream os;
   WriteMetricsCsv(reg, os);
   const std::string text = os.str();
@@ -222,8 +221,8 @@ TEST(CsvFieldTest, QuotesOnlyWhenStructureIsAtRisk) {
 TEST(WriteMetricsCsvTest, SpecialCharactersRoundTrip) {
   MetricsRegistry reg;
   const std::string hostile = "locktune_odd{note=\"a,b\"}";
-  reg.AddGauge(hostile, "gauge with a comma and quotes in its name")
-      ->Set(7);
+  reg.AddCallbackGauge(hostile, "gauge with a comma and quotes in its name",
+                       [] { return 7.0; });
   std::ostringstream os;
   WriteMetricsCsv(reg, os);
   const std::vector<std::string> lines = Lines(os.str());
@@ -249,7 +248,7 @@ TEST(WritePrometheusTest, HostileLabelValueStaysOneWellFormedLine) {
   // through PrometheusLabelValue when building the labeled name.
   const std::string name = "locktune_memory_heap_bytes{heap=\"" +
                            PrometheusLabelValue("odd\"heap\\name\n") + "\"}";
-  reg.AddGauge(name, "per-heap size")->Set(2);
+  reg.AddCallbackGauge(name, "per-heap size", [] { return 2.0; });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::vector<std::string> lines = Lines(os.str());
@@ -262,8 +261,8 @@ TEST(WritePrometheusTest, HostileLabelValueStaysOneWellFormedLine) {
 
 TEST(WritePrometheusTest, HelpTextEscapesBackslashAndNewline) {
   MetricsRegistry reg;
-  reg.AddCounter("locktune_odd_total", "first\nsecond \\ third")
-      ->Increment(1);
+  reg.AddCallbackCounter("locktune_odd_total", "first\nsecond \\ third",
+                         [] { return 1; });
   std::ostringstream os;
   WritePrometheus(reg, os);
   const std::vector<std::string> lines = Lines(os.str());
@@ -274,9 +273,10 @@ TEST(WritePrometheusTest, HelpTextEscapesBackslashAndNewline) {
 
 TEST(RenderRegistryTableTest, AlignsNamesAndDigestsHistograms) {
   MetricsRegistry reg;
-  reg.AddCounter("locktune_lock_waits_total", "waits")->Increment(7);
-  HistogramMetric* h = reg.AddHistogram("locktune_wait_ms", "w", {1.0, 10.0});
-  h->Observe(2.0);
+  reg.AddCallbackCounter("locktune_lock_waits_total", "waits",
+                         [] { return 7; });
+  reg.AddCallbackHistogram("locktune_wait_ms", "w",
+                           [] { return SnapshotOfValues({1.0, 10.0}, {2.0}); });
   const std::string table = RenderRegistryTable(reg);
   EXPECT_NE(table.find("locktune_lock_waits_total"), std::string::npos);
   EXPECT_NE(table.find("7"), std::string::npos);

@@ -22,16 +22,16 @@ std::string Slurp(std::FILE* f) {
 
 TEST(FlightRecorderTest, RecordsInOrder) {
   ResetFlightRecorderForTesting();
-  FlightRecord(FlightEventKind::kEscalation, 10, 1, 7, 0);
-  FlightRecord(FlightEventKind::kTimeout, 20, 2, 8, 1);
-  FlightRecord(FlightEventKind::kTunerPass, 30, 0, 2, 4096);
+  FlightRecord(EventKind::kEscalation, 10, 1, 7, 0);
+  FlightRecord(EventKind::kTimeout, 20, 2, 8, 1);
+  FlightRecord(EventKind::kTunerPass, 30, 0, 2, 4096);
   const std::vector<FlightEvent> events = RecentFlightEvents();
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, FlightEventKind::kEscalation);
+  EXPECT_EQ(events[0].kind, EventKind::kEscalation);
   EXPECT_EQ(events[0].time_ms, 10);
   EXPECT_EQ(events[0].app, 1);
-  EXPECT_EQ(events[1].kind, FlightEventKind::kTimeout);
-  EXPECT_EQ(events[2].kind, FlightEventKind::kTunerPass);
+  EXPECT_EQ(events[1].kind, EventKind::kTimeout);
+  EXPECT_EQ(events[2].kind, EventKind::kTunerPass);
   EXPECT_EQ(events[2].b, 4096);
   EXPECT_EQ(FlightEventsRecorded(), 3u);
 }
@@ -40,7 +40,7 @@ TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
   ResetFlightRecorderForTesting();
   const int kRecorded = 300;  // > kFlightRingCapacity (256)
   for (int i = 0; i < kRecorded; ++i) {
-    FlightRecord(FlightEventKind::kWaitBegin, i, i, 0, 0);
+    FlightRecord(EventKind::kWaitBegin, i, i, 0, 0);
   }
   const std::vector<FlightEvent> events = RecentFlightEvents();
   ASSERT_EQ(events.size(), static_cast<size_t>(kFlightRingCapacity));
@@ -55,7 +55,7 @@ TEST(FlightRecorderTest, WraparoundKeepsLastCapacityEvents) {
 }
 
 TEST(FlightRecorderTest, EventToStringNamesTheKind) {
-  const FlightEvent event{42, FlightEventKind::kDeadlockVictim, 3, 17, 9};
+  const FlightEvent event{42, EventKind::kDeadlockVictim, 3, 17, 9};
   const std::string s = event.ToString();
   EXPECT_NE(s.find("t=42ms"), std::string::npos) << s;
   EXPECT_NE(s.find("deadlock_victim"), std::string::npos) << s;
@@ -64,7 +64,7 @@ TEST(FlightRecorderTest, EventToStringNamesTheKind) {
 
 TEST(FlightRecorderTest, DumpListsRingsAndEvents) {
   ResetFlightRecorderForTesting();
-  FlightRecord(FlightEventKind::kOutOfLockMemory, 99, 4, 0, 123);
+  FlightRecord(EventKind::kOutOfLockMemory, 99, 4, 0, 123);
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
   DumpFlightRecorder(f);
@@ -94,7 +94,7 @@ TEST(FlightRecorderTest, VictimDumpBudgetIsOncePerProcessWhenArmed) {
 TEST(FlightRecorderDeathTest, CheckFailureDumpsRecorder) {
   EXPECT_DEATH(
       {
-        FlightRecord(FlightEventKind::kEscalation, 7, 1, 2, 3);
+        FlightRecord(EventKind::kEscalation, 7, 1, 2, 3);
         LOCKTUNE_CHECK(1 == 2);
       },
       "CHECK failed(.|\n)*flight recorder dump(.|\n)*escalation");

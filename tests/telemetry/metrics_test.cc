@@ -5,11 +5,10 @@
 namespace locktune {
 namespace {
 
-TEST(MetricsRegistryTest, OwnedCounterRoundTrips) {
+TEST(MetricsRegistryTest, CounterRoundTrips) {
   MetricsRegistry reg;
-  Counter* c = reg.AddCounter("locktune_test_events_total", "test events");
-  c->Increment();
-  c->Increment(41);
+  reg.AddCallbackCounter("locktune_test_events_total", "test events",
+                         [] { return 42; });
   ASSERT_TRUE(reg.Has("locktune_test_events_total"));
   const std::vector<MetricSample> samples = reg.Collect();
   ASSERT_EQ(samples.size(), 1u);
@@ -19,11 +18,12 @@ TEST(MetricsRegistryTest, OwnedCounterRoundTrips) {
   EXPECT_DOUBLE_EQ(samples[0].value, 42.0);
 }
 
-TEST(MetricsRegistryTest, OwnedGaugeMovesBothWays) {
+TEST(MetricsRegistryTest, GaugeMovesBothWays) {
   MetricsRegistry reg;
-  Gauge* g = reg.AddGauge("locktune_test_level", "test level");
-  g->Set(10.0);
-  g->Add(-2.5);
+  double level = 10.0;
+  reg.AddCallbackGauge("locktune_test_level", "test level",
+                       [&] { return level; });
+  level -= 2.5;
   EXPECT_DOUBLE_EQ(reg.Collect()[0].value, 7.5);
 }
 
@@ -46,9 +46,9 @@ TEST(MetricsRegistryTest, CallbackMetricsEvaluateAtCollect) {
 
 TEST(MetricsRegistryTest, CollectIsSortedByName) {
   MetricsRegistry reg;
-  reg.AddCounter("locktune_z_total", "z");
-  reg.AddCounter("locktune_a_total", "a");
-  reg.AddGauge("locktune_m", "m");
+  reg.AddCallbackCounter("locktune_z_total", "z", [] { return 0; });
+  reg.AddCallbackCounter("locktune_a_total", "a", [] { return 0; });
+  reg.AddCallbackGauge("locktune_m", "m", [] { return 0.0; });
   const std::vector<MetricSample> samples = reg.Collect();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "locktune_a_total");
@@ -58,8 +58,7 @@ TEST(MetricsRegistryTest, CollectIsSortedByName) {
 
 TEST(MetricsRegistryTest, ReRegistrationReplacesLastWins) {
   MetricsRegistry reg;
-  Counter* first = reg.AddCounter("locktune_test_total", "v1");
-  first->Increment(5);
+  reg.AddCallbackCounter("locktune_test_total", "v1", [] { return 5; });
   reg.AddCallbackCounter("locktune_test_total", "v2", [] { return 99; });
   const std::vector<MetricSample> samples = reg.Collect();
   ASSERT_EQ(samples.size(), 1u);
@@ -68,14 +67,13 @@ TEST(MetricsRegistryTest, ReRegistrationReplacesLastWins) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(MetricsRegistryTest, OwnedHistogramSnapshot) {
+TEST(MetricsRegistryTest, HistogramOfValuesKeepsExactSum) {
   MetricsRegistry reg;
-  HistogramMetric* h = reg.AddHistogram("locktune_test_latency_ms", "latency",
-                                        {1.0, 10.0, 100.0});
-  h->Observe(0.5);
-  h->Observe(5.0);
-  h->Observe(5.0);
-  h->Observe(500.0);  // overflow
+  std::vector<double> observed;
+  reg.AddCallbackHistogram("locktune_test_latency_ms", "latency", [&] {
+    return SnapshotOfValues({1.0, 10.0, 100.0}, observed);
+  });
+  observed = {0.5, 5.0, 5.0, 500.0};  // the last one overflows
   const std::vector<MetricSample> samples = reg.Collect();
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].kind, MetricKind::kHistogram);

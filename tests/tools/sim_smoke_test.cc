@@ -1,8 +1,9 @@
 // End-to-end smoke test for the locktune_sim binary: runs the Figure 9 ramp
 // scenario with --metrics-out / --trace-out and checks both outputs parse
 // (strict JSONL validation, Prometheus line shape), that the decision trace
-// matches the run summary, and that bad flags are rejected. The cases that
-// check only the `-` and `.csv` output formats run the ramp's first 40 s.
+// matches the run summary, and that bad flags and unwritable outputs are
+// rejected. The cases that check only an output format or target run the
+// ramp's first 40 s.
 //
 // The binary path comes from the LOCKTUNE_SIM_BINARY compile definition
 // (see tests/CMakeLists.txt).
@@ -351,12 +352,13 @@ TEST(SimSmokeTest, RejectsNonPositiveOrGarbageStride) {
 }
 
 TEST(SimSmokeTest, RejectsRemovedFlags) {
-  // The threaded execution mode and the contention profiler are gone;
-  // their flags must fail loudly rather than be silently ignored. The
-  // names are spelled in two pieces so that a search of the tree for the
-  // removed flags finds no live use.
+  // The threaded execution mode, the contention profiler and the stderr
+  // log are gone; their flags must fail loudly rather than be silently
+  // ignored. The names are spelled in two pieces so that a search of the
+  // tree for the removed flags finds no live use.
   const std::string threads_flag = std::string("--") + "threads";
   const std::string profile_flag = std::string("--") + "profile-" + "metrics";
+  const std::string log_flag = std::string("--") + "log-" + "level";
   EXPECT_NE(RunSim(kFig9Conf, threads_flag + " 4",
                    TempPath("threads_out.txt"), TempPath("threads_err.txt")),
             0);
@@ -368,6 +370,26 @@ TEST(SimSmokeTest, RejectsRemovedFlags) {
             0);
   EXPECT_NE(ReadFile(TempPath("profile_err.txt"))
                 .find("unknown argument " + profile_flag),
+            std::string::npos);
+  EXPECT_NE(RunSim(kFig9Conf, log_flag + " debug", TempPath("log_out.txt"),
+                   TempPath("log_err.txt")),
+            0);
+  EXPECT_NE(ReadFile(TempPath("log_err.txt"))
+                .find("unknown argument " + log_flag),
+            std::string::npos);
+}
+
+TEST(SimSmokeTest, UnwritableTraceOutFails) {
+  // /dev/full opens but refuses every write: the trace is lost, so the run
+  // must not report success.
+  if (!std::ifstream("/dev/full").is_open()) {
+    GTEST_SKIP() << "no /dev/full on this host";
+  }
+  EXPECT_EQ(RunSim(ShortRampConf("full"), "--trace-out /dev/full",
+                   TempPath("full_out.txt"), TempPath("full_err.txt")),
+            1);
+  EXPECT_NE(ReadFile(TempPath("full_err.txt"))
+                .find("locktune_sim: cannot write --trace-out /dev/full"),
             std::string::npos);
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity check between two builds of locktune. Runs both on
 #   * every scenarios/*.conf and scenarios/regression/*.conf, comparing
-#     stdout, --metrics-out and --trace-out;
+#     stdout, --metrics-out, --trace-out and --trace-profile;
 #   * `locktune_fuzz --seed 1234 --count 200`, comparing stdout and the
 #     files it writes;
 #   * the `paper` benches (`ctest -L paper` in BUILD_A), comparing stdout;
@@ -52,7 +52,8 @@ run_both() {
 
 for conf in "$ROOT"/scenarios/*.conf "$ROOT"/scenarios/regression/*.conf; do
   run_both "${conf#"$ROOT"/}" tools/locktune_sim "$conf" \
-    --metrics-out metrics.prom --trace-out trace.jsonl
+    --metrics-out metrics.prom --trace-out trace.jsonl \
+    --trace-profile trace.json
 done
 
 run_both "locktune_fuzz --seed 1234 --count 200" tools/locktune_fuzz \

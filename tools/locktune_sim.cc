@@ -8,7 +8,6 @@
 //                              switches to metric,value CSV)
 //     [--trace-out PATH|-]     JSONL decision trace: one record per STMM
 //                              tuning pass and one per lock event
-//     [--log-level LEVEL]      trace|debug|info|warning|error
 //     [--stmm-report]          db2pd -stmm style tuning history table
 //     [--snapshot]             end-of-run state snapshot
 //     [--inspect]              locktune_pd full inspection: snapshot +
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/paranoid.h"
 #include "core/stmm_report.h"
 #include "engine/db_snapshot.h"
@@ -81,16 +79,6 @@ bool ParsePositiveInt(const char* s, int64_t* out) {
   return true;
 }
 
-bool ParseLogLevel(const std::string& s, LogLevel* out) {
-  if (s == "trace") *out = LogLevel::kTrace;
-  else if (s == "debug") *out = LogLevel::kDebug;
-  else if (s == "info") *out = LogLevel::kInfo;
-  else if (s == "warning") *out = LogLevel::kWarning;
-  else if (s == "error") *out = LogLevel::kError;
-  else return false;
-  return true;
-}
-
 // An output target that is either stdout ("-") or an owned file.
 struct OutStream {
   std::ostream* os = nullptr;
@@ -116,7 +104,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 constexpr char kUsage[] =
     "usage: locktune_sim <scenario-file> [--series a,b,...] [--stride N] "
     "[--metrics-out PATH|-] [--trace-out PATH|-] "
-    "[--log-level LEVEL] [--stmm-report] [--snapshot] [--inspect] "
+    "[--stmm-report] [--snapshot] [--inspect] "
     "[--trace-profile PATH] [--flight-dump] [--tick-watchdog-ms N]";
 
 }  // namespace
@@ -164,13 +152,6 @@ int main(int argc, char** argv) {
       trace_profile_out = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-dump") == 0) {
       flight_dump = true;
-    } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
-      LogLevel level;
-      if (!ParseLogLevel(argv[++i], &level)) {
-        return Fail(std::string("unknown log level \"") + argv[i] +
-                    "\" (want trace|debug|info|warning|error)");
-      }
-      SetLogLevel(level);
     } else if (std::strcmp(argv[i], "--stmm-report") == 0) {
       stmm_report = true;
     } else if (std::strcmp(argv[i], "--snapshot") == 0) {
@@ -216,10 +197,6 @@ int main(int argc, char** argv) {
     SetGlobalTraceCollector(trace_profile.get());
   }
 
-  // Stamp stderr log lines with virtual time so they correlate with trace
-  // records and the sampled series.
-  SetLogClock(&scenario.database().clock());
-
   OutStream trace_stream;
   std::unique_ptr<JsonlTraceWriter> trace_writer;
   if (!trace_out.empty()) {
@@ -232,8 +209,14 @@ int main(int argc, char** argv) {
 
   scenario.runner().Run();
 
-  if (trace_writer != nullptr) trace_writer->Flush();
-  SetLogClock(nullptr);
+  if (trace_writer != nullptr) {
+    trace_writer->Flush();
+    // The trace is the run's only record of its decisions and absorbed
+    // faults; losing it to a full disk must not pass as success.
+    if (!trace_stream.os->good()) {
+      return Fail("cannot write --trace-out " + trace_out);
+    }
+  }
 
   if (trace_profile != nullptr) {
     SetGlobalTraceCollector(nullptr);
